@@ -265,31 +265,19 @@ def _cmd_forecast(config: RunConfig, outdir: Path) -> None:
     else:
         post = trained.decompose_posterior(grid)
     lower, upper = post.bounds()
+    columns = (grid, post.mean, post.sigma_latent, post.sigma_noisy, lower, upper)
     rows = [["x", "mean", "sigma_latent", "sigma_noisy", "lower_2sigma", "upper_2sigma"]]
-    for i, x in enumerate(grid):
-        rows.append(
-            [
-                repr(float(x)),
-                repr(float(post.mean[i])),
-                repr(float(post.sigma_latent[i])),
-                repr(float(post.sigma_noisy[i])),
-                repr(float(lower[i])),
-                repr(float(upper[i])),
-            ]
-        )
+    rows.extend([repr(v) for v in row] for row in zip(*(c.tolist() for c in columns)))
     _write_csv(outdir / "posterior.csv", rows)
     if post.components is not None:
         comp_rows = [["component", "x", "mean", "sigma"]]
         for comp in post.components:
-            for i, x in enumerate(grid):
-                comp_rows.append(
-                    [
-                        comp.name,
-                        repr(float(x)),
-                        repr(float(comp.mean[i])),
-                        repr(float(math.sqrt(comp.variance[i]))),
-                    ]
+            comp_rows.extend(
+                [comp.name, repr(x), repr(mean), repr(sigma)]
+                for x, mean, sigma in zip(
+                    grid.tolist(), comp.mean.tolist(), np.sqrt(comp.variance).tolist()
                 )
+            )
         _write_csv(outdir / "components.csv", comp_rows)
     forecast = forecast_eol(trained, spec, horizon_x)
     try:

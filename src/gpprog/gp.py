@@ -6,24 +6,29 @@ The observation model is
 
 All inference reuses a single Cholesky factorization of K + sigma^2 I:
 the marginal likelihood, its gradients, posterior conditioning, additive
-decomposition, and sampling.  Models are immutable; training produces new
-instances via ``with_opt_vector``.
+decomposition, and sampling.  Models are immutable; training evaluates
+candidate parameter vectors against one model and builds the trained
+instance once via ``with_opt_vector``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import blas, lapack, solve_triangular
 
 from .errors import ConfigError, ContractError, NumericalError
 from .kernels import (
     Hyperparameters,
+    InputPairs,
     Kernel,
     LabelCovariance,
     Product,
+    is_log_kind,
+    natural_values,
     sum_terms,
 )
 from .meanfn import Constant, MeanFunction, Zero
@@ -45,18 +50,18 @@ def jittered_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
     diag_mean = float(np.mean(np.diag(a)))
     jitter = 0.0
     while True:
-        try:
-            shifted = a if jitter == 0.0 else a + jitter * np.eye(len(a))
-            return cholesky(shifted, lower=True, check_finite=False), jitter
-        except np.linalg.LinAlgError:
-            jitter = diag_mean * 1e-9 if jitter == 0.0 else jitter * 10.0
-            if jitter > diag_mean * 1e-3:
-                eigs = np.linalg.eigvalsh(a)
-                raise NumericalError(
-                    "covariance not positive definite even with jitter "
-                    f"{diag_mean * 1e-3:.3e}; eigenvalue range "
-                    f"[{eigs[0]:.3e}, {eigs[-1]:.3e}]"
-                ) from None
+        shifted = a if jitter == 0.0 else a + jitter * np.eye(len(a))
+        chol, info = lapack.dpotrf(shifted, lower=1, clean=1)
+        if info == 0:
+            return chol, jitter
+        jitter = diag_mean * 1e-9 if jitter == 0.0 else jitter * 10.0
+        if jitter > diag_mean * 1e-3:
+            eigs = np.linalg.eigvalsh(a)
+            raise NumericalError(
+                "covariance not positive definite even with jitter "
+                f"{diag_mean * 1e-3:.3e}; eigenvalue range "
+                f"[{eigs[0]:.3e}, {eigs[-1]:.3e}]"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,6 +123,12 @@ class Posterior:
                 for c in self.components
             ]
         return out
+
+
+def _nlml(chol: np.ndarray, resid: np.ndarray, alpha: np.ndarray) -> float:
+    """Negative log marginal likelihood from the Cholesky factor and alpha = K^-1 resid."""
+    half_log_det = np.log(np.diagonal(chol)).sum()
+    return float(0.5 * resid @ alpha + half_log_det + 0.5 * len(resid) * _LOG2PI)
 
 
 def _checked_variance(var: np.ndarray, scale: float) -> np.ndarray:
@@ -217,24 +228,38 @@ class GpModel:
         return self.hyperparameters().kinds
 
     def with_opt_vector(self, values) -> "GpModel":
-        values = np.asarray(values, dtype=float)
-        nk = self.kernel.n_params()
-        expected = nk + 1 + self.mean.n_params()
-        if len(values) != expected:
-            raise ConfigError(f"expected {expected} parameter values, got {len(values)}")
-        kernel = self.kernel.with_hyperparameters(values[:nk])
-        log_noise = values[nk]
-        if log_noise > 700.0 or np.exp(log_noise) == 0.0:
-            raise NumericalError(f"log noise variance {log_noise} leaves the float range")
-        mean = self.mean._with_values(iter(values[nk + 1 :]))
+        raw = iter(self._natural(values).tolist())
+        kernel = self.kernel._with_raw(raw)
+        noise_variance = next(raw)
         return GpModel(
             kernel,
             self.x,
             self.y,
-            mean=mean,
-            noise_variance=float(np.exp(log_noise)),
+            mean=self.mean._with_values(raw),
+            noise_variance=noise_variance,
             labels=self.labels,
         )
+
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, int]:
+        """Which optimization-space entries are logs, and the noise entry's index."""
+        log_mask = np.array([is_log_kind(k) for k in self.param_kinds()], dtype=bool)
+        return log_mask, self.kernel.n_params()
+
+    @cached_property
+    def _pairs(self) -> InputPairs:
+        """Input distances, labels and coincidences of the training data."""
+        return InputPairs(self.x, self.labels)
+
+    def _natural(self, values) -> np.ndarray:
+        """An optimization-space vector in natural space, range-checked."""
+        log_mask, nk = self._layout
+        values = np.asarray(values, dtype=float)
+        if len(values) != len(log_mask):
+            raise ConfigError(f"expected {len(log_mask)} parameter values, got {len(values)}")
+        if values[nk] > 700.0:
+            raise NumericalError(f"log noise variance {values[nk]} leaves the float range")
+        return natural_values(values, log_mask)
 
     # --- inference ---------------------------------------------------------
 
@@ -244,34 +269,58 @@ class GpModel:
             a = k + self.noise_variance * np.eye(len(self.x))
             chol, jitter = jittered_cholesky(a)
             resid = self.y - self.mean(self.x)
-            alpha = cho_solve((chol, True), resid, check_finite=False)
+            alpha, _ = lapack.dpotrs(chol, resid, lower=1)
             self._state = (chol, jitter, resid, alpha)
         return self._state
 
     def nlml(self) -> float:
         """Negative log marginal likelihood of the training data."""
         chol, _, resid, alpha = self._factorization()
-        n = len(self.x)
-        return float(
-            0.5 * resid @ alpha + np.sum(np.log(np.diag(chol))) + 0.5 * n * _LOG2PI
-        )
+        return _nlml(chol, resid, alpha)
 
-    def nlml_value_and_gradients(self) -> tuple[float, np.ndarray]:
-        """NLML and its gradient in optimization space (kernel, noise, mean)."""
-        k, dks = self.kernel._square_gram_and_grads(self.x, self.labels)
+    def nlml_value_and_gradients(self, theta=None) -> tuple[float, np.ndarray]:
+        """NLML and its gradient in optimization space (kernel, noise, mean).
+
+        Evaluated at the optimization-space vector ``theta`` when given,
+        else at the model's own parameters, without building a new model:
+        the input distances and the parameter layout are computed on first
+        use and kept.  The gradient is eq. 5.9 of Rasmussen & Williams
+        (2006), 1/2 tr((K^-1 - alpha alpha^T) dK).
+        """
+        if theta is None:
+            raw = [*self.kernel._raw_values(), self.noise_variance, *self.mean._values()]
+        else:
+            raw = self._natural(theta).tolist()
+        nk = self._layout[1]
+        it = iter(raw)
+        a, dks = self.kernel._gram_and_grads(self._pairs, it)
+        noise = next(it)
         n = len(self.x)
-        a = k + self.noise_variance * np.eye(n)
+        a.flat[:: n + 1] += noise
         chol, _ = jittered_cholesky(a)
-        resid = self.y - self.mean(self.x)
-        alpha = cho_solve((chol, True), resid, check_finite=False)
-        value = float(0.5 * resid @ alpha + np.sum(np.log(np.diag(chol))) + 0.5 * n * _LOG2PI)
-        kinv = cho_solve((chol, True), np.eye(n), check_finite=False)
-        w = kinv - np.outer(alpha, alpha)
-        grads = [0.5 * float(np.sum(w * dk)) for dk in dks]
-        grads.append(0.5 * self.noise_variance * float(np.trace(w)))
-        mean_grads = self.mean.gradients(self.x)
-        if mean_grads.shape[1]:
-            grads.extend((-(mean_grads.T @ alpha)).tolist())
+        mean, mean_grads = self.mean._evaluate(self.x, raw[nk + 1 :])
+        resid = self.y - mean
+        alpha, _ = lapack.dpotrs(chol, resid, lower=1)
+        value = _nlml(chol, resid, alpha)
+        # dpotri leaves the lower triangle Z of K^-1 (the upper stays zero); since
+        # every dK is symmetric, tr(K^-1 dK) = <2Z - diag(Z), dK>.  The products
+        # go through scipy's BLAS, the library that factorized K: numpy links its
+        # own OpenBLAS, and with threads unpinned the two libraries' thread pools
+        # stall each other once n^2 passes 10^4 (100x slower per evaluation).
+        z, info = lapack.dpotri(chol, lower=1)
+        if info:
+            raise NumericalError(f"dpotri failed with info {info}")
+        w = z.T  # C-ordered view, so ravel() copies nothing
+        trace = float(np.trace(w))
+        w *= 2.0
+        w.flat[:: n + 1] *= 0.5
+        w = w.ravel()
+        grads = [
+            0.5 * (blas.ddot(w, dk.ravel()) - alpha @ blas.dgemv(1.0, dk.T, alpha))
+            for dk in dks
+        ]
+        grads.append(0.5 * noise * (trace - alpha @ alpha))
+        grads.extend(-(mean_grads.T @ alpha))
         return value, np.array(grads)
 
     def nlml_gradients(self) -> dict[str, float]:

@@ -8,7 +8,7 @@ kernel into a multi-output one via
     k((x, l), (x', l')) = K_label[l, l'] * k_input(x, x').
 
 Positive hyperparameters are optimized in log space; gradients returned by
-``gram_gradients`` are taken with respect to that parametrization.  Label
+``gram_with_gradients`` are taken with respect to that parametrization.  Label
 covariances are built from hypersphere angles, which keeps the implied
 correlation matrix positive semi-definite with unit diagonal for any angle
 values.
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -100,6 +101,47 @@ def _abs_diff(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return np.abs(x1[:, None] - x2[None, :])
 
 
+def _coincide(x1, l1, x2, l2) -> np.ndarray:
+    """1.0 where two inputs (and, when both are labeled, their labels) are equal."""
+    eq = x1[:, None] == x2[None, :]
+    if l1 is not None and l2 is not None:
+        eq = eq & (l1[:, None] == l2[None, :])
+    return eq.astype(float)
+
+
+class InputPairs:
+    """Everything a square gram over fixed inputs needs besides parameters:
+    the distances ``d`` = |x_i - x_j|, the labels, and (on first use) the
+    coincidence indicator ``same``."""
+
+    def __init__(self, x: np.ndarray, labels: np.ndarray | None):
+        self.x = x
+        self.labels = labels
+        self.d = _abs_diff(x, x)
+
+    @cached_property
+    def same(self) -> np.ndarray:
+        return _coincide(self.x, self.labels, self.x, self.labels)
+
+
+def natural_values(values: np.ndarray, log_mask: np.ndarray) -> np.ndarray:
+    """Optimization-space values in natural space (exp of the log entries).
+
+    An extreme optimizer step can push exp out of the float range; that
+    raises NumericalError instead of returning inf or zero.
+    """
+    out = np.array(values, dtype=float)
+    logs = out[log_mask]
+    with np.errstate(over="ignore", under="ignore"):
+        raw = np.exp(logs)
+    if np.any(np.isinf(raw)):
+        raise NumericalError(f"log parameter {logs[np.isinf(raw)][0]} overflows")
+    if np.any(raw == 0.0):
+        raise NumericalError(f"log parameter {logs[raw == 0.0][0]} underflows to zero")
+    out[log_mask] = raw
+    return out
+
+
 class Kernel(ABC):
     """Base class for covariance expression nodes."""
 
@@ -112,13 +154,10 @@ class Kernel(ABC):
             x2, l2 = coerce_inputs(xs2)
         return self._gram(x1, l1, x2, l2)
 
-    def gram_gradients(self, xs) -> list[np.ndarray]:
-        """Per-parameter gradients of the square gram, optimization space."""
-        return self.gram_with_gradients(xs)[1]
-
     def gram_with_gradients(self, xs) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Square gram and its per-parameter gradients, optimization space."""
         x, labels = coerce_inputs(xs)
-        return self._square_gram_and_grads(x, labels)
+        return self._gram_and_grads(InputPairs(x, labels), iter(self._raw_values()))
 
     def hyperparameters(self) -> Hyperparameters:
         names, kinds, values = [], [], []
@@ -145,23 +184,12 @@ class Kernel(ABC):
             raise ConfigError(
                 f"expected {self.n_params()} parameter values, got {len(values)}"
             )
-        kinds = self.hyperparameters().kinds
-        raw = []
-        for v, k in zip(values, kinds):
-            if is_log_kind(k):
-                # exp can leave the float range for extreme optimizer steps
-                try:
-                    r = math.exp(v)
-                except OverflowError:
-                    raise NumericalError(f"log parameter {v} overflows") from None
-                if r == 0.0:
-                    raise NumericalError(f"log parameter {v} underflows to zero")
-                raw.append(r)
-            else:
-                raw.append(float(v))
-        it = iter(raw)
-        rebuilt = self._with_raw(it)
-        return rebuilt
+        log_mask = np.array([is_log_kind(k) for k in self.hyperparameters().kinds], dtype=bool)
+        return self._with_raw(iter(natural_values(values, log_mask).tolist()))
+
+    def _raw_values(self) -> list[float]:
+        """Natural-space parameters of every leaf, in leaf order."""
+        return [raw for leaf in self._walk() for _, _, raw in leaf._param_specs()]
 
     def __add__(self, other: "Kernel") -> "Sum":
         return Sum(self, other)
@@ -175,7 +203,15 @@ class Kernel(ABC):
     def _gram(self, x1, l1, x2, l2) -> np.ndarray: ...
 
     @abstractmethod
-    def _square_gram_and_grads(self, x, labels) -> tuple[np.ndarray, list[np.ndarray]]: ...
+    def _gram_and_grads(
+        self, pairs: InputPairs, raw: Iterator[float]
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Square gram and its optimization-space gradients.
+
+        The node's natural-space parameters are drawn from ``raw`` in leaf
+        order.  Every returned array is freshly allocated and shares no
+        memory with another, so callers may update them in place.
+        """
 
     @abstractmethod
     def _walk(self) -> Iterator["Kernel"]: ...
@@ -205,10 +241,11 @@ class SquaredExponential(Kernel):
         d = _abs_diff(x1, x2)
         return self.output_scale**2 * np.exp(-((d / self.length_scale) ** 2))
 
-    def _square_gram_and_grads(self, x, labels):
-        d2 = _abs_diff(x, x) ** 2
-        k = self.output_scale**2 * np.exp(-d2 / self.length_scale**2)
-        return k, [2.0 * k, k * (2.0 * d2 / self.length_scale**2)]
+    def _gram_and_grads(self, pairs, raw):
+        sigma2, length = next(raw) ** 2, next(raw)
+        r2 = np.square(pairs.d / length)
+        k = sigma2 * np.exp(-r2)
+        return k, [2.0 * k, 2.0 * r2 * k]
 
     def _walk(self):
         yield self
@@ -244,22 +281,21 @@ class Matern(Kernel):
         _check_positive("output_scale", self.output_scale)
         _check_positive("length_scale", self.length_scale)
 
-    def _values(self, d):
-        a = (math.sqrt(3.0) if self.nu == 1.5 else math.sqrt(5.0)) * d / self.length_scale
-        poly = 1.0 + a if self.nu == 1.5 else 1.0 + a + a * a / 3.0
-        return self.output_scale**2 * poly * np.exp(-a), a
+    def _values(self, d, output_scale, length_scale):
+        """(k, a, sigma^2 exp(-a)); the last is shared with the gradient."""
+        a = d * ((math.sqrt(3.0) if self.nu == 1.5 else math.sqrt(5.0)) / length_scale)
+        e = output_scale**2 * np.exp(-a)
+        poly = 1.0 + a if self.nu == 1.5 else 1.0 + a * (1.0 + a / 3.0)
+        return poly * e, a, e
 
     def _gram(self, x1, l1, x2, l2):
-        return self._values(_abs_diff(x1, x2))[0]
+        return self._values(_abs_diff(x1, x2), self.output_scale, self.length_scale)[0]
 
-    def _square_gram_and_grads(self, x, labels):
-        d = _abs_diff(x, x)
-        k, a = self._values(d)
-        sigma2 = self.output_scale**2
-        if self.nu == 1.5:
-            dk_dlogrho = sigma2 * a * a * np.exp(-a)
-        else:
-            dk_dlogrho = sigma2 * (a * a * (1.0 + a) / 3.0) * np.exp(-a)
+    def _gram_and_grads(self, pairs, raw):
+        k, a, e = self._values(pairs.d, next(raw), next(raw))
+        # d k / d log rho = sigma^2 exp(-a) a^2 (times (1 + a) / 3 for nu = 5/2)
+        dk_dlogrho = a * a if self.nu == 1.5 else a * a * (1.0 + a) / 3.0
+        dk_dlogrho *= e
         return k, [2.0 * k, dk_dlogrho]
 
     def _walk(self):
@@ -295,13 +331,14 @@ class Periodic(Kernel):
         s2 = np.sin(np.pi * _abs_diff(x1, x2) / self.period) ** 2
         return self.output_scale**2 * np.exp(-2.0 * s2 / self.length_scale**2)
 
-    def _square_gram_and_grads(self, x, labels):
-        d = _abs_diff(x, x)
-        u = np.pi * d / self.period
+    def _gram_and_grads(self, pairs, raw):
+        sigma, length, period = next(raw), next(raw), next(raw)
+        d = pairs.d
+        u = np.pi * d / period
         s2 = np.sin(u) ** 2
-        k = self.output_scale**2 * np.exp(-2.0 * s2 / self.length_scale**2)
-        dk_dloglen = k * (4.0 * s2 / self.length_scale**2)
-        dk_dlogp = k * (2.0 * np.pi * d / (self.length_scale**2 * self.period)) * np.sin(2.0 * u)
+        k = sigma**2 * np.exp(-2.0 * s2 / length**2)
+        dk_dloglen = k * (4.0 * s2 / length**2)
+        dk_dlogp = k * (2.0 * np.pi * d / (length**2 * period)) * np.sin(2.0 * u)
         return k, [2.0 * k, dk_dloglen, dk_dlogp]
 
     def _walk(self):
@@ -335,18 +372,11 @@ class WhiteNoise(Kernel):
     def __post_init__(self):
         _check_positive("scale", self.scale)
 
-    @staticmethod
-    def _match(x1, l1, x2, l2):
-        eq = x1[:, None] == x2[None, :]
-        if l1 is not None and l2 is not None:
-            eq = eq & (l1[:, None] == l2[None, :])
-        return eq.astype(float)
-
     def _gram(self, x1, l1, x2, l2):
-        return self.scale**2 * self._match(x1, l1, x2, l2)
+        return self.scale**2 * _coincide(x1, l1, x2, l2)
 
-    def _square_gram_and_grads(self, x, labels):
-        k = self.scale**2 * self._match(x, labels, x, labels)
+    def _gram_and_grads(self, pairs, raw):
+        k = next(raw) ** 2 * pairs.same
         return k, [2.0 * k]
 
     def _walk(self):
@@ -470,17 +500,19 @@ class LabelCovariance(Kernel):
         kl = self.matrix()
         return kl[np.ix_(l1 - 1, l2 - 1)]
 
-    def _square_gram_and_grads(self, x, labels):
-        self._check_labels(labels)
-        idx = labels - 1
-        s = _spherical_factor(np.array(self.angles), self.m)
-        kl = self.shared_scale * (s.T @ s)
-        grads = []
-        for ds in _spherical_factor_grads(np.array(self.angles), self.m):
-            dkl = self.shared_scale * (ds.T @ s + s.T @ ds)
-            grads.append(dkl[np.ix_(idx, idx)])
-        grads.append(kl[np.ix_(idx, idx)])  # d/d log tau
-        return kl[np.ix_(idx, idx)], grads
+    def _gram_and_grads(self, pairs, raw):
+        angles = np.array([next(raw) for _ in self.angles])
+        tau = next(raw)
+        self._check_labels(pairs.labels)
+        s = _spherical_factor(angles, self.m)
+        kl = tau * (s.T @ s)
+        dkls = [tau * (ds.T @ s + s.T @ ds) for ds in _spherical_factor_grads(angles, self.m)]
+        # the gram, each angle's gradient, then d/d log tau (equal to the gram),
+        # gathered to the inputs' label pairs in one take over flat m x m indices
+        idx = pairs.labels - 1
+        flat = idx[:, None] * self.m + idx[None, :]
+        full = np.take(np.array([kl, *dkls, kl]).reshape(-1, self.m * self.m), flat, axis=1)
+        return full[0], list(full[1:])
 
     def wrapped(self) -> "LabelCovariance":
         """Equivalent kernel with canonical angles in (0, pi).
@@ -536,10 +568,11 @@ class Sum(Kernel):
     def _gram(self, x1, l1, x2, l2):
         return self.left._gram(x1, l1, x2, l2) + self.right._gram(x1, l1, x2, l2)
 
-    def _square_gram_and_grads(self, x, labels):
-        kl, gl = self.left._square_gram_and_grads(x, labels)
-        kr, gr = self.right._square_gram_and_grads(x, labels)
-        return kl + kr, gl + gr
+    def _gram_and_grads(self, pairs, raw):
+        kl, gl = self.left._gram_and_grads(pairs, raw)
+        kr, gr = self.right._gram_and_grads(pairs, raw)
+        kl += kr
+        return kl, gl + gr
 
     def _walk(self):
         yield from self.left._walk()
@@ -560,11 +593,15 @@ class Product(Kernel):
     def _gram(self, x1, l1, x2, l2):
         return self.left._gram(x1, l1, x2, l2) * self.right._gram(x1, l1, x2, l2)
 
-    def _square_gram_and_grads(self, x, labels):
-        kl, gl = self.left._square_gram_and_grads(x, labels)
-        kr, gr = self.right._square_gram_and_grads(x, labels)
-        grads = [g * kr for g in gl] + [kl * g for g in gr]
-        return kl * kr, grads
+    def _gram_and_grads(self, pairs, raw):
+        kl, gl = self.left._gram_and_grads(pairs, raw)
+        kr, gr = self.right._gram_and_grads(pairs, raw)
+        for g in gl:
+            g *= kr
+        for g in gr:
+            g *= kl
+        kl *= kr
+        return kl, gl + gr
 
     def _walk(self):
         yield from self.left._walk()

@@ -25,12 +25,19 @@ _EXP_LIMIT = 700.0  # exp() overflows past this
 class MeanFunction(ABC):
     """Base class; subclasses are immutable value objects."""
 
-    @abstractmethod
-    def __call__(self, x) -> np.ndarray: ...
+    def __call__(self, x) -> np.ndarray:
+        return self._evaluate(np.asarray(x, dtype=float), self._values())[0]
 
-    @abstractmethod
     def gradients(self, x) -> np.ndarray:
         """Partial derivatives w.r.t. trainable parameters, shape (n, p)."""
+        return self._evaluate(np.asarray(x, dtype=float), self._values())[1]
+
+    @abstractmethod
+    def _evaluate(self, x: np.ndarray, values) -> tuple[np.ndarray, np.ndarray]:
+        """m(x) and its (n, p) gradient with the trainable parameters set to ``values``."""
+
+    def _values(self) -> list[float]:
+        return [value for _, _, value in self._param_specs()]
 
     @abstractmethod
     def _param_specs(self) -> list[tuple[str, str, float]]:
@@ -47,11 +54,8 @@ class MeanFunction(ABC):
 class Zero(MeanFunction):
     """m(x) = 0."""
 
-    def __call__(self, x):
-        return np.zeros(len(np.asarray(x, dtype=float)))
-
-    def gradients(self, x):
-        return np.zeros((len(np.asarray(x, dtype=float)), 0))
+    def _evaluate(self, x, values):
+        return np.zeros(len(x)), np.zeros((len(x), 0))
 
     def _param_specs(self):
         return []
@@ -67,14 +71,11 @@ class Constant(MeanFunction):
     value: float = 0.0
     trainable: bool = False
 
-    def __call__(self, x):
-        return np.full(len(np.asarray(x, dtype=float)), self.value)
-
-    def gradients(self, x):
-        n = len(np.asarray(x, dtype=float))
+    def _evaluate(self, x, values):
         if not self.trainable:
-            return np.zeros((n, 0))
-        return np.ones((n, 1))
+            return np.full(len(x), self.value), np.zeros((len(x), 0))
+        (value,) = values
+        return np.full(len(x), float(value)), np.ones((len(x), 1))
 
     def _param_specs(self):
         if not self.trainable:
@@ -106,23 +107,14 @@ class ExpDegradation(MeanFunction):
             if not np.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v}")
 
-    def _exponent(self, x):
-        x = np.asarray(x, dtype=float)
-        e = self.a3 * x
+    def _evaluate(self, x, values):
+        a1, a2, a3 = (float(v) for v in values)
+        e = a3 * x
         if np.any(e > _EXP_LIMIT):
             bad = x[e > _EXP_LIMIT][0]
-            raise NumericalError(
-                f"exp overflow in degradation mean at x={bad} with a3={self.a3}"
-            )
-        return np.exp(e)
-
-    def __call__(self, x):
-        return self.a1 + self.a2 * self._exponent(x)
-
-    def gradients(self, x):
-        x = np.asarray(x, dtype=float)
-        e = self._exponent(x)
-        return np.column_stack([np.ones(len(x)), e, self.a2 * x * e])
+            raise NumericalError(f"exp overflow in degradation mean at x={bad} with a3={a3}")
+        e = np.exp(e)
+        return a1 + a2 * e, np.column_stack([np.ones(len(x)), e, a2 * x * e])
 
     def _param_specs(self):
         return [

@@ -153,18 +153,32 @@ def default_lhs_bounds(model: GpModel) -> np.ndarray:
 
 
 def _objective(model: GpModel):
-    dim = len(model.opt_vector())
+    """NLML and gradient at an optimization-space vector, penalized where
+    evaluation fails numerically.
 
-    def fun(theta):
+    The last evaluation is remembered: ``train`` scores each start itself
+    and L-BFGS-B then asks for the same start again.
+    """
+    dim = len(model.opt_vector())
+    last_theta, last_result = None, None
+
+    def evaluate(theta):
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                candidate = model.with_opt_vector(theta)
-                value, grads = candidate.nlml_value_and_gradients()
+                value, grads = model.nlml_value_and_gradients(theta)
         except (NumericalError, FloatingPointError, OverflowError, np.linalg.LinAlgError):
             return _PENALTY, np.zeros(dim)
         if not (math.isfinite(value) and np.all(np.isfinite(grads))):
             return _PENALTY, np.zeros(dim)
         return value, grads
+
+    def fun(theta):
+        nonlocal last_theta, last_result
+        theta = np.asarray(theta, dtype=float)
+        if last_theta is None or not np.array_equal(theta, last_theta):
+            last_theta, last_result = theta.copy(), evaluate(theta)
+        value, grads = last_result
+        return value, grads.copy()
 
     return fun
 

@@ -25,6 +25,7 @@ from .errors import (
 )
 from .gp import GpModel
 from .kernels import parse_kernel, with_data_scales
+from .meanfn import mean_from_token
 from .optimize import TrainConfig, model_for_series, train
 
 DEFAULT_HORIZONS = (5, 10, 20, 40)
@@ -565,7 +566,8 @@ class MogpForecaster:
         target_label = fleet_now.m
         x_all, y_all, _ = fleet_now.labeled_arrays()
         input_kernel = with_data_scales(parse_kernel(self.kernel_expr), x_all, y_all)
-        model = GpModel.for_fleet(fleet_now, input_kernel)
+        mean = mean_from_token(self.mean_expr, x_all, y_all)
+        model = GpModel.for_fleet(fleet_now, input_kernel, mean=mean)
         extra = [model.opt_vector()]
         if self.warm_start and self._warm is not None:
             extra.append(self._warm)

@@ -1,0 +1,126 @@
+"""Property tests for evaluating the NLML and its gradient at a parameter vector.
+
+Random compound kernels (sums and products of every base kernel, optionally
+under a label covariance) and every mean function are evaluated at a vector
+other than the model's own parameters, and checked against the dense oracle,
+central differences and a model rebuilt at that vector.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gpprog import (
+    Constant,
+    ExpDegradation,
+    GpModel,
+    LabelCovariance,
+    Matern,
+    Periodic,
+    Product,
+    SquaredExponential,
+    Sum,
+    WhiteNoise,
+    Zero,
+)
+
+from helpers import central_difference_gradients, dense_oracle
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+scales = st.floats(0.3, 2.0)
+lengths = st.floats(0.5, 3.0)
+
+leaves = st.one_of(
+    st.builds(SquaredExponential, scales, lengths),
+    st.builds(lambda s, l: Matern(1.5, s, l), scales, lengths),
+    st.builds(lambda s, l: Matern(2.5, s, l), scales, lengths),
+    st.builds(Periodic, scales, st.floats(0.5, 2.0), st.floats(1.0, 5.0)),
+    st.builds(WhiteNoise, st.floats(0.1, 1.0)),
+)
+
+compound_kernels = st.recursive(
+    leaves,
+    lambda children: st.builds(
+        lambda op, left, right: op(left, right),
+        st.sampled_from([Sum, Product]),
+        children,
+        children,
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def problems(draw):
+    """A model, and an optimization-space vector near but not at its parameters."""
+    n = draw(st.integers(2, 9))
+    x = np.sort(np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))))
+    x += np.arange(n) * 1e-2  # distinct inputs keep the oracle's inverse well conditioned
+    y = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    kernel = draw(compound_kernels)
+    labels = None
+    m = draw(st.integers(0, 5))
+    if m:
+        n_angles = m * (m - 1) // 2
+        angles = draw(st.lists(st.floats(0.2, math.pi - 0.2), min_size=n_angles, max_size=n_angles))
+        kernel = Product(LabelCovariance(m, tuple(angles), draw(st.floats(0.5, 2.0))), kernel)
+        labels = np.array(draw(st.lists(st.integers(1, m), min_size=n, max_size=n)))
+    mean = draw(st.sampled_from(["ZERO", "CONST", "EXPDEG"]))
+    if mean == "ZERO":
+        mean = Zero()
+    elif mean == "CONST":
+        mean = Constant(value=float(np.mean(y)))
+    else:
+        mean = ExpDegradation(
+            draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.3, 0.1))
+        )
+    model = GpModel(kernel, x, y, mean, draw(st.floats(0.05, 0.5)), labels=labels)
+    theta = model.opt_vector()
+    steps = st.lists(st.floats(-0.3, 0.3), min_size=len(theta), max_size=len(theta))
+    theta += np.array(draw(steps))
+    return model, theta
+
+
+def oracle_nlml(model: GpModel) -> float:
+    if model.labels is None:
+        return dense_oracle(model, model.x[:1])[0]
+    k = model.kernel._gram(model.x, model.labels, model.x, model.labels)
+    a = k + model.noise_variance * np.eye(len(model.x))
+    resid = model.y - model.mean(model.x)
+    sign, logdet = np.linalg.slogdet(a)
+    assert sign > 0
+    quad = resid @ np.linalg.solve(a, resid)
+    return float(0.5 * (quad + logdet + len(model.x) * math.log(2 * math.pi)))
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_value_matches_dense_oracle_and_rebuilt_model(problem):
+    model, theta = problem
+    value, _ = model.nlml_value_and_gradients(theta)
+    rebuilt = model.with_opt_vector(theta)
+    assert value == pytest.approx(oracle_nlml(rebuilt), rel=1e-8, abs=1e-8)
+    assert value == pytest.approx(rebuilt.nlml(), rel=1e-10, abs=1e-10)
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_gradient_matches_central_differences(problem):
+    model, theta = problem
+    _, grads = model.nlml_value_and_gradients(theta)
+    fd = central_difference_gradients(model.with_opt_vector(theta))
+    assert np.allclose(grads, fd, rtol=2e-4, atol=2e-6)
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_own_parameters_are_the_default(problem):
+    model, _ = problem
+    value, grads = model.nlml_value_and_gradients()
+    value_at, grads_at = model.nlml_value_and_gradients(model.opt_vector())
+    assert value == pytest.approx(value_at, rel=1e-10, abs=1e-10)
+    assert np.allclose(grads, grads_at, rtol=1e-8, atol=1e-10)

@@ -9,6 +9,7 @@ from gpprog import (
     CapacitySeries,
     ConfigError,
     DegenerateInputError,
+    ExpDegradation,
     GpModel,
     Matern,
     SquaredExponential,
@@ -21,6 +22,7 @@ from gpprog import (
     model_for_series,
     train,
 )
+from gpprog import gp as gp_module
 from gpprog import optimize
 from gpprog.kernels import parse_kernel
 
@@ -215,6 +217,70 @@ class TestObjective:
         value, grads = fun(theta)
         assert value == pytest.approx(model.nlml(), rel=1e-12)
         assert np.all(np.isfinite(grads))
+
+    @pytest.mark.parametrize(
+        "mean, index, bad",
+        [
+            (None, 0, -800.0),  # log output scale underflows to zero
+            (None, 2, 701.0),  # log noise variance above 700
+            (ExpDegradation(1.0, -0.1, 0.01), 5, 100.0),  # a3 * x = 1000 overflows exp
+        ],
+        ids=["log-underflow", "log-noise-overflow", "expdeg-overflow"],
+    )
+    def test_penalizes_out_of_range_parameters(self, mean, index, bad):
+        x = np.linspace(0, 10, 8)
+        model = GpModel(SquaredExponential(), x, np.sin(x), mean=mean)
+        theta = model.opt_vector()
+        theta[index] = bad
+        value, grads = optimize._objective(model)(theta)
+        assert value == optimize._PENALTY
+        assert np.array_equal(grads, np.zeros(len(theta)))
+
+    def test_duplicate_inputs_take_the_jitter_ladder_unpenalized(self, monkeypatch):
+        x = np.array([0.0, 1.0, 1.0, 2.0, 3.0])
+        model = GpModel(SquaredExponential(), x, np.cos(x), noise_variance=1e-30)
+        jitters = []
+        real = gp_module.jittered_cholesky
+
+        def recording(a):
+            chol, jitter = real(a)
+            jitters.append(jitter)
+            return chol, jitter
+
+        monkeypatch.setattr(gp_module, "jittered_cholesky", recording)
+        value, grads = optimize._objective(model)(model.opt_vector())
+        assert jitters and jitters[-1] > 0.0
+        assert value < optimize._PENALTY / 2 and math.isfinite(value)
+        assert np.all(np.isfinite(grads))
+
+    def test_each_start_is_evaluated_once(self, monkeypatch):
+        x, y = se_sample_series(seed=3, n=30)
+        model = model_for_series((x, y), "SE")
+        config = TrainConfig(n_restarts=3, seed=0)
+        evaluated = []
+        real_nlml = GpModel.nlml_value_and_gradients
+
+        def counting(self, theta=None):
+            evaluated.append(np.array(theta, dtype=float))
+            return real_nlml(self, theta)
+
+        run_evals = []
+        real_minimize = optimize.minimize
+
+        def recording_minimize(*args, **kwargs):
+            result = real_minimize(*args, **kwargs)
+            run_evals.append(result.nfev)
+            return result
+
+        monkeypatch.setattr(GpModel, "nlml_value_and_gradients", counting)
+        monkeypatch.setattr(optimize, "minimize", recording_minimize)
+        train(model, config)
+        starts = optimize._lhs_design(config.seed, config.n_restarts, default_lhs_bounds(model))
+        # L-BFGS-B's first call reuses the start's score instead of recomputing it
+        assert len(run_evals) == len(starts)
+        assert len(evaluated) <= sum(run_evals)
+        for start in starts:
+            assert sum(np.array_equal(theta, start) for theta in evaluated) == 1
 
 
 class TestCandidatePairs:

@@ -9,6 +9,7 @@ from gpprog import (
     BoundsError,
     CapacitySeries,
     ConfigError,
+    Constant,
     DegenerateInputError,
     EolForecast,
     ExpDegradation,
@@ -20,6 +21,7 @@ from gpprog import (
     TrainConfig,
     TrainingError,
     UndefinedMetricError,
+    Zero,
     ar_baseline,
     ar_lookahead,
     evaluate,
@@ -523,3 +525,23 @@ class TestEvaluateMogp:
         assert len(report.records) >= 2
         assert any(not r.failed for r in report.records)
         assert math.isfinite(report.rmse_eol)
+
+    @pytest.mark.parametrize(
+        "token, expected", [("ZERO", Zero), ("CONST", Constant), ("EXPDEG", ExpDegradation)]
+    )
+    def test_mean_token_applies(self, tiny_fleet, monkeypatch, token, expected):
+        from gpprog import prognostics
+
+        means = []
+        real_train = prognostics.train
+
+        def recording_train(model, config, extra_starts=()):
+            means.append(model.mean)
+            return real_train(model, config, extra_starts)
+
+        monkeypatch.setattr(prognostics, "train", recording_train)
+        evaluate_mogp(
+            tiny_fleet, target="c2", train_cells=["c1"], mean_expr=token,
+            start_fraction=0.6, config=TrainConfig(n_restarts=1, max_iterations=5),
+        )
+        assert means and all(type(m) is expected for m in means)
