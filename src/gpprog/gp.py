@@ -6,9 +6,13 @@ The observation model is
 
 All inference reuses a single Cholesky factorization of K + sigma^2 I:
 the marginal likelihood, its gradients, posterior conditioning, additive
-decomposition, and sampling.  Models are immutable; training evaluates
-candidate parameter vectors against one model and builds the trained
-instance once via ``with_opt_vector``.
+decomposition, and sampling.  Posterior variances take the prior variance
+k(x*, x*) from the kernel diagonal (Rasmussen & Williams 2006, eq. 2.26),
+so prediction memory is linear in the number of test inputs; only
+``sample_posterior``, which needs the joint covariance, forms an N x N
+matrix over them.  Models are immutable; training evaluates candidate
+parameter vectors against one model and builds the trained instance once
+via ``with_opt_vector``.
 """
 
 from __future__ import annotations
@@ -293,6 +297,7 @@ class GpModel:
             raw = self._natural(theta).tolist()
         nk = self._layout[1]
         it = iter(raw)
+        self._pairs.reuse()
         a, dks = self.kernel._gram_and_grads(self._pairs, it)
         noise = next(it)
         n = len(self.x)
@@ -307,7 +312,7 @@ class GpModel:
         # go through scipy's BLAS, the library that factorized K: numpy links its
         # own OpenBLAS, and with threads unpinned the two libraries' thread pools
         # stall each other once n^2 passes 10^4 (100x slower per evaluation).
-        z, info = lapack.dpotri(chol, lower=1)
+        z, info = lapack.dpotri(chol, lower=1, overwrite_c=1)
         if info:
             raise NumericalError(f"dpotri failed with info {info}")
         w = z.T  # C-ordered view, so ravel() copies nothing
@@ -328,10 +333,16 @@ class GpModel:
         _, grads = self.nlml_value_and_gradients()
         return dict(zip(self.param_names(), grads.tolist()))
 
-    def _cross_and_prior(self, kernel, x_new, labels_new):
-        ks = kernel._gram(x_new, labels_new, self.x, self.labels)
-        prior = kernel._gram(x_new, labels_new, x_new, labels_new)
-        return ks, prior
+    def _conditional(self, kernel, x_new, labels):
+        """``kernel``'s share of the posterior mean (prior mean excluded) and
+        its latent posterior variance at new inputs; the largest arrays are
+        len(x_new) x n."""
+        chol, _, _, alpha = self._factorization()
+        ks = kernel._gram(x_new, labels, self.x, self.labels)
+        v = solve_triangular(chol, ks.T, lower=True, check_finite=False)
+        prior = kernel._diag(x_new, labels)
+        var = _checked_variance(prior - np.sum(v * v, axis=0), prior.max(initial=1.0))
+        return ks @ alpha, var
 
     def _require_labels(self, x_new, labels):
         x_new = np.asarray(x_new, dtype=float)
@@ -346,18 +357,18 @@ class GpModel:
         return x_new, labels
 
     def posterior(self, x_new, labels=None) -> Posterior:
-        """Posterior mean and variance at new inputs."""
+        """Posterior mean and variance at new inputs.
+
+        Time and memory grow linearly in ``len(x_new)``: the prior
+        variances come from the kernel diagonal, never from the N x N prior
+        gram over the new inputs.
+        """
         x_new, labels = self._require_labels(x_new, labels)
-        chol, _, _, alpha = self._factorization()
-        ks, prior = self._cross_and_prior(self.kernel, x_new, labels)
-        mean = self.mean(x_new) + ks @ alpha
-        v = solve_triangular(chol, ks.T, lower=True, check_finite=False)
-        prior_diag = np.diag(prior).copy()
-        var = _checked_variance(prior_diag - np.sum(v * v, axis=0), prior_diag.max(initial=1.0))
+        offset, var = self._conditional(self.kernel, x_new, labels)
         return Posterior(
             x=x_new,
             labels=labels,
-            mean=mean,
+            mean=self.mean(x_new) + offset,
             variance_latent=var,
             variance_noisy=var + self.noise_variance,
         )
@@ -375,7 +386,6 @@ class GpModel:
                 "cannot decompose a product kernel into additive components"
             )
         x_new, labels = self._require_labels(x_new, labels)
-        chol, _, _, alpha = self._factorization()
         base = self.posterior(x_new, labels)
         terms = sum_terms(self.kernel)
         names = []
@@ -386,14 +396,7 @@ class GpModel:
             names.append(token if seen[token] == 1 else f"{token}_{seen[token]}")
         components = []
         for name, term in zip(names, terms):
-            ks, prior = self._cross_and_prior(term, x_new, labels)
-            mean_j = ks @ alpha
-            v = solve_triangular(chol, ks.T, lower=True, check_finite=False)
-            prior_diag = np.diag(prior).copy()
-            var_j = _checked_variance(
-                prior_diag - np.sum(v * v, axis=0), prior_diag.max(initial=1.0)
-            )
-            components.append(PosteriorComponent(name, mean_j, var_j))
+            components.append(PosteriorComponent(name, *self._conditional(term, x_new, labels)))
         components.append(
             PosteriorComponent(
                 "noise",
@@ -420,7 +423,9 @@ class GpModel:
         if n_samples == 0:
             return np.zeros((0, len(x_new)))
         chol, _, _, alpha = self._factorization()
-        ks, prior = self._cross_and_prior(self.kernel, x_new, labels)
+        # the one caller that needs the joint prior covariance, not only its diagonal
+        ks = self.kernel._gram(x_new, labels, self.x, self.labels)
+        prior = self.kernel._gram(x_new, labels, x_new, labels)
         mean = self.mean(x_new) + ks @ alpha
         v = solve_triangular(chol, ks.T, lower=True, check_finite=False)
         cov = prior - v.T @ v

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -111,17 +111,47 @@ def _coincide(x1, l1, x2, l2) -> np.ndarray:
 
 class InputPairs:
     """Everything a square gram over fixed inputs needs besides parameters:
-    the distances ``d`` = |x_i - x_j|, the labels, and (on first use) the
-    coincidence indicator ``same``."""
+    the distances ``d`` = |x_i - x_j|, the labels, (on first use) the
+    coincidence indicator ``same``, and a pool of n x n work arrays.
+
+    Every evaluation over these inputs takes its work arrays from the pool
+    in the same order, so repeated evaluations, such as the steps of one
+    training run, allocate no n x n memory.  Allocating and freeing it on
+    every step lets the C allocator hand the pages back to the system and
+    fault them in again on the next step.  One evaluation at a time may use
+    an InputPairs.
+    """
 
     def __init__(self, x: np.ndarray, labels: np.ndarray | None):
         self.x = x
         self.labels = labels
         self.d = _abs_diff(x, x)
+        self._pool: list[np.ndarray] = []
+        self._taken = 0
+        self._label_index: dict[int, np.ndarray] = {}
+
+    def reuse(self) -> None:
+        """Start an evaluation: the pool's arrays are handed out again, from the first."""
+        self._taken = 0
+
+    def work(self) -> np.ndarray:
+        """An uninitialized n x n array, distinct from every other one handed
+        out since the last ``reuse``."""
+        if self._taken == len(self._pool):
+            self._pool.append(np.empty_like(self.d))
+        self._taken += 1
+        return self._pool[self._taken - 1]
 
     @cached_property
     def same(self) -> np.ndarray:
         return _coincide(self.x, self.labels, self.x, self.labels)
+
+    def label_index(self, m: int) -> np.ndarray:
+        """Flat index of each label pair (l_i, l_j) into an m x m matrix."""
+        if m not in self._label_index:
+            idx = self.labels - 1
+            self._label_index[m] = idx[:, None] * m + idx[None, :]
+        return self._label_index[m]
 
 
 def natural_values(values: np.ndarray, log_mask: np.ndarray) -> np.ndarray:
@@ -203,14 +233,23 @@ class Kernel(ABC):
     def _gram(self, x1, l1, x2, l2) -> np.ndarray: ...
 
     @abstractmethod
+    def _diag(self, x, labels) -> np.ndarray:
+        """The prior variances k(x_i, x_i) in O(len(x)) time and memory.
+
+        Equal to ``np.diag(self._gram(x, labels, x, labels))`` bit for bit.
+        """
+
+    @abstractmethod
     def _gram_and_grads(
         self, pairs: InputPairs, raw: Iterator[float]
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Square gram and its optimization-space gradients.
 
         The node's natural-space parameters are drawn from ``raw`` in leaf
-        order.  Every returned array is freshly allocated and shares no
-        memory with another, so callers may update them in place.
+        order.  Every returned array is a distinct work array of ``pairs``
+        and shares no memory with another, so callers may update them in
+        place; the next evaluation after ``pairs.reuse()`` overwrites them.
+        Intermediate results live in work arrays too.
         """
 
     @abstractmethod
@@ -226,8 +265,17 @@ class Kernel(ABC):
         return type(self).__name__
 
 
+class _Stationary(Kernel):
+    """A leaf equal to output_scale^2 at zero distance."""
+
+    output_scale: float
+
+    def _diag(self, x, labels):
+        return np.full(len(x), self.output_scale**2)
+
+
 @dataclass(frozen=True)
-class SquaredExponential(Kernel):
+class SquaredExponential(_Stationary):
     """k(x, x') = output_scale^2 * exp(-(x - x')^2 / length_scale^2)."""
 
     output_scale: float = 1.0
@@ -243,9 +291,14 @@ class SquaredExponential(Kernel):
 
     def _gram_and_grads(self, pairs, raw):
         sigma2, length = next(raw) ** 2, next(raw)
-        r2 = np.square(pairs.d / length)
-        k = sigma2 * np.exp(-r2)
-        return k, [2.0 * k, 2.0 * r2 * k]
+        r2 = np.divide(pairs.d, length, out=pairs.work())
+        np.square(r2, out=r2)
+        k = np.negative(r2, out=pairs.work())
+        np.exp(k, out=k)
+        k *= sigma2
+        r2 *= 2.0
+        r2 *= k
+        return k, [np.multiply(k, 2.0, out=pairs.work()), r2]
 
     def _walk(self):
         yield self
@@ -264,7 +317,7 @@ class SquaredExponential(Kernel):
 
 
 @dataclass(frozen=True)
-class Matern(Kernel):
+class Matern(_Stationary):
     """Matern covariance with smoothness 3/2 or 5/2.
 
     nu = 3/2:  sigma^2 (1 + a) exp(-a),            a = sqrt(3) |d| / rho
@@ -281,22 +334,42 @@ class Matern(Kernel):
         _check_positive("output_scale", self.output_scale)
         _check_positive("length_scale", self.length_scale)
 
-    def _values(self, d, output_scale, length_scale):
-        """(k, a, sigma^2 exp(-a)); the last is shared with the gradient."""
-        a = d * ((math.sqrt(3.0) if self.nu == 1.5 else math.sqrt(5.0)) / length_scale)
-        e = output_scale**2 * np.exp(-a)
-        poly = 1.0 + a if self.nu == 1.5 else 1.0 + a * (1.0 + a / 3.0)
-        return poly * e, a, e
+    def _values(self, d, output_scale, length_scale, work):
+        """(k, a, sigma^2 exp(-a)), each in an array from ``work()``; the last
+        is shared with the gradient."""
+        a = np.multiply(
+            d, (math.sqrt(3.0) if self.nu == 1.5 else math.sqrt(5.0)) / length_scale, out=work()
+        )
+        e = np.negative(a, out=work())
+        np.exp(e, out=e)
+        e *= output_scale**2
+        # k = poly e, with poly = 1 + a for nu = 3/2 and 1 + a (1 + a / 3) for nu = 5/2
+        if self.nu == 1.5:
+            k = np.add(a, 1.0, out=work())
+        else:
+            k = np.divide(a, 3.0, out=work())
+            k += 1.0
+            k *= a
+            k += 1.0
+        k *= e
+        return k, a, e
 
     def _gram(self, x1, l1, x2, l2):
-        return self._values(_abs_diff(x1, x2), self.output_scale, self.length_scale)[0]
+        d = _abs_diff(x1, x2)
+        return self._values(d, self.output_scale, self.length_scale, partial(np.empty_like, d))[0]
 
     def _gram_and_grads(self, pairs, raw):
-        k, a, e = self._values(pairs.d, next(raw), next(raw))
+        k, a, e = self._values(pairs.d, next(raw), next(raw), pairs.work)
         # d k / d log rho = sigma^2 exp(-a) a^2 (times (1 + a) / 3 for nu = 5/2)
-        dk_dlogrho = a * a if self.nu == 1.5 else a * a * (1.0 + a) / 3.0
-        dk_dlogrho *= e
-        return k, [2.0 * k, dk_dlogrho]
+        if self.nu == 1.5:
+            a *= a
+        else:
+            one_plus_a = np.add(a, 1.0, out=pairs.work())
+            a *= a
+            a *= one_plus_a
+            a /= 3.0
+        a *= e
+        return k, [np.multiply(k, 2.0, out=pairs.work()), a]
 
     def _walk(self):
         yield self
@@ -315,7 +388,7 @@ class Matern(Kernel):
 
 
 @dataclass(frozen=True)
-class Periodic(Kernel):
+class Periodic(_Stationary):
     """k = output_scale^2 exp(-(2/length_scale^2) sin^2(pi (x - x') / period))."""
 
     output_scale: float = 1.0
@@ -334,12 +407,26 @@ class Periodic(Kernel):
     def _gram_and_grads(self, pairs, raw):
         sigma, length, period = next(raw), next(raw), next(raw)
         d = pairs.d
-        u = np.pi * d / period
-        s2 = np.sin(u) ** 2
-        k = sigma**2 * np.exp(-2.0 * s2 / length**2)
-        dk_dloglen = k * (4.0 * s2 / length**2)
-        dk_dlogp = k * (2.0 * np.pi * d / (length**2 * period)) * np.sin(2.0 * u)
-        return k, [2.0 * k, dk_dloglen, dk_dlogp]
+        u = np.multiply(d, np.pi, out=pairs.work())  # pi d / period
+        u /= period
+        s2 = np.sin(u, out=pairs.work())  # sin^2(u)
+        np.square(s2, out=s2)
+        k = np.multiply(s2, -2.0, out=pairs.work())
+        k /= length**2
+        np.exp(k, out=k)
+        k *= sigma**2
+        # d k / d log length = k 4 sin^2(u) / length^2
+        dk_dloglen = s2
+        dk_dloglen *= 4.0
+        dk_dloglen /= length**2
+        dk_dloglen *= k
+        # d k / d log period = k 2 pi d sin(2u) / (length^2 period)
+        dk_dlogp = np.multiply(d, 2.0 * np.pi, out=pairs.work())
+        dk_dlogp /= length**2 * period
+        dk_dlogp *= k
+        u *= 2.0
+        dk_dlogp *= np.sin(u, out=u)
+        return k, [np.multiply(k, 2.0, out=pairs.work()), dk_dloglen, dk_dlogp]
 
     def _walk(self):
         yield self
@@ -375,9 +462,12 @@ class WhiteNoise(Kernel):
     def _gram(self, x1, l1, x2, l2):
         return self.scale**2 * _coincide(x1, l1, x2, l2)
 
+    def _diag(self, x, labels):
+        return np.full(len(x), self.scale**2)
+
     def _gram_and_grads(self, pairs, raw):
-        k = next(raw) ** 2 * pairs.same
-        return k, [2.0 * k]
+        k = np.multiply(pairs.same, next(raw) ** 2, out=pairs.work())
+        return k, [np.multiply(k, 2.0, out=pairs.work())]
 
     def _walk(self):
         yield self
@@ -500,6 +590,10 @@ class LabelCovariance(Kernel):
         kl = self.matrix()
         return kl[np.ix_(l1 - 1, l2 - 1)]
 
+    def _diag(self, x, labels):
+        self._check_labels(labels)
+        return np.diag(self.matrix())[labels - 1]
+
     def _gram_and_grads(self, pairs, raw):
         angles = np.array([next(raw) for _ in self.angles])
         tau = next(raw)
@@ -508,11 +602,13 @@ class LabelCovariance(Kernel):
         kl = tau * (s.T @ s)
         dkls = [tau * (ds.T @ s + s.T @ ds) for ds in _spherical_factor_grads(angles, self.m)]
         # the gram, each angle's gradient, then d/d log tau (equal to the gram),
-        # gathered to the inputs' label pairs in one take over flat m x m indices
-        idx = pairs.labels - 1
-        flat = idx[:, None] * self.m + idx[None, :]
-        full = np.take(np.array([kl, *dkls, kl]).reshape(-1, self.m * self.m), flat, axis=1)
-        return full[0], list(full[1:])
+        # each gathered to the inputs' label pairs through flat m x m indices;
+        # the labels are checked, so mode="clip" only spares take a buffered copy
+        flat = pairs.label_index(self.m)
+        k, *grads = [
+            np.take(mat.ravel(), flat, out=pairs.work(), mode="clip") for mat in (kl, *dkls, kl)
+        ]
+        return k, grads
 
     def wrapped(self) -> "LabelCovariance":
         """Equivalent kernel with canonical angles in (0, pi).
@@ -568,6 +664,9 @@ class Sum(Kernel):
     def _gram(self, x1, l1, x2, l2):
         return self.left._gram(x1, l1, x2, l2) + self.right._gram(x1, l1, x2, l2)
 
+    def _diag(self, x, labels):
+        return self.left._diag(x, labels) + self.right._diag(x, labels)
+
     def _gram_and_grads(self, pairs, raw):
         kl, gl = self.left._gram_and_grads(pairs, raw)
         kr, gr = self.right._gram_and_grads(pairs, raw)
@@ -592,6 +691,9 @@ class Product(Kernel):
 
     def _gram(self, x1, l1, x2, l2):
         return self.left._gram(x1, l1, x2, l2) * self.right._gram(x1, l1, x2, l2)
+
+    def _diag(self, x, labels):
+        return self.left._diag(x, labels) * self.right._diag(x, labels)
 
     def _gram_and_grads(self, pairs, raw):
         kl, gl = self.left._gram_and_grads(pairs, raw)
@@ -726,7 +828,7 @@ def with_data_scales(kernel: Kernel, x, y) -> Kernel:
         nonlocal slot
         if isinstance(k, (Sum, Product)):
             return type(k)(rebuild(k.left), rebuild(k.right))
-        if isinstance(k, (SquaredExponential, Matern, Periodic)):
+        if isinstance(k, _Stationary):
             length = x_range / (3.0 * 4.0**slot)
             slot += 1
             if isinstance(k, Periodic):

@@ -327,10 +327,10 @@ def lookahead(
 def ar_baseline(series: CapacitySeries, order: int, horizon: int) -> np.ndarray:
     """Iterated least-squares autoregressive forecast, no uncertainty.
 
-    Fits capacity at each of the ``order`` most recent observations as a
-    linear function (with intercept) of the ``order`` values preceding it,
-    then feeds forecasts back in for ``horizon`` steps.  Positions are
-    treated as equally spaced.
+    Fits capacity at every observation that has ``order`` predecessors as
+    a linear function (with intercept) of those ``order`` values, by least
+    squares over all n - order lag windows, then feeds forecasts back in
+    for ``horizon`` steps.  Positions are treated as equally spaced.
     """
     if order < 1:
         raise ConfigError(f"order must be >= 1, got {order}")
@@ -344,7 +344,7 @@ def ar_baseline(series: CapacitySeries, order: int, horizon: int) -> np.ndarray:
     n = len(y)
     rows = []
     targets = []
-    for t in range(n - order, n):
+    for t in range(order, n):
         rows.append(np.concatenate([y[t - order : t][::-1], [1.0]]))
         targets.append(y[t])
     coef, *_ = np.linalg.lstsq(np.array(rows), np.array(targets), rcond=None)

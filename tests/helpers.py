@@ -22,11 +22,14 @@ from gpprog import (
 )
 
 
-def dense_oracle(model: GpModel, x_test: np.ndarray):
-    """NLML and posterior moments from explicit dense linear algebra."""
-    x, y = model.x, model.y
+def dense_oracle(model: GpModel, x_test: np.ndarray, labels_test=None):
+    """NLML and posterior moments from explicit dense linear algebra.
+
+    ``labels_test`` labels the test inputs of a multi-output model.
+    """
+    x, y, labels = model.x, model.y, model.labels
     n = len(x)
-    k_train = model.kernel.gram(x)
+    k_train = model.kernel._gram(x, labels, x, labels)
     a = k_train + model.noise_variance * np.eye(n)
     a_inv = np.linalg.inv(a)
     resid = y - model.mean(x)
@@ -34,8 +37,8 @@ def dense_oracle(model: GpModel, x_test: np.ndarray):
     assert sign > 0, "oracle covariance not positive definite"
     nlml = 0.5 * resid @ a_inv @ resid + 0.5 * logdet + 0.5 * n * math.log(2 * math.pi)
 
-    k_cross = model.kernel.gram(x_test, x)
-    k_test = model.kernel.gram(x_test)
+    k_cross = model.kernel._gram(x_test, labels_test, x, labels)
+    k_test = model.kernel._gram(x_test, labels_test, x_test, labels_test)
     mean = model.mean(x_test) + k_cross @ a_inv @ resid
     cov = k_test - k_cross @ a_inv @ k_cross.T
     return float(nlml), mean, np.diag(cov).copy()

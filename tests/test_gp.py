@@ -1,6 +1,7 @@
 """GP regression core: likelihood, gradients, conditioning, decomposition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gpprog import (
     LabelCovariance,
     Matern,
     NumericalError,
+    Periodic,
     Product,
     SquaredExponential,
     Sum,
@@ -87,6 +89,36 @@ class TestGradients:
         _, grads = model.nlml_value_and_gradients()
         fd = central_difference_gradients(model)
         assert np.allclose(grads, fd, rtol=1e-4, atol=1e-6)
+
+    def test_repeated_evaluations_reuse_their_work_arrays(self):
+        # after the first evaluation the Cholesky factor is the only new n x n
+        # array; allocating every gram, gradient and temporary afresh costs page
+        # faults on each optimizer step
+        rng = np.random.default_rng(5)
+        n = 200
+        x = np.sort(rng.uniform(0.0, 100.0, n))
+        inputs = Sum(
+            Sum(Matern(2.5, 1.0, 30.0), Matern(1.5, 0.5, 5.0)),
+            Sum(Periodic(0.3, 1.0, 20.0), Sum(SquaredExponential(0.5, 10.0), WhiteNoise(0.1))),
+        )
+        model = GpModel(
+            Product(LabelCovariance(2, (0.6,)), inputs),
+            x,
+            rng.standard_normal(n),
+            noise_variance=0.01,
+            labels=rng.integers(1, 3, n),
+        )
+        theta = model.opt_vector()
+        first = model.nlml_value_and_gradients(theta)
+        tracemalloc.start()
+        try:
+            model.nlml_value_and_gradients(theta + 0.01)
+            again = model.nlml_value_and_gradients(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * n * 8
+        assert again[0] == first[0] and np.array_equal(again[1], first[1])
 
     def test_named_gradients(self):
         x = np.linspace(0, 5, 5)
@@ -359,7 +391,8 @@ class TestLabeledModels:
         assert isinstance(model.kernel, Product)
         assert isinstance(model.kernel.left, LabelCovariance)
         assert model.labels is not None
-        assert model.nlml() == pytest.approx(dense_oracle_labeled(model), rel=1e-10)
+        nlml_ref, _, _ = dense_oracle(model, model.x[:1], model.labels[:1])
+        assert model.nlml() == pytest.approx(nlml_ref, rel=1e-10)
 
     def test_labeled_prediction_requires_labels(self, fleet):
         model = GpModel.for_fleet(fleet, Matern(2.5, 0.1, 20.0))
@@ -397,19 +430,6 @@ class TestLabeledModels:
             .variance_latent[0]
         )
         assert var_strong < var_weak
-
-
-def dense_oracle_labeled(model: GpModel) -> float:
-    """NLML via dense linear algebra for labeled models."""
-    k = model.kernel._gram(model.x, model.labels, model.x, model.labels)
-    a = k + model.noise_variance * np.eye(len(model.x))
-    resid = model.y - model.mean(model.x)
-    _, logdet = np.linalg.slogdet(a)
-    return float(
-        0.5 * resid @ np.linalg.inv(a) @ resid
-        + 0.5 * logdet
-        + 0.5 * len(model.x) * math.log(2 * math.pi)
-    )
 
 
 class TestPosteriorContainer:

@@ -1,9 +1,11 @@
-"""Property tests for evaluating the NLML and its gradient at a parameter vector.
+"""Property tests for the NLML, its gradient, the kernel diagonal and the posterior.
 
 Random compound kernels (sums and products of every base kernel, optionally
 under a label covariance) and every mean function are evaluated at a vector
 other than the model's own parameters, and checked against the dense oracle,
-central differences and a model rebuilt at that vector.
+central differences and a model rebuilt at that vector.  The same kernels'
+diagonals are checked against their full grams, and posteriors at new
+(labeled) inputs against the dense oracle.
 """
 
 import math
@@ -85,16 +87,24 @@ def problems(draw):
     return model, theta
 
 
+@st.composite
+def predictions(draw):
+    """A model at a drawn parameter vector, and new inputs to predict at,
+    labeled when the model is."""
+    model, theta = draw(problems())
+    model = model.with_opt_vector(theta)
+    n = draw(st.integers(1, 6))
+    x_new = np.array(draw(st.lists(st.floats(-2.0, 12.0), min_size=n, max_size=n)))
+    labels = None
+    if model.labels is not None:
+        m = model.kernel.left.m
+        labels = np.array(draw(st.lists(st.integers(1, m), min_size=n, max_size=n)))
+    return model, x_new, labels
+
+
 def oracle_nlml(model: GpModel) -> float:
-    if model.labels is None:
-        return dense_oracle(model, model.x[:1])[0]
-    k = model.kernel._gram(model.x, model.labels, model.x, model.labels)
-    a = k + model.noise_variance * np.eye(len(model.x))
-    resid = model.y - model.mean(model.x)
-    sign, logdet = np.linalg.slogdet(a)
-    assert sign > 0
-    quad = resid @ np.linalg.solve(a, resid)
-    return float(0.5 * (quad + logdet + len(model.x) * math.log(2 * math.pi)))
+    labels = None if model.labels is None else model.labels[:1]
+    return dense_oracle(model, model.x[:1], labels)[0]
 
 
 @PROPERTY_SETTINGS
@@ -124,3 +134,21 @@ def test_own_parameters_are_the_default(problem):
     value_at, grads_at = model.nlml_value_and_gradients(model.opt_vector())
     assert value == pytest.approx(value_at, rel=1e-10, abs=1e-10)
     assert np.allclose(grads, grads_at, rtol=1e-8, atol=1e-10)
+
+
+@PROPERTY_SETTINGS
+@given(predictions())
+def test_diagonal_equals_gram_diagonal(prediction):
+    model, x_new, labels = prediction
+    gram = model.kernel._gram(x_new, labels, x_new, labels)
+    assert np.array_equal(model.kernel._diag(x_new, labels), np.diag(gram))
+
+
+@PROPERTY_SETTINGS
+@given(predictions())
+def test_posterior_matches_dense_oracle(prediction):
+    model, x_new, labels = prediction
+    post = model.posterior(x_new, labels)
+    _, mean_ref, var_ref = dense_oracle(model, x_new, labels)
+    assert np.allclose(post.mean, mean_ref, rtol=1e-8, atol=1e-10)
+    assert np.allclose(post.variance_latent, var_ref, rtol=1e-8, atol=1e-9)

@@ -1,6 +1,7 @@
 """Metrics, end-of-life detection, baselines, and rolling evaluations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from gpprog import (
     rolling_origins,
     true_end_of_life,
 )
+from gpprog.synthetic import series_b
 
 from helpers import brute_force_eol
 
@@ -230,6 +232,28 @@ class TestForecastEol:
         assert math.isinf(forecast.eol_mean)
         assert math.isinf(forecast.eol_upper)
 
+    def test_long_grid_memory_is_linear(self):
+        # a 1,700-cycle life observed every 10th cycle, forecast at cycle
+        # resolution for 20,000 cycles; one 20,001 x 20,001 float64 array is 3.2 GB
+        series = series_b(n_cycles=1700)
+        x, y = series.cycles[9::10], series.capacities[9::10]
+        c = 0.25 / (math.e**1.2 - 1.0)  # the generator's fade curve
+        mean = ExpDegradation(1.0 + c, -c, 1.2 / 1700)
+        model = GpModel(Matern(2.5, 0.02, 200.0) + Matern(1.5, 0.01, 40.0), x, y, mean, 1e-4)
+        horizon_x = x[-1] + 20_000.0
+        tracemalloc.start()
+        try:
+            forecast = forecast_eol(model, SplitSpec(c=len(x), eol_threshold=0.7), horizon_x)
+            post = model.decompose_posterior(forecast_grid(x[-1], horizon_x, True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e9
+        assert len(post.x) == 20_001 and len(post.components) == 3
+        # the fade curve crosses 0.7 at 1700 / 1.2 * log(1 + 0.3 / c), about 1885
+        assert forecast.eol_lower <= forecast.eol_mean <= forecast.eol_upper
+        assert forecast.eol_mean == pytest.approx(1885.0, abs=25.0)
+
     def test_multi_output_model_requires_label(self):
         cells = tuple(
             CapacitySeries(cid, np.arange(0.0, 10.0), np.linspace(1.0, 0.9, 10))
@@ -258,6 +282,14 @@ class TestArBaseline:
     def test_exact_on_constant_series(self):
         series = CapacitySeries("c", np.arange(1.0, 13.0), np.full(12, 0.9))
         assert np.allclose(ar_baseline(series, order=4, horizon=6), 0.9, atol=1e-9)
+
+    def test_noisy_line_fits_every_lag_window(self):
+        # fitting only the last `order` windows leaves order equations for
+        # order + 1 unknowns; the exact interpolant's iterates explode (~1e5)
+        series = linearish_series(n=60, noise=0.002, seed=3)
+        forecasts = ar_baseline(series, order=10, horizon=40)
+        line = 1.0 - 0.012 * (np.arange(61.0, 101.0) - 1.0)
+        assert np.max(np.abs(forecasts - line)) < 0.01
 
     def test_insufficient_history(self):
         series = linearish_series(n=7)
