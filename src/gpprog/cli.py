@@ -4,8 +4,11 @@ Subcommands cover the full workflow: fit a single model, search compound
 kernels, forecast capacity and end of life from a partial history, run
 fixed-horizon lookahead sweeps, and run rolling end-of-life evaluations in
 single- or multi-output form.  Every run writes a ``manifest.json`` with
-the resolved configuration; re-running the same manifest with --jobs 1
-reproduces the output files byte for byte (no timestamps are recorded).
+the resolved configuration, then loads the CSV once and hands the chosen
+cell (or, for mogp-evaluate, the fleet) to the subcommand.  ``forecast``
+reads its end-of-life estimates off the same posterior it writes to
+``posterior.csv``.  Re-running the same manifest with --jobs 1 reproduces
+the output files byte for byte (no timestamps are recorded).
 """
 
 from __future__ import annotations
@@ -26,13 +29,13 @@ import scipy
 from . import __version__
 from .dataset import SplitSpec, load_csv
 from .errors import GpprogError, UndefinedMetricError, UsageError
-from .kernels import Product, parse_kernel
+from .kernels import parse_kernel
 from .meanfn import mean_from_token, mean_params
 from .optimize import TrainConfig, kernel_search, model_for_series, train
 from .prognostics import (
     evaluate,
+    eol_crossings,
     evaluate_mogp,
-    forecast_eol,
     forecast_grid,
     lookahead,
     true_end_of_life,
@@ -222,17 +225,13 @@ def _train_config(config: RunConfig) -> TrainConfig:
     return TrainConfig(n_restarts=config.restarts, seed=config.seed)
 
 
-def _cmd_fit(config: RunConfig, outdir: Path) -> None:
-    fleet = load_csv(config.data, config.schema)
-    series = _pick_series(fleet, config.target)
+def _cmd_fit(config: RunConfig, series, outdir: Path) -> None:
     model = model_for_series(series, config.kernel, config.mean)
     result = train(model, _train_config(config), extra_starts=[model.opt_vector()])
     _write_json(outdir / "model.json", _model_summary(config, result))
 
 
-def _cmd_kernel_search(config: RunConfig, outdir: Path) -> None:
-    fleet = load_csv(config.data, config.schema)
-    series = _pick_series(fleet, config.target)
+def _cmd_kernel_search(config: RunConfig, series, outdir: Path) -> None:
     result = kernel_search(
         series,
         bases=config.bases,
@@ -244,9 +243,7 @@ def _cmd_kernel_search(config: RunConfig, outdir: Path) -> None:
     _write_csv(outdir / "search.csv", result.to_csv_rows())
 
 
-def _cmd_forecast(config: RunConfig, outdir: Path) -> None:
-    fleet = load_csv(config.data, config.schema)
-    series = _pick_series(fleet, config.target)
+def _cmd_forecast(config: RunConfig, series, outdir: Path) -> None:
     c = math.ceil(config.start * len(series))
     if c >= len(series):
         raise UsageError(f"--start {config.start} leaves no data to forecast")
@@ -256,30 +253,26 @@ def _cmd_forecast(config: RunConfig, outdir: Path) -> None:
     model = model_for_series((prefix_x, prefix_y), config.kernel, config.mean)
     result = train(model, _train_config(config), extra_starts=[model.opt_vector()])
     trained = result.model
+    current_x = float(prefix_x[-1])
     horizon_x = 2.0 * float(series.cycles[-1])
-    grid = forecast_grid(
-        float(prefix_x[-1]), horizon_x, bool(np.all(series.cycles == np.floor(series.cycles)))
-    )
-    if isinstance(trained.kernel, Product):
-        post = trained.posterior(grid)
-    else:
-        post = trained.decompose_posterior(grid)
+    # forecast_eol's grid: cycle steps when the training inputs are whole cycles
+    grid = forecast_grid(current_x, horizon_x, bool(np.all(prefix_x == np.floor(prefix_x))))
+    post = trained.decompose_posterior(grid)  # grammar kernels are sums, never products
     lower, upper = post.bounds()
     columns = (grid, post.mean, post.sigma_latent, post.sigma_noisy, lower, upper)
     rows = [["x", "mean", "sigma_latent", "sigma_noisy", "lower_2sigma", "upper_2sigma"]]
     rows.extend([repr(v) for v in row] for row in zip(*(c.tolist() for c in columns)))
     _write_csv(outdir / "posterior.csv", rows)
-    if post.components is not None:
-        comp_rows = [["component", "x", "mean", "sigma"]]
-        for comp in post.components:
-            comp_rows.extend(
-                [comp.name, repr(x), repr(mean), repr(sigma)]
-                for x, mean, sigma in zip(
-                    grid.tolist(), comp.mean.tolist(), np.sqrt(comp.variance).tolist()
-                )
+    comp_rows = [["component", "x", "mean", "sigma"]]
+    for comp in post.components:
+        comp_rows.extend(
+            [comp.name, repr(x), repr(mean), repr(sigma)]
+            for x, mean, sigma in zip(
+                grid.tolist(), comp.mean.tolist(), np.sqrt(comp.variance).tolist()
             )
-        _write_csv(outdir / "components.csv", comp_rows)
-    forecast = forecast_eol(trained, spec, horizon_x)
+        )
+    _write_csv(outdir / "components.csv", comp_rows)
+    forecast = eol_crossings(post, spec, current_x)
     try:
         observed = true_end_of_life(series, config.eol)
     except UndefinedMetricError:
@@ -290,9 +283,7 @@ def _cmd_forecast(config: RunConfig, outdir: Path) -> None:
     _write_json(outdir / "model.json", _model_summary(config, result))
 
 
-def _cmd_lookahead(config: RunConfig, outdir: Path) -> None:
-    fleet = load_csv(config.data, config.schema)
-    series = _pick_series(fleet, config.target)
+def _cmd_lookahead(config: RunConfig, series, outdir: Path) -> None:
     result = lookahead(
         series,
         kernel_expr=config.kernel,
@@ -306,9 +297,7 @@ def _cmd_lookahead(config: RunConfig, outdir: Path) -> None:
     _write_csv(outdir / "lookahead.csv", result.to_csv_rows())
 
 
-def _cmd_evaluate(config: RunConfig, outdir: Path) -> None:
-    fleet = load_csv(config.data, config.schema)
-    series = _pick_series(fleet, config.target)
+def _cmd_evaluate(config: RunConfig, series, outdir: Path) -> None:
     report = evaluate(
         series,
         kernel_expr=config.kernel,
@@ -323,8 +312,7 @@ def _cmd_evaluate(config: RunConfig, outdir: Path) -> None:
     _write_csv(outdir / "report.csv", report.to_csv_rows())
 
 
-def _cmd_mogp_evaluate(config: RunConfig, outdir: Path) -> None:
-    fleet = load_csv(config.data, config.schema)
+def _cmd_mogp_evaluate(config: RunConfig, fleet, outdir: Path) -> None:
     missing = [c for c in (*config.train_cells, config.target) if c not in fleet.cell_ids]
     if missing:
         raise UsageError(f"cells {missing} not present in {config.data}")
@@ -358,7 +346,9 @@ def run(config: RunConfig) -> None:
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "manifest.json", _manifest(config))
-    _IMPLEMENTATIONS[config.command](config, outdir)
+    fleet = load_csv(config.data, config.schema)
+    data = fleet if config.command == "mogp-evaluate" else _pick_series(fleet, config.target)
+    _IMPLEMENTATIONS[config.command](config, data, outdir)
 
 
 def main(argv=None) -> int:

@@ -106,17 +106,6 @@ class CapacitySeries:
         return len(self.cycles)
 
 
-def normalize(series: CapacitySeries) -> CapacitySeries:
-    """Rescale so the first capacity is 1.0.  Idempotent."""
-    first = series.capacities[0]
-    return CapacitySeries(
-        series.cell_id,
-        series.cycles,
-        series.capacities / first,
-        raw_initial_capacity=series.raw_initial_capacity * float(first),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class Fleet:
     """An ordered collection of series with integer output labels 1..m."""

@@ -18,7 +18,7 @@ via ``with_opt_vector``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -182,12 +182,6 @@ class GpModel:
         self._state = None
 
     # --- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_series(cls, series, kernel, mean=None, noise_variance=1e-4):
-        if mean is None:
-            mean = Constant(value=float(np.mean(series.capacities)))
-        return cls(kernel, series.cycles, series.capacities, mean, noise_variance)
 
     @classmethod
     def for_fleet(cls, fleet, input_kernel, mean=None, noise_variance=1e-4, label_cov=None):
@@ -386,7 +380,6 @@ class GpModel:
                 "cannot decompose a product kernel into additive components"
             )
         x_new, labels = self._require_labels(x_new, labels)
-        base = self.posterior(x_new, labels)
         terms = sum_terms(self.kernel)
         names = []
         seen: dict[str, int] = {}
@@ -404,14 +397,7 @@ class GpModel:
                 np.full(len(x_new), self.noise_variance),
             )
         )
-        return Posterior(
-            x=base.x,
-            labels=base.labels,
-            mean=base.mean,
-            variance_latent=base.variance_latent,
-            variance_noisy=base.variance_noisy,
-            components=tuple(components),
-        )
+        return replace(self.posterior(x_new, labels), components=tuple(components))
 
     def sample_posterior(
         self, x_new, n_samples: int, seed: int = 0, labels=None, include_noise: bool = False

@@ -610,34 +610,6 @@ class LabelCovariance(Kernel):
         ]
         return k, grads
 
-    def wrapped(self) -> "LabelCovariance":
-        """Equivalent kernel with canonical angles in (0, pi).
-
-        Recovered from the Cholesky factor of the implied correlation
-        matrix, which is the unique upper-triangular unit-column factor
-        with positive diagonal.
-        """
-        corr = self.matrix() / self.shared_scale
-        jitter = 0.0
-        for _ in range(8):
-            try:
-                upper = np.linalg.cholesky(corr + jitter * np.eye(self.m)).T
-                break
-            except np.linalg.LinAlgError:
-                jitter = 1e-12 if jitter == 0.0 else jitter * 100.0
-        else:
-            raise ConfigError("label correlation matrix is numerically singular")
-        angles = []
-        for c in range(1, self.m):
-            prod = 1.0
-            for i in range(c):
-                val = upper[i, c] / prod if prod > 0 else 0.0
-                a = math.acos(min(1.0, max(-1.0, val)))
-                a = min(max(a, 1e-12), math.pi - 1e-12)
-                angles.append(a)
-                prod *= math.sin(a)
-        return replace(self, angles=tuple(angles))
-
     def _walk(self):
         yield self
 
@@ -742,33 +714,6 @@ def mogp_gram(label_cov: np.ndarray, input_kernel: Kernel, inputs) -> np.ndarray
         raise BoundsError(f"labels {sorted(set(bad.tolist()))} outside 1..{m}")
     kx = input_kernel._gram(x, None, x, None)
     return label_cov[np.ix_(labels - 1, labels - 1)] * kx
-
-
-# --- scalar convenience evaluators ------------------------------------------
-
-
-def eval_se(x, x2, output_scale: float, length_scale: float):
-    """Squared-exponential covariance between two locations."""
-    return SquaredExponential(output_scale, length_scale).gram(
-        np.atleast_1d(np.asarray(x, dtype=float)),
-        np.atleast_1d(np.asarray(x2, dtype=float)),
-    ).squeeze()[()]
-
-
-def eval_matern(x, x2, nu: float, output_scale: float, length_scale: float):
-    """Matern covariance (nu in {1.5, 2.5}) between two locations."""
-    return Matern(nu, output_scale, length_scale).gram(
-        np.atleast_1d(np.asarray(x, dtype=float)),
-        np.atleast_1d(np.asarray(x2, dtype=float)),
-    ).squeeze()[()]
-
-
-def eval_periodic(x, x2, output_scale: float, length_scale: float, period: float):
-    """Periodic covariance between two locations."""
-    return Periodic(output_scale, length_scale, period).gram(
-        np.atleast_1d(np.asarray(x, dtype=float)),
-        np.atleast_1d(np.asarray(x2, dtype=float)),
-    ).squeeze()[()]
 
 
 # --- text grammar ------------------------------------------------------------

@@ -26,19 +26,12 @@ _PENALTY = 1e25
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Budget and reproducibility knobs for one training run.
-
-    ``lhs_bounds`` is an optional (dim, 2) array of per-parameter low/high
-    starting bounds in optimization space (log space for positive
-    parameters).  When omitted, data-driven defaults are derived from the
-    training set.
-    """
+    """Budget and reproducibility knobs for one training run."""
 
     n_restarts: int = 10
     max_iterations: int = 200
     gradient_tolerance: float = 1e-6
     seed: int = 0
-    lhs_bounds: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
         if self.n_restarts < 1:
@@ -47,12 +40,6 @@ class TrainConfig:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (self.gradient_tolerance > 0):
             raise ConfigError("gradient_tolerance must be positive")
-        if self.lhs_bounds is not None:
-            bounds = tuple(tuple(float(v) for v in b) for b in self.lhs_bounds)
-            for lo, hi in bounds:
-                if not (lo < hi):
-                    raise ConfigError(f"bad LHS bound ({lo}, {hi})")
-            object.__setattr__(self, "lhs_bounds", bounds)
 
 
 @dataclass(frozen=True)
@@ -82,21 +69,6 @@ def _lhs_design(seed: int, n: int, bounds: np.ndarray) -> np.ndarray:
         perm = rng.permutation(n)
         u[:, j] = (perm + rng.uniform(0.0, 1.0, size=n)) / n
     return bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])
-
-
-def lhs_starts(config: TrainConfig, dim: int) -> np.ndarray:
-    """n_restarts starting vectors; unit cube when no bounds configured."""
-    if dim < 1:
-        raise ConfigError(f"dimension must be >= 1, got {dim}")
-    if config.lhs_bounds is None:
-        bounds = np.tile([0.0, 1.0], (dim, 1))
-    else:
-        bounds = np.asarray(config.lhs_bounds, dtype=float)
-        if bounds.shape != (dim, 2):
-            raise ConfigError(
-                f"lhs_bounds shape {bounds.shape} does not match dimension {dim}"
-            )
-    return _lhs_design(config.seed, config.n_restarts, bounds)
 
 
 def default_lhs_bounds(model: GpModel) -> np.ndarray:
@@ -197,14 +169,7 @@ def train(model: GpModel, config: TrainConfig = TrainConfig(), extra_starts=()) 
     if len(model.x) < 2:
         raise DegenerateInputError("training requires at least two points")
     dim = len(model.opt_vector())
-    if config.lhs_bounds is not None:
-        bounds = np.asarray(config.lhs_bounds, dtype=float)
-        if bounds.shape != (dim, 2):
-            raise ConfigError(
-                f"lhs_bounds shape {bounds.shape} does not match dimension {dim}"
-            )
-    else:
-        bounds = default_lhs_bounds(model)
+    bounds = default_lhs_bounds(model)
     starts = list(_lhs_design(config.seed, config.n_restarts, bounds))
     for extra in extra_starts:
         extra = np.asarray(extra, dtype=float)

@@ -2,16 +2,25 @@
 
 Two headline metrics: capacity RMSE over a held-out window, and RMSE of
 predicted end of life (the cycle where capacity first drops below the
-threshold) against the observed crossing.  Rolling evaluations repeat the
-train/forecast cycle at every split position from a starting fraction of
-the data onward, warm-starting each fit from the previous optimum.
+threshold) against the observed crossing.
+
+Every rolling evaluation runs through one origin engine, :func:`_run_origins`:
+it applies a per-origin step at each split position from a starting fraction
+of the data onward, in order or in a process pool, and records an origin
+that fails with one of :data:`ORIGIN_ERRORS` instead of aborting the sweep.
+``lookahead`` and ``ar_lookahead`` share one fixed-horizon sweep and differ
+only in their predict step; ``evaluate`` and ``evaluate_mogp`` share one
+end-of-life backtest.  The GP steps fit through :class:`GpForecaster`, which
+builds a single-cell or a fleet model and warm-starts each fit from the
+previous optimum.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +32,7 @@ from .errors import (
     TrainingError,
     UndefinedMetricError,
 )
-from .gp import GpModel
+from .gp import GpModel, Posterior
 from .kernels import parse_kernel, with_data_scales
 from .meanfn import mean_from_token
 from .optimize import TrainConfig, model_for_series, train
@@ -128,18 +137,7 @@ class EolForecast:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "current_x": self.current_x,
-            "threshold": self.threshold,
-            "eol_mean": self.eol_mean,
-            "eol_lower": self.eol_lower,
-            "eol_upper": self.eol_upper,
-        }
-
-
-def _integer_axis(x: np.ndarray) -> bool:
-    return bool(np.all(x == np.floor(x)))
+        return asdict(self)
 
 
 def forecast_grid(current_x: float, horizon_x: float, integer_steps: bool) -> np.ndarray:
@@ -158,23 +156,33 @@ def forecast_eol(
     current_x: float | None = None,
     label: int | None = None,
 ) -> EolForecast:
-    """Extrapolate the posterior and read off threshold crossings.
+    """Extrapolate the posterior on a forecast grid and read off the crossings.
 
-    The point estimate comes from the posterior mean curve; the interval
-    comes from the mean +/- 2 sigma curves (noise included).
+    The grid runs from ``current_x`` (by default the last training input of
+    the target) to ``horizon_x``, one step per cycle when every training
+    input is a whole cycle; :func:`eol_crossings` reads the estimates.
     """
     if current_x is None:
         if label is not None and model.labels is not None:
             current_x = float(model.x[model.labels == label].max())
         else:
             current_x = float(model.x.max())
-    grid = forecast_grid(current_x, horizon_x, _integer_axis(model.x))
+    grid = forecast_grid(current_x, horizon_x, bool(np.all(model.x == np.floor(model.x))))
     labels = None
     if model.labels is not None:
         if label is None:
             raise ConfigError("multi-output model needs a target label")
         labels = np.full(len(grid), label, dtype=int)
-    post = model.posterior(grid, labels=labels)
+    return eol_crossings(model.posterior(grid, labels=labels), spec, current_x)
+
+
+def eol_crossings(post: Posterior, spec: SplitSpec, current_x: float) -> EolForecast:
+    """End-of-life estimates from a posterior on a forecast grid.
+
+    The point estimate comes from the posterior mean curve; the interval
+    comes from the mean +/- 2 sigma curves (noise included).
+    """
+    grid = post.x
     lower_curve, upper_curve = post.bounds(2.0, include_noise=True)
     eol_mean = find_eol(grid, post.mean, spec.eol_threshold, current_x)
     # a band curve already below the threshold at the origin snaps to the
@@ -190,6 +198,82 @@ def forecast_eol(
         eol_lower=eol_lower,
         eol_upper=eol_upper,
     )
+
+
+# --- the origin engine --------------------------------------------------------
+
+# what one rolling origin may fail with; the failure is recorded with its
+# message and the sweep goes on
+ORIGIN_ERRORS = (DegenerateInputError, NumericalError, TrainingError, UndefinedMetricError)
+
+
+def _attempt(step, spec):
+    try:
+        return step(spec), None
+    except ORIGIN_ERRORS as exc:
+        return None, str(exc)
+
+
+def _run_origins(step, specs, jobs: int = 1) -> list[tuple[object, str | None]]:
+    """``(step(spec), None)`` for every origin, or ``(None, message)`` where
+    the step failed with one of :data:`ORIGIN_ERRORS`.
+
+    Steps run in order, or in ``jobs`` worker processes, in which case
+    ``step`` must pickle and each worker holds its own copy of it.
+    """
+    attempt = partial(_attempt, step)
+    if jobs > 1 and len(specs) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(attempt, specs))
+    return [attempt(spec) for spec in specs]
+
+
+class GpForecaster:
+    """Default forecaster for rolling evaluations: retrain, predict, extrapolate.
+
+    Without ``companions`` each model is fitted to the prefix of one cell.
+    With them it is a multi-output model over the companion cells' full
+    histories plus the prefix, which takes the last output label, so the
+    target's future borrows from the companions through learned output
+    correlations.  Keeps the previous optimum as a warm start between fits.
+    """
+
+    def __init__(self, kernel_expr, mean_expr, config, warm_start=True, companions=()):
+        self.kernel_expr = kernel_expr
+        self.mean_expr = mean_expr
+        self.config = config
+        self.warm_start = warm_start
+        self.companions = tuple(companions)
+        self.label = len(self.companions) + 1 if self.companions else None
+        self._warm = None
+
+    def _model(self, prefix: CapacitySeries) -> GpModel:
+        if not self.companions:
+            return model_for_series(prefix, self.kernel_expr, self.mean_expr)
+        fleet = Fleet(self.companions + (prefix,))
+        x_all, y_all, _ = fleet.labeled_arrays()
+        input_kernel = with_data_scales(parse_kernel(self.kernel_expr), x_all, y_all)
+        mean = mean_from_token(self.mean_expr, x_all, y_all)
+        return GpModel.for_fleet(fleet, input_kernel, mean=mean)
+
+    def fit(self, prefix: CapacitySeries) -> GpModel:
+        """The trained model at one origin, starting also from the last optimum."""
+        model = self._model(prefix)
+        extra = [model.opt_vector()]
+        if self.warm_start and self._warm is not None:
+            extra.append(self._warm)
+        trained = train(model, self.config, extra_starts=extra).model
+        if self.warm_start:
+            self._warm = trained.opt_vector()
+        return trained
+
+    def __call__(self, train_series, test_x, spec, horizon_x):
+        model = self.fit(train_series)
+        labels = None if self.label is None else np.full(len(test_x), self.label, dtype=int)
+        predicted = model.posterior(test_x, labels=labels).mean
+        current_x = float(train_series.cycles[-1])
+        forecast = forecast_eol(model, spec, horizon_x, current_x=current_x, label=self.label)
+        return predicted, forecast
 
 
 # --- lookahead sweeps -----------------------------------------------------------
@@ -249,13 +333,50 @@ def _check_horizons(horizons) -> tuple[int, ...]:
     return horizons
 
 
-def _collect_rmse(rows, horizons):
-    rmse = {}
-    for n in horizons:
-        errs = [(r.predicted - r.actual) ** 2 for r in rows if r.horizon == n]
-        if errs:
-            rmse[n] = float(np.sqrt(np.mean(errs)))
-    return rmse
+def _horizon_sweep(series, horizons, start_fraction, predict) -> LookaheadResult:
+    """Fixed-horizon forecasts from every rolling origin.
+
+    ``predict(prefix, steps, xs)`` returns the predicted means and standard
+    deviations at the inputs ``xs`` that lie ``steps`` observations past the
+    prefix.  Origins whose every target lies beyond the series end are
+    skipped without a call; a failed origin skips its targets.
+    """
+    horizons = _check_horizons(horizons)
+    specs = rolling_origins(series, start_fraction)
+    last = len(series) - 1
+
+    def step(spec):
+        steps = np.array([n for n in horizons if spec.c - 1 + n <= last])
+        idx = spec.c - 1 + steps
+        prefix, _ = split(series, spec)
+        means, sds = predict(prefix, steps, series.cycles[idx])
+        return [
+            LookaheadRow(
+                c=spec.c,
+                horizon=int(n),
+                target_x=float(series.cycles[i]),
+                predicted=float(mean),
+                sigma=float(sd),
+                actual=float(series.capacities[i]),
+            )
+            for n, i, mean, sd in zip(steps, idx, means, sds)
+        ]
+
+    active = [spec for spec in specs if spec.c - 1 + min(horizons) <= last]
+    rows: list[LookaheadRow] = []
+    failures = []
+    for spec, (made, error) in zip(active, _run_origins(step, active)):
+        if error is None:
+            rows.extend(made)
+        else:
+            failures.append((spec.c, error))
+    errors = {n: [(r.predicted - r.actual) ** 2 for r in rows if r.horizon == n] for n in horizons}
+    return LookaheadResult(
+        rows=tuple(rows),
+        rmse={n: float(np.sqrt(np.mean(errs))) for n, errs in errors.items() if errs},
+        skipped={n: len(specs) - len(errs) for n, errs in errors.items()},
+        failures=tuple(failures),
+    )
 
 
 def lookahead(
@@ -271,54 +392,15 @@ def lookahead(
 
     Horizons are counted in observation positions: at split c the horizon-n
     target is the (c+n)-th observation.  Targets beyond the series end are
-    skipped.  Per-origin training failures are recorded, never raised.
+    skipped.  Per-origin failures are recorded, never raised.
     """
-    horizons = _check_horizons(horizons)
-    specs = rolling_origins(series, start_fraction)
-    rows: list[LookaheadRow] = []
-    skipped = {n: 0 for n in horizons}
-    failures = []
-    warm = None
-    for spec in specs:
-        valid = [(n, spec.c - 1 + n) for n in horizons if spec.c - 1 + n < len(series)]
-        for n in horizons:
-            if spec.c - 1 + n >= len(series):
-                skipped[n] += 1
-        if not valid:
-            continue
-        train_series, _ = split(series, spec)
-        model = model_for_series(train_series, kernel_expr, mean_expr)
-        extra = [model.opt_vector()]
-        if warm_start and warm is not None:
-            extra.append(warm)
-        try:
-            result = train(model, config, extra_starts=extra)
-        except (TrainingError, NumericalError) as exc:
-            failures.append((spec.c, str(exc)))
-            for n, _ in valid:
-                skipped[n] += 1
-            continue
-        if warm_start:
-            warm = result.model.opt_vector()
-        xs = np.array([series.cycles[idx] for _, idx in valid])
-        post = result.model.posterior(xs)
-        for (n, idx), mean, sd in zip(valid, post.mean, post.sigma_noisy):
-            rows.append(
-                LookaheadRow(
-                    c=spec.c,
-                    horizon=n,
-                    target_x=float(series.cycles[idx]),
-                    predicted=float(mean),
-                    sigma=float(sd),
-                    actual=float(series.capacities[idx]),
-                )
-            )
-    return LookaheadResult(
-        rows=tuple(rows),
-        rmse=_collect_rmse(rows, horizons),
-        skipped=skipped,
-        failures=tuple(failures),
-    )
+    forecaster = GpForecaster(kernel_expr, mean_expr, config, warm_start)
+
+    def predict(prefix, steps, xs):
+        post = forecaster.fit(prefix).posterior(xs)
+        return post.mean, post.sigma_noisy
+
+    return _horizon_sweep(series, horizons, start_fraction, predict)
 
 
 # --- autoregressive baseline ----------------------------------------------------
@@ -366,44 +448,11 @@ def ar_lookahead(
     start_fraction: float = 0.2,
 ) -> LookaheadResult:
     """Rolling-origin autoregressive forecasts, comparable to ``lookahead``."""
-    horizons = _check_horizons(horizons)
-    specs = rolling_origins(series, start_fraction)
-    rows: list[LookaheadRow] = []
-    skipped = {n: 0 for n in horizons}
-    failures = []
-    max_h = max(horizons)
-    for spec in specs:
-        valid = [(n, spec.c - 1 + n) for n in horizons if spec.c - 1 + n < len(series)]
-        for n in horizons:
-            if spec.c - 1 + n >= len(series):
-                skipped[n] += 1
-        if not valid:
-            continue
-        prefix, _ = split(series, spec)
-        try:
-            forecasts = ar_baseline(prefix, order, max_h)
-        except DegenerateInputError as exc:
-            failures.append((spec.c, str(exc)))
-            for n, _ in valid:
-                skipped[n] += 1
-            continue
-        for n, idx in valid:
-            rows.append(
-                LookaheadRow(
-                    c=spec.c,
-                    horizon=n,
-                    target_x=float(series.cycles[idx]),
-                    predicted=float(forecasts[n - 1]),
-                    sigma=float("nan"),
-                    actual=float(series.capacities[idx]),
-                )
-            )
-    return LookaheadResult(
-        rows=tuple(rows),
-        rmse=_collect_rmse(rows, horizons),
-        skipped=skipped,
-        failures=tuple(failures),
-    )
+
+    def predict(prefix, steps, xs):
+        return ar_baseline(prefix, order, int(steps.max()))[steps - 1], np.full(len(xs), np.nan)
+
+    return _horizon_sweep(series, horizons, start_fraction, predict)
 
 
 # --- rolling end-of-life evaluation ----------------------------------------------
@@ -433,22 +482,10 @@ class EvaluationReport:
     horizon_x: float
     records: tuple[OriginRecord, ...]
     rmse_eol: float
-    lookahead_rmse: dict[int, float] | None = None
 
     @property
     def n_failed(self) -> int:
         return sum(1 for r in self.records if r.failed)
-
-    def with_lookahead(self, result: LookaheadResult) -> "EvaluationReport":
-        return EvaluationReport(
-            cell_id=self.cell_id,
-            threshold=self.threshold,
-            true_eol=self.true_eol,
-            horizon_x=self.horizon_x,
-            records=self.records,
-            rmse_eol=self.rmse_eol,
-            lookahead_rmse=dict(result.rmse),
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -459,9 +496,6 @@ class EvaluationReport:
             "rmse_eol": self.rmse_eol,
             "n_records": len(self.records),
             "n_failed": self.n_failed,
-            "lookahead_rmse": None
-            if self.lookahead_rmse is None
-            else {str(k): v for k, v in sorted(self.lookahead_rmse.items())},
             "records": [
                 {
                     "c": r.c,
@@ -519,124 +553,14 @@ def true_end_of_life(series: CapacitySeries, threshold: float) -> float:
     return eol
 
 
-class GpForecaster:
-    """Default forecaster for rolling evaluations: retrain, predict, extrapolate.
-
-    Keeps the previous optimum as a warm start between calls.
-    """
-
-    def __init__(self, kernel_expr, mean_expr, config, warm_start=True):
-        self.kernel_expr = kernel_expr
-        self.mean_expr = mean_expr
-        self.config = config
-        self.warm_start = warm_start
-        self._warm = None
-
-    def __call__(self, train_series, test_x, spec, horizon_x):
-        model = model_for_series(train_series, self.kernel_expr, self.mean_expr)
-        extra = [model.opt_vector()]
-        if self.warm_start and self._warm is not None:
-            extra.append(self._warm)
-        result = train(model, self.config, extra_starts=extra)
-        if self.warm_start:
-            self._warm = result.model.opt_vector()
-        predicted = result.model.posterior(test_x).mean if len(test_x) else np.array([])
-        forecast = forecast_eol(result.model, spec, horizon_x)
-        return predicted, forecast
-
-
-class MogpForecaster:
-    """Rolling forecaster that conditions on companion cells' full histories.
-
-    At each origin the model sees every observation of the companion cells
-    plus the target cell's prefix; it predicts the target's future capacity
-    through the shared input kernel scaled by learned output correlations.
-    """
-
-    def __init__(self, companions, kernel_expr, mean_expr, config, warm_start=True):
-        self.companions = tuple(companions)
-        self.kernel_expr = kernel_expr
-        self.mean_expr = mean_expr
-        self.config = config
-        self.warm_start = warm_start
-        self._warm = None
-
-    def __call__(self, train_series, test_x, spec, horizon_x):
-        fleet_now = Fleet(self.companions + (train_series,))
-        target_label = fleet_now.m
-        x_all, y_all, _ = fleet_now.labeled_arrays()
-        input_kernel = with_data_scales(parse_kernel(self.kernel_expr), x_all, y_all)
-        mean = mean_from_token(self.mean_expr, x_all, y_all)
-        model = GpModel.for_fleet(fleet_now, input_kernel, mean=mean)
-        extra = [model.opt_vector()]
-        if self.warm_start and self._warm is not None:
-            extra.append(self._warm)
-        result = train(model, self.config, extra_starts=extra)
-        if self.warm_start:
-            self._warm = result.model.opt_vector()
-        if len(test_x):
-            labels = np.full(len(test_x), target_label, dtype=int)
-            predicted = result.model.posterior(test_x, labels=labels).mean
-        else:
-            predicted = np.array([])
-        forecast = forecast_eol(
-            result.model,
-            spec,
-            horizon_x,
-            current_x=float(train_series.cycles[-1]),
-            label=target_label,
-        )
-        return predicted, forecast
-
-
-def _one_origin(forecaster, series, spec, horizon_x, true_eol) -> OriginRecord:
+def _origin_record(forecaster, series, horizon_x, true_eol, spec) -> OriginRecord:
     train_series, test_series = split(series, spec)
     mask = test_series.cycles <= true_eol
-    current_x = float(train_series.cycles[-1])
-    try:
-        predicted, forecast = forecaster(
-            train_series, test_series.cycles[mask], spec, horizon_x
-        )
-        q = rmse_q(predicted, test_series.capacities[mask])
-        clamped = not math.isfinite(forecast.eol_mean)
-        estimate = horizon_x if clamped else forecast.eol_mean
-        return OriginRecord(spec.c, current_x, q, forecast, estimate, clamped)
-    except (TrainingError, NumericalError, UndefinedMetricError) as exc:
-        return OriginRecord(
-            spec.c, current_x, None, None, None, failed=True, error=str(exc)
-        )
-
-
-def _origin_worker(payload) -> OriginRecord:
-    return _one_origin(*payload)
-
-
-def _rolling_eval(series, forecaster, start_fraction, threshold, horizon_factor, jobs=1):
-    true_eol = true_end_of_life(series, threshold)
-    horizon_x = horizon_factor * float(series.cycles[-1])
-    specs = []
-    for spec in rolling_origins(series, start_fraction, threshold):
-        if not np.any(series.cycles[spec.c :] <= true_eol):
-            break  # past end of life; remaining test windows are empty
-        specs.append(spec)
-    if jobs > 1 and len(specs) > 1:
-        payloads = [(forecaster, series, spec, horizon_x, true_eol) for spec in specs]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_origin_worker, payloads))
-    else:
-        records = [
-            _one_origin(forecaster, series, spec, horizon_x, true_eol) for spec in specs
-        ]
-    estimates = [r.eol_estimate for r in records if not r.failed]
-    agg = rmse_eol(estimates, true_eol) if estimates else float("nan")
-    return EvaluationReport(
-        cell_id=series.cell_id,
-        threshold=threshold,
-        true_eol=true_eol,
-        horizon_x=horizon_x,
-        records=tuple(records),
-        rmse_eol=agg,
-    )
+    predicted, forecast = forecaster(train_series, test_series.cycles[mask], spec, horizon_x)
+    q = rmse_q(predicted, test_series.capacities[mask])
+    clamped = not math.isfinite(forecast.eol_mean)
+    estimate = horizon_x if clamped else forecast.eol_mean
+    return OriginRecord(spec.c, float(train_series.cycles[-1]), q, forecast, estimate, clamped)
 
 
 def evaluate(
@@ -656,15 +580,41 @@ def evaluate(
     Origins run from ``start_fraction`` of the data until the observed end
     of life; infinite point forecasts are clamped to the horizon
     (``horizon_factor`` times the final observed position) and flagged.
-    With ``jobs`` > 1 origins run in separate processes, which requires
-    ``warm_start=False`` since warm starting chains origins sequentially.
+    ``forecaster(train_series, test_x, spec, horizon_x)`` returns the
+    predicted capacities at ``test_x`` and an :class:`EolForecast`; it
+    defaults to a :class:`GpForecaster`.  With ``jobs`` > 1 origins run in
+    separate processes, which requires ``warm_start=False`` since warm
+    starting chains origins sequentially.
     """
     if jobs > 1 and warm_start:
         raise ConfigError("parallel origins cannot warm start; pass warm_start=False")
     if forecaster is None:
         forecaster = GpForecaster(kernel_expr, mean_expr, config, warm_start)
-    return _rolling_eval(
-        series, forecaster, start_fraction, eol_threshold, horizon_factor, jobs
+    true_eol = true_end_of_life(series, eol_threshold)
+    horizon_x = horizon_factor * float(series.cycles[-1])
+    # origins past the observed end of life have empty test windows
+    specs = [
+        spec
+        for spec in rolling_origins(series, start_fraction, eol_threshold)
+        if series.cycles[spec.c] <= true_eol
+    ]
+    step = partial(_origin_record, forecaster, series, horizon_x, true_eol)
+    records = [
+        record
+        if error is None
+        else OriginRecord(
+            spec.c, float(series.cycles[spec.c - 1]), None, None, None, failed=True, error=error
+        )
+        for spec, (record, error) in zip(specs, _run_origins(step, specs, jobs))
+    ]
+    estimates = [r.eol_estimate for r in records if not r.failed]
+    return EvaluationReport(
+        cell_id=series.cell_id,
+        threshold=eol_threshold,
+        true_eol=true_eol,
+        horizon_x=horizon_x,
+        records=tuple(records),
+        rmse_eol=rmse_eol(estimates, true_eol) if estimates else float("nan"),
     )
 
 
@@ -687,17 +637,21 @@ def evaluate_mogp(
     target contributes data up to the split only.  The target takes the
     last output label.
     """
-    if jobs > 1 and warm_start:
-        raise ConfigError("parallel origins cannot warm start; pass warm_start=False")
     train_cells = list(train_cells)
     if target in train_cells:
         raise ConfigError(f"target {target!r} also listed as a training cell")
     if not train_cells:
         raise ConfigError("multi-output evaluation needs at least one training cell")
     sub = fleet.subfleet(train_cells + [target])
-    companions = sub.series[:-1]
-    target_series = sub.series[-1]
-    forecaster = MogpForecaster(companions, kernel_expr, mean_expr, config, warm_start)
-    return _rolling_eval(
-        target_series, forecaster, start_fraction, eol_threshold, horizon_factor, jobs
+    forecaster = GpForecaster(
+        kernel_expr, mean_expr, config, warm_start, companions=sub.series[:-1]
+    )
+    return evaluate(
+        sub.series[-1],
+        start_fraction=start_fraction,
+        eol_threshold=eol_threshold,
+        warm_start=warm_start,
+        horizon_factor=horizon_factor,
+        forecaster=forecaster,
+        jobs=jobs,
     )

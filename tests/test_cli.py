@@ -9,7 +9,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from gpprog import UsageError, __version__
+from gpprog import UsageError, __version__, find_eol
 from gpprog.cli import main, parse_args
 
 
@@ -206,6 +206,29 @@ class TestForecastCommand:
                 "eol_upper", "observed_eol"} <= set(eol)
         assert eol["threshold"] == 0.7
         assert (out / "model.json").exists()
+
+    def test_eol_is_read_from_the_written_posterior(self, tmp_path):
+        # whole cycles up to the origin and beyond, then 1.5-cycle steps: the
+        # grid follows the training prefix, and eol.json is read off the very
+        # curves that posterior.csv holds
+        x = np.concatenate([np.arange(1.0, 31.0), 30.0 + 1.5 * np.arange(1.0, 21.0)])
+        y = 2.0 * (1.0 - 0.004 * (x - 1.0)) + 0.001 * np.sin(x)
+        data = write_cell_csv(tmp_path / "mixed.csv", {"M1": (x, y)})
+        out = tmp_path / "fc"
+        code = main(["forecast", "--data", str(data), "--out", str(out), "--kernel", "MA5",
+                     "--restarts", "1", "--start", "0.5", "--eol", "0.9"])
+        assert code == 0
+        post = np.loadtxt(out / "posterior.csv", delimiter=",", skiprows=1)
+        grid, mean, _, _, lower, upper = post.T
+        eol = json.loads((out / "eol.json").read_text())
+        current_x = eol["current_x"]
+        assert current_x == 25.0 and grid[0] == current_x
+        assert np.all(np.diff(grid) == 1.0)
+        eol_mean = find_eol(grid, mean, 0.9, current_x)
+        assert math.isfinite(eol_mean)
+        assert eol["eol_mean"] == eol_mean
+        assert eol["eol_lower"] == min(find_eol(grid, lower, 0.9, current_x), eol_mean)
+        assert eol["eol_upper"] == max(find_eol(grid, upper, 0.9, current_x), eol_mean)
 
     def test_start_must_leave_future_data(self, single_cell_csv, tmp_path, capsys):
         code = main(["forecast", "--data", single_cell_csv,

@@ -13,7 +13,6 @@ from gpprog import (
     SchemaError,
     SplitSpec,
     load_csv,
-    normalize,
     rolling_origins,
     save_csv,
     split,
@@ -80,23 +79,6 @@ class TestCapacitySeries:
     def test_from_raw_duplicate_cycle_rejected(self):
         with pytest.raises(DataError, match="duplicate cycle"):
             CapacitySeries.from_raw("c", [3.0, 1.0, 3.0], [1.0, 1.1, 0.9])
-
-
-class TestNormalize:
-    def test_rescales_to_unit_start(self):
-        s = CapacitySeries("x", [0.0, 1.0], [2.0, 1.5], raw_initial_capacity=1.0)
-        ns = normalize(s)
-        assert ns.capacities[0] == 1.0
-        assert ns.capacities[1] == 0.75
-        # divisor folds into raw_initial_capacity so raw values round-trip
-        assert ns.raw_initial_capacity == 2.0
-
-    def test_idempotent(self):
-        s = make_series(8, start=1.9)
-        once = normalize(s)
-        twice = normalize(once)
-        assert np.array_equal(once.capacities, twice.capacities)
-        assert once.raw_initial_capacity == twice.raw_initial_capacity
 
 
 class TestFleet:

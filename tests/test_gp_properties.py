@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from gpprog import (
@@ -30,8 +30,6 @@ from gpprog import (
 )
 
 from helpers import central_difference_gradients, dense_oracle
-
-PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 scales = st.floats(0.3, 2.0)
 lengths = st.floats(0.5, 3.0)
@@ -107,7 +105,6 @@ def oracle_nlml(model: GpModel) -> float:
     return dense_oracle(model, model.x[:1], labels)[0]
 
 
-@PROPERTY_SETTINGS
 @given(problems())
 def test_value_matches_dense_oracle_and_rebuilt_model(problem):
     model, theta = problem
@@ -117,7 +114,6 @@ def test_value_matches_dense_oracle_and_rebuilt_model(problem):
     assert value == pytest.approx(rebuilt.nlml(), rel=1e-10, abs=1e-10)
 
 
-@PROPERTY_SETTINGS
 @given(problems())
 def test_gradient_matches_central_differences(problem):
     model, theta = problem
@@ -126,7 +122,6 @@ def test_gradient_matches_central_differences(problem):
     assert np.allclose(grads, fd, rtol=2e-4, atol=2e-6)
 
 
-@PROPERTY_SETTINGS
 @given(problems())
 def test_own_parameters_are_the_default(problem):
     model, _ = problem
@@ -136,7 +131,6 @@ def test_own_parameters_are_the_default(problem):
     assert np.allclose(grads, grads_at, rtol=1e-8, atol=1e-10)
 
 
-@PROPERTY_SETTINGS
 @given(predictions())
 def test_diagonal_equals_gram_diagonal(prediction):
     model, x_new, labels = prediction
@@ -144,7 +138,6 @@ def test_diagonal_equals_gram_diagonal(prediction):
     assert np.array_equal(model.kernel._diag(x_new, labels), np.diag(gram))
 
 
-@PROPERTY_SETTINGS
 @given(predictions())
 def test_posterior_matches_dense_oracle(prediction):
     model, x_new, labels = prediction

@@ -19,9 +19,6 @@ from gpprog import (
     Sum,
     WhiteNoise,
     base_kernel,
-    eval_matern,
-    eval_periodic,
-    eval_se,
     format_kernel,
     label_covariance,
     mogp_gram,
@@ -55,24 +52,26 @@ class TestAnalyticForms:
         d = 0.7
         expected = 1.3**2 * math.exp(-((d / 2.0) ** 2))
         assert np.isclose(k.gram([0.0], [d])[0, 0], expected, rtol=1e-14)
-        assert np.isclose(eval_se(0.0, d, 1.3, 2.0), expected, rtol=1e-14)
 
     def test_matern32_closed_form(self):
         sigma, rho, d = 0.8, 1.7, 0.9
         a = math.sqrt(3) * d / rho
         expected = sigma**2 * (1 + a) * math.exp(-a)
-        assert np.isclose(eval_matern(0.0, d, 1.5, sigma, rho), expected, rtol=1e-14)
+        k = Matern(nu=1.5, output_scale=sigma, length_scale=rho)
+        assert np.isclose(k.gram([0.0], [d])[0, 0], expected, rtol=1e-14)
 
     def test_matern52_closed_form(self):
         sigma, rho, d = 1.1, 0.6, 0.4
         a = math.sqrt(5) * d / rho
         expected = sigma**2 * (1 + a + a * a / 3) * math.exp(-a)
-        assert np.isclose(eval_matern(0.0, d, 2.5, sigma, rho), expected, rtol=1e-14)
+        k = Matern(nu=2.5, output_scale=sigma, length_scale=rho)
+        assert np.isclose(k.gram([0.0], [d])[0, 0], expected, rtol=1e-14)
 
     def test_periodic_closed_form(self):
         sigma, ell, p, d = 0.9, 1.4, 2.5, 0.61
         expected = sigma**2 * math.exp(-2 * math.sin(math.pi * d / p) ** 2 / ell**2)
-        assert np.isclose(eval_periodic(0.0, d, sigma, ell, p), expected, rtol=1e-14)
+        k = Periodic(output_scale=sigma, length_scale=ell, period=p)
+        assert np.isclose(k.gram([0.0], [d])[0, 0], expected, rtol=1e-14)
 
     def test_periodic_repeats_at_period_multiples(self):
         k = Periodic(1.0, 0.8, 3.0)
@@ -207,21 +206,6 @@ class TestLabelCovariance:
                 corr = cov / tau
                 assert np.all(np.abs(corr) <= 1 + 1e-12)
                 assert np.linalg.eigvalsh(cov).min() > -1e-10
-
-    def test_wrapped_preserves_matrix_and_canonicalizes_angles(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            k = LabelCovariance(
-                m=4, angles=tuple(rng.uniform(-7, 7, size=6)), shared_scale=2.3
-            )
-            canon = k.wrapped()
-            assert np.allclose(canon.matrix(), k.matrix(), atol=1e-9)
-            assert all(0 < a < math.pi for a in canon.angles)
-
-    def test_wrapped_is_identity_on_canonical_angles(self):
-        k = LabelCovariance(m=3, angles=(0.3, 1.2, 2.6), shared_scale=1.0)
-        again = k.wrapped()
-        assert np.allclose(again.angles, k.angles, atol=1e-9)
 
     def test_gram_requires_labels(self):
         k = LabelCovariance(m=2, angles=(0.5,))

@@ -18,7 +18,6 @@ from gpprog import (
     candidate_pairs,
     default_lhs_bounds,
     kernel_search,
-    lhs_starts,
     model_for_series,
     train,
 )
@@ -40,31 +39,24 @@ def se_sample_series(seed=0, n=60, length_scale=8.0, output_scale=0.05, noise_sd
 
 class TestLhsDesign:
     def test_stratification_per_dimension(self):
-        config = TrainConfig(n_restarts=16, seed=5)
-        starts = lhs_starts(config, 3)
+        starts = optimize._lhs_design(5, 16, np.tile([0.0, 1.0], (3, 1)))
         assert starts.shape == (16, 3)
         for j in range(3):
             bins = np.floor(starts[:, j] * 16).astype(int)
             assert sorted(bins.tolist()) == list(range(16))
 
     def test_respects_explicit_bounds(self):
-        bounds = ((-3.0, -1.0), (10.0, 20.0))
-        config = TrainConfig(n_restarts=8, seed=1, lhs_bounds=bounds)
-        starts = lhs_starts(config, 2)
+        bounds = np.array([(-3.0, -1.0), (10.0, 20.0)])
+        starts = optimize._lhs_design(1, 8, bounds)
+        assert starts.shape == (8, 2)
         assert np.all(starts[:, 0] >= -3) and np.all(starts[:, 0] <= -1)
         assert np.all(starts[:, 1] >= 10) and np.all(starts[:, 1] <= 20)
 
     def test_deterministic_in_seed(self):
-        config = TrainConfig(n_restarts=6, seed=9)
-        assert np.array_equal(lhs_starts(config, 4), lhs_starts(config, 4))
-        other = TrainConfig(n_restarts=6, seed=10)
-        assert not np.array_equal(lhs_starts(config, 4), lhs_starts(other, 4))
-
-    def test_dimension_validation(self):
-        with pytest.raises(ConfigError):
-            lhs_starts(TrainConfig(), 0)
-        with pytest.raises(ConfigError, match="does not match dimension"):
-            lhs_starts(TrainConfig(lhs_bounds=((0.0, 1.0),)), 2)
+        unit = np.tile([0.0, 1.0], (4, 1))
+        design = optimize._lhs_design(9, 6, unit)
+        assert np.array_equal(design, optimize._lhs_design(9, 6, unit))
+        assert not np.array_equal(design, optimize._lhs_design(10, 6, unit))
 
 
 class TestTrainConfig:
@@ -75,8 +67,6 @@ class TestTrainConfig:
             TrainConfig(max_iterations=0)
         with pytest.raises(ConfigError):
             TrainConfig(gradient_tolerance=0.0)
-        with pytest.raises(ConfigError, match="bad LHS bound"):
-            TrainConfig(lhs_bounds=((1.0, 1.0),))
 
 
 class TestDefaultBounds:
@@ -182,12 +172,6 @@ class TestTrain:
         model = GpModel(SquaredExponential(), [1.0], [1.0])
         with pytest.raises(DegenerateInputError):
             train(model)
-
-    def test_bounds_shape_mismatch_rejected(self):
-        x, y = se_sample_series()
-        model = model_for_series((x, y), "SE")
-        with pytest.raises(ConfigError, match="does not match dimension"):
-            train(model, TrainConfig(lhs_bounds=((0.0, 1.0),)))
 
     def test_all_restarts_failing_raises_with_diagnostics(self, monkeypatch):
         x, y = se_sample_series(seed=1, n=20)

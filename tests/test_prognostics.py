@@ -373,6 +373,33 @@ class TestLookahead:
         assert rows[0] == ["c", "horizon", "target_x", "predicted", "sigma", "actual"]
 
 
+ONE_POINT_PREFIX_SWEEPS = {
+    "lookahead": lambda series, config: lookahead(
+        series, kernel_expr="MA5", horizons=(1, 3), start_fraction=0.05, config=config
+    ).failures,
+    "ar_lookahead": lambda series, config: ar_lookahead(
+        series, order=2, horizons=(1, 3), start_fraction=0.05
+    ).failures,
+    "evaluate": lambda series, config: tuple(
+        (r.c, r.error)
+        for r in evaluate(series, kernel_expr="MA5", start_fraction=0.05, config=config).records
+        if r.failed
+    ),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(ONE_POINT_PREFIX_SWEEPS))
+def test_one_point_prefix_is_a_recorded_failure(sweep):
+    # the first origin of a 16-point series at fraction 0.05 holds one point:
+    # every sweep records it as a failed origin and goes on to the next
+    series = linearish_series(n=16, slope=-0.022, noise=0.0005, seed=3)
+    config = TrainConfig(n_restarts=1, seed=0, max_iterations=30)
+    failures = ONE_POINT_PREFIX_SWEEPS[sweep](series, config)
+    assert failures and failures[0][0] == 1
+    assert all(c < 4 and msg for c, msg in failures)  # later origins succeed
+    assert "point" in failures[0][1]
+
+
 class OracleForecaster:
     """Forecaster that reads the future directly; for harness tests."""
 
@@ -504,13 +531,8 @@ class TestEvaluate:
         d = report.to_dict()
         assert d["cell_id"] == "F"
         assert d["n_records"] == len(report.records)
-        assert d["lookahead_rmse"] is None
         rows = report.to_csv_rows()
         assert len(rows) == len(report.records) + 1
-        la = ar_lookahead(series, order=3, horizons=(1,), start_fraction=0.4)
-        combined = report.with_lookahead(la)
-        assert combined.lookahead_rmse == la.rmse
-        assert combined.to_dict()["lookahead_rmse"] == {"1": la.rmse[1]}
 
 
 class TestTrueEol:
