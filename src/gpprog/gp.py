@@ -5,20 +5,19 @@ The observation model is
     y_i = m(x_i) + f(x_i) + eps_i,   f ~ GP(0, k),   eps ~ N(0, sigma^2)
 
 All inference reuses a single Cholesky factorization of K + sigma^2 I:
-the marginal likelihood, its gradients, posterior conditioning, additive
-decomposition, and sampling.  Posterior variances take the prior variance
-k(x*, x*) from the kernel diagonal (Rasmussen & Williams 2006, eq. 2.26),
-so prediction memory is linear in the number of test inputs; only
-``sample_posterior``, which needs the joint covariance, forms an N x N
-matrix over them.  Models are immutable; training evaluates candidate
-parameter vectors against one model and builds the trained instance once
-via ``with_opt_vector``.
+the marginal likelihood, its gradients, posterior conditioning and additive
+decomposition.  Posterior variances take the prior variance k(x*, x*) from
+the kernel diagonal (Rasmussen & Williams 2006, eq. 2.26), so prediction
+memory is linear in the number of test inputs.  Models are immutable;
+training evaluates candidate parameter vectors against one model, on the
+distinct pair keys of its inputs, and builds the trained instance once via
+``with_opt_vector``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,13 +26,15 @@ from scipy.linalg import blas, lapack, solve_triangular
 from .errors import ConfigError, ContractError, NumericalError
 from .kernels import (
     Hyperparameters,
-    InputPairs,
     Kernel,
     LabelCovariance,
+    PairKeys,
     Product,
     is_log_kind,
+    key_blocks,
     natural_values,
     sum_terms,
+    unique_pair_keys,
 )
 from .meanfn import Constant, MeanFunction, Zero
 
@@ -145,6 +146,12 @@ def _checked_variance(var: np.ndarray, scale: float) -> np.ndarray:
     return np.clip(var, 0.0, None)
 
 
+def _latent_variance(kernel, v: np.ndarray, x_new, labels) -> np.ndarray:
+    """``kernel``'s prior variance at new inputs less the column sums of v^2."""
+    prior = kernel._diag(x_new, labels)
+    return _checked_variance(prior - np.sum(v * v, axis=0), prior.max(initial=1.0))
+
+
 class GpModel:
     """An immutable GP regression model bound to its training data.
 
@@ -179,7 +186,6 @@ class GpModel:
         self.noise_variance = float(noise_variance)
         for arr in (self.x, self.y) + (() if self.labels is None else (self.labels,)):
             arr.flags.writeable = False
-        self._state = None
 
     # --- constructors -------------------------------------------------------
 
@@ -245,9 +251,12 @@ class GpModel:
         return log_mask, self.kernel.n_params()
 
     @cached_property
-    def _pairs(self) -> InputPairs:
-        """Input distances, labels and coincidences of the training data."""
-        return InputPairs(self.x, self.labels)
+    def _keys(self) -> tuple[list[tuple[slice, PairKeys]], np.ndarray, np.ndarray]:
+        """The distinct pair keys of the training inputs in blocks of at most
+        KEY_BLOCK keys, each pair's index into them (n x n), and an n x n
+        buffer that every training step gathers its gram into."""
+        keys, inverse = unique_pair_keys(self.x, self.labels)
+        return key_blocks(keys), inverse, np.empty(inverse.shape)
 
     def _natural(self, values) -> np.ndarray:
         """An optimization-space vector in natural space, range-checked."""
@@ -261,19 +270,28 @@ class GpModel:
 
     # --- inference ---------------------------------------------------------
 
+    @cached_property
     def _factorization(self):
-        if self._state is None:
-            k = self.kernel._gram(self.x, self.labels, self.x, self.labels)
-            a = k + self.noise_variance * np.eye(len(self.x))
-            chol, jitter = jittered_cholesky(a)
-            resid = self.y - self.mean(self.x)
-            alpha, _ = lapack.dpotrs(chol, resid, lower=1)
-            self._state = (chol, jitter, resid, alpha)
-        return self._state
+        """The factorization at the model's own parameters, computed on first use."""
+        return self._factor(self.kernel._raw_values(), self.noise_variance, self.mean(self.x))
+
+    def _factor(self, kraw, noise, mean):
+        """(Cholesky factor, jitter, residual, alpha) at natural-space kernel
+        parameters ``kraw``, with the gram gathered from the distinct keys."""
+        blocks, inverse, a = self._keys
+        k = np.concatenate([self.kernel._evaluate(keys, iter(kraw), False)[0] for _, keys in blocks])
+        # the inverse comes from np.unique, so mode="clip" only skips its range check
+        np.take(k, inverse, out=a, mode="clip")
+        del k
+        a.flat[:: len(a) + 1] += noise
+        chol, jitter = jittered_cholesky(a)
+        resid = self.y - mean
+        alpha, _ = lapack.dpotrs(chol, resid, lower=1)
+        return chol, jitter, resid, alpha
 
     def nlml(self) -> float:
         """Negative log marginal likelihood of the training data."""
-        chol, _, resid, alpha = self._factorization()
+        chol, _, resid, alpha = self._factorization
         return _nlml(chol, resid, alpha)
 
     def nlml_value_and_gradients(self, theta=None) -> tuple[float, np.ndarray]:
@@ -281,62 +299,47 @@ class GpModel:
 
         Evaluated at the optimization-space vector ``theta`` when given,
         else at the model's own parameters, without building a new model:
-        the input distances and the parameter layout are computed on first
-        use and kept.  The gradient is eq. 5.9 of Rasmussen & Williams
-        (2006), 1/2 tr((K^-1 - alpha alpha^T) dK).
+        the pair keys and the parameter layout are computed on first use and
+        kept.  The gradient is eq. 5.9 of Rasmussen & Williams (2006),
+        1/2 tr((K^-1 - alpha alpha^T) dK).
+
+        The kernel is evaluated on the model's distinct pair keys twice: for
+        the gram, then for the gradients, each contracted with W summed by
+        key.  W needs the factorized gram; one pass would hold every
+        gradient at every key across the factorization.
         """
         if theta is None:
             raw = [*self.kernel._raw_values(), self.noise_variance, *self.mean._values()]
         else:
             raw = self._natural(theta).tolist()
         nk = self._layout[1]
-        it = iter(raw)
-        self._pairs.reuse()
-        a, dks = self.kernel._gram_and_grads(self._pairs, it)
-        noise = next(it)
-        n = len(self.x)
-        a.flat[:: n + 1] += noise
-        chol, _ = jittered_cholesky(a)
+        kraw, noise = raw[:nk], raw[nk]
         mean, mean_grads = self.mean._evaluate(self.x, raw[nk + 1 :])
-        resid = self.y - mean
-        alpha, _ = lapack.dpotrs(chol, resid, lower=1)
+        chol, _, resid, alpha = self._factor(kraw, noise, mean)
         value = _nlml(chol, resid, alpha)
-        # dpotri leaves the lower triangle Z of K^-1 (the upper stays zero); since
-        # every dK is symmetric, tr(K^-1 dK) = <2Z - diag(Z), dK>.  The products
-        # go through scipy's BLAS, the library that factorized K: numpy links its
-        # own OpenBLAS, and with threads unpinned the two libraries' thread pools
-        # stall each other once n^2 passes 10^4 (100x slower per evaluation).
+        # dpotri leaves the lower triangle Z of K^-1 (the upper stays zero) and
+        # dsyr takes alpha alpha^T off that triangle in place.  Every dK is
+        # symmetric, so 1/2 tr((K^-1 - alpha alpha^T) dK) = <W, dK> with W the
+        # triangle, its diagonal halved.  The products go through scipy's BLAS,
+        # the library that factorized K: numpy links its own OpenBLAS, and with
+        # threads unpinned the two libraries' thread pools stall each other
+        # once n^2 passes 10^4 (100x slower per evaluation).
         z, info = lapack.dpotri(chol, lower=1, overwrite_c=1)
         if info:
             raise NumericalError(f"dpotri failed with info {info}")
+        z = blas.dsyr(-1.0, alpha, lower=1, a=z, overwrite_a=1)
         w = z.T  # C-ordered view, so ravel() copies nothing
-        trace = float(np.trace(w))
-        w *= 2.0
-        w.flat[:: n + 1] *= 0.5
-        w = w.ravel()
-        grads = [
-            0.5 * (blas.ddot(w, dk.ravel()) - alpha @ blas.dgemv(1.0, dk.T, alpha))
-            for dk in dks
-        ]
-        grads.append(0.5 * noise * (trace - alpha @ alpha))
-        grads.extend(-(mean_grads.T @ alpha))
-        return value, np.array(grads)
-
-    def nlml_gradients(self) -> dict[str, float]:
-        """Named NLML gradients for every trainable parameter."""
-        _, grads = self.nlml_value_and_gradients()
-        return dict(zip(self.param_names(), grads.tolist()))
-
-    def _conditional(self, kernel, x_new, labels):
-        """``kernel``'s share of the posterior mean (prior mean excluded) and
-        its latent posterior variance at new inputs; the largest arrays are
-        len(x_new) x n."""
-        chol, _, _, alpha = self._factorization()
-        ks = kernel._gram(x_new, labels, self.x, self.labels)
-        v = solve_triangular(chol, ks.T, lower=True, check_finite=False)
-        prior = kernel._diag(x_new, labels)
-        var = _checked_variance(prior - np.sum(v * v, axis=0), prior.max(initial=1.0))
-        return ks @ alpha, var
+        w.flat[:: len(w) + 1] *= 0.5
+        noise_grad = noise * float(np.trace(w))
+        blocks, inverse, _ = self._keys
+        weights = np.bincount(inverse.ravel(), weights=w.ravel())
+        del chol, z, w
+        grads = np.zeros(nk)
+        for block, keys in blocks:
+            _, dks = self.kernel._evaluate(keys, iter(kraw), True)
+            grads += [blas.ddot(weights[block], dk) for dk in dks]
+            del dks  # before the next block's are made
+        return value, np.concatenate([grads, [noise_grad], -(mean_grads.T @ alpha)])
 
     def _require_labels(self, x_new, labels):
         x_new = np.asarray(x_new, dtype=float)
@@ -358,13 +361,25 @@ class GpModel:
         gram over the new inputs.
         """
         x_new, labels = self._require_labels(x_new, labels)
-        offset, var = self._conditional(self.kernel, x_new, labels)
+        return self._posterior(x_new, labels, *self._solve(self.kernel, x_new, labels))
+
+    def _solve(self, kernel, x_new, labels):
+        """``kernel``'s share of the posterior mean at new inputs (prior mean
+        excluded), and v = L^-1 k*, both from one len(x_new) x n
+        cross-covariance k*."""
+        chol, _, _, alpha = self._factorization
+        ks = kernel._gram(x_new, labels, self.x, self.labels)
+        return ks @ alpha, solve_triangular(chol, ks.T, lower=True, check_finite=False)
+
+    def _posterior(self, x_new, labels, offset, v, components=None) -> Posterior:
+        var = _latent_variance(self.kernel, v, x_new, labels)
         return Posterior(
             x=x_new,
             labels=labels,
             mean=self.mean(x_new) + offset,
             variance_latent=var,
             variance_noisy=var + self.noise_variance,
+            components=components,
         )
 
     def decompose_posterior(self, x_new, labels=None) -> Posterior:
@@ -374,6 +389,10 @@ class GpModel:
         points carry fresh noise draws, so its mean is zero and its
         variance is the noise variance everywhere.  Component means plus
         the prior mean reproduce the total posterior mean exactly.
+
+        Each term's cross-covariance is solved once: v = L^-1 k* is linear in
+        k*, so the whole kernel's mean offset is the sum of the terms' and its
+        variance is its prior variance less |sum of the terms' v|^2.
         """
         if isinstance(self.kernel, Product):
             raise ContractError(
@@ -387,37 +406,13 @@ class GpModel:
             token = term._token()
             seen[token] = seen.get(token, 0) + 1
             names.append(token if seen[token] == 1 else f"{token}_{seen[token]}")
-        components = []
+        components, offset, v_sum = [], 0.0, None
         for name, term in zip(names, terms):
-            components.append(PosteriorComponent(name, *self._conditional(term, x_new, labels)))
-        components.append(
-            PosteriorComponent(
-                "noise",
-                np.zeros(len(x_new)),
-                np.full(len(x_new), self.noise_variance),
-            )
-        )
-        return replace(self.posterior(x_new, labels), components=tuple(components))
-
-    def sample_posterior(
-        self, x_new, n_samples: int, seed: int = 0, labels=None, include_noise: bool = False
-    ) -> np.ndarray:
-        """Draws from the joint posterior, shape (n_samples, len(x_new))."""
-        if n_samples < 0:
-            raise ConfigError(f"n_samples must be >= 0, got {n_samples}")
-        x_new, labels = self._require_labels(x_new, labels)
-        if n_samples == 0:
-            return np.zeros((0, len(x_new)))
-        chol, _, _, alpha = self._factorization()
-        # the one caller that needs the joint prior covariance, not only its diagonal
-        ks = self.kernel._gram(x_new, labels, self.x, self.labels)
-        prior = self.kernel._gram(x_new, labels, x_new, labels)
-        mean = self.mean(x_new) + ks @ alpha
-        v = solve_triangular(chol, ks.T, lower=True, check_finite=False)
-        cov = prior - v.T @ v
-        if include_noise:
-            cov = cov + self.noise_variance * np.eye(len(x_new))
-        cov = 0.5 * (cov + cov.T)
-        factor, _ = jittered_cholesky(cov + 1e-12 * np.eye(len(x_new)))
-        z = np.random.default_rng(seed).standard_normal((len(x_new), n_samples))
-        return (mean[:, None] + factor @ z).T
+            term_offset, v = self._solve(term, x_new, labels)
+            variance = _latent_variance(term, v, x_new, labels)
+            components.append(PosteriorComponent(name, term_offset, variance))
+            offset = offset + term_offset
+            v_sum = v if v_sum is None else np.add(v_sum, v, out=v_sum)
+        noise = np.full(len(x_new), self.noise_variance)
+        components.append(PosteriorComponent("noise", np.zeros(len(x_new)), noise))
+        return self._posterior(x_new, labels, offset, v_sum, tuple(components))

@@ -7,6 +7,14 @@ kernel into a multi-output one via
 
     k((x, l), (x', l')) = K_label[l, l'] * k_input(x, x').
 
+Every node depends on a pair of inputs only through its key: the distance
+|x - x'| and, for labeled inputs, the two labels.  Each node has one
+evaluation, ``_evaluate``, from an array of keys to its values and, when
+asked, its gradients.  Cross-covariances and prior variances evaluate it on
+every pair's key; a square gram evaluates it once per distinct key and
+gathers.  Battery cycles are integers, so the n^2 pairs of a capacity history
+share about n distinct distances (124 keys for the 15,376 pairs of cell A1).
+
 Positive hyperparameters are optimized in log space; gradients returned by
 ``gram_with_gradients`` are taken with respect to that parametrization.  Label
 covariances are built from hypersphere angles, which keeps the implied
@@ -19,7 +27,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -97,61 +104,47 @@ def _check_positive(name: str, value: float) -> float:
     return value
 
 
-def _abs_diff(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    return np.abs(x1[:, None] - x2[None, :])
+class PairKeys(NamedTuple):
+    """All a kernel here reads of a pair of inputs: the distance |x - x'| and,
+    for labeled inputs, the two labels.  The arrays broadcast against each
+    other; the kernel's values come out in their common shape."""
+
+    d: np.ndarray
+    l1: np.ndarray | None = None
+    l2: np.ndarray | None = None
 
 
-def _coincide(x1, l1, x2, l2) -> np.ndarray:
-    """1.0 where two inputs (and, when both are labeled, their labels) are equal."""
-    eq = x1[:, None] == x2[None, :]
-    if l1 is not None and l2 is not None:
-        eq = eq & (l1[:, None] == l2[None, :])
-    return eq.astype(float)
+def unique_pair_keys(x, labels) -> tuple[PairKeys, np.ndarray]:
+    """The distinct keys among the n^2 pairs of ``x``, and an n x n array with
+    each pair's index into them.
 
-
-class InputPairs:
-    """Everything a square gram over fixed inputs needs besides parameters:
-    the distances ``d`` = |x_i - x_j|, the labels, (on first use) the
-    coincidence indicator ``same``, and a pool of n x n work arrays.
-
-    Every evaluation over these inputs takes its work arrays from the pool
-    in the same order, so repeated evaluations, such as the steps of one
-    training run, allocate no n x n memory.  Allocating and freeing it on
-    every step lets the C allocator hand the pages back to the system and
-    fault them in again on the next step.  One evaluation at a time may use
-    an InputPairs.
+    Every kernel here is symmetric in its two labels, so a key holds the
+    smaller label first, and pairs (i, j) and (j, i) share one key.
+    Integer inputs such as battery cycles give about n distinct distances.
     """
+    n = len(x)
+    d, inverse = np.unique(np.abs(x[:, None] - x[None, :]), return_inverse=True)
+    if labels is None:
+        return PairKeys(d), inverse.reshape(n, n)
+    base = labels.min()
+    span = int(labels.max() - base) + 1
+    lo = np.minimum(labels[:, None], labels[None, :]) - base
+    hi = np.maximum(labels[:, None], labels[None, :]) - base
+    codes, inverse = np.unique((inverse.reshape(n, n) * span + lo) * span + hi, return_inverse=True)
+    keys = PairKeys(d[codes // span**2], codes // span % span + base, codes % span + base)
+    return keys, inverse.reshape(n, n)
 
-    def __init__(self, x: np.ndarray, labels: np.ndarray | None):
-        self.x = x
-        self.labels = labels
-        self.d = _abs_diff(x, x)
-        self._pool: list[np.ndarray] = []
-        self._taken = 0
-        self._label_index: dict[int, np.ndarray] = {}
 
-    def reuse(self) -> None:
-        """Start an evaluation: the pool's arrays are handed out again, from the first."""
-        self._taken = 0
+# a training evaluation walks the keys in blocks of this many, so that its
+# temporaries (the value and every gradient at each key of a block) stay a
+# few hundred kilobytes even when fractional inputs make every pair distinct
+KEY_BLOCK = 2048
 
-    def work(self) -> np.ndarray:
-        """An uninitialized n x n array, distinct from every other one handed
-        out since the last ``reuse``."""
-        if self._taken == len(self._pool):
-            self._pool.append(np.empty_like(self.d))
-        self._taken += 1
-        return self._pool[self._taken - 1]
 
-    @cached_property
-    def same(self) -> np.ndarray:
-        return _coincide(self.x, self.labels, self.x, self.labels)
-
-    def label_index(self, m: int) -> np.ndarray:
-        """Flat index of each label pair (l_i, l_j) into an m x m matrix."""
-        if m not in self._label_index:
-            idx = self.labels - 1
-            self._label_index[m] = idx[:, None] * m + idx[None, :]
-        return self._label_index[m]
+def key_blocks(keys: PairKeys) -> list[tuple[slice, PairKeys]]:
+    """Consecutive slices of at most KEY_BLOCK keys, with the keys in each."""
+    blocks = [slice(start, start + KEY_BLOCK) for start in range(0, len(keys.d), KEY_BLOCK)]
+    return [(b, PairKeys(*(None if a is None else a[b] for a in keys))) for b in blocks]
 
 
 def natural_values(values: np.ndarray, log_mask: np.ndarray) -> np.ndarray:
@@ -175,6 +168,11 @@ def natural_values(values: np.ndarray, log_mask: np.ndarray) -> np.ndarray:
 class Kernel(ABC):
     """Base class for covariance expression nodes."""
 
+    def __post_init__(self):
+        for name, kind, value in self._param_specs():
+            if is_log_kind(kind):
+                _check_positive(name, value)
+
     def gram(self, xs, xs2=None) -> np.ndarray:
         """Covariance matrix between ``xs`` and ``xs2`` (defaults to ``xs``)."""
         x1, l1 = coerce_inputs(xs)
@@ -187,7 +185,9 @@ class Kernel(ABC):
     def gram_with_gradients(self, xs) -> tuple[np.ndarray, list[np.ndarray]]:
         """Square gram and its per-parameter gradients, optimization space."""
         x, labels = coerce_inputs(xs)
-        return self._gram_and_grads(InputPairs(x, labels), iter(self._raw_values()))
+        keys, inverse = unique_pair_keys(x, labels)
+        k, grads = self._evaluate(keys, iter(self._raw_values()), True)
+        return k[inverse], [g[inverse] for g in grads]
 
     def hyperparameters(self) -> Hyperparameters:
         names, kinds, values = [], [], []
@@ -227,33 +227,39 @@ class Kernel(ABC):
     def __mul__(self, other: "Kernel") -> "Product":
         return Product(self, other)
 
-    # --- subclass surface -------------------------------------------------
+    def _gram(self, x1, l1, x2, l2) -> np.ndarray:
+        """Covariance between every x1 (labels l1) and every x2 (labels l2),
+        from the key of each pair; labels count only when both sides have them."""
+        d = np.abs(x1[:, None] - x2[None, :])
+        keys = PairKeys(d) if l1 is None or l2 is None else PairKeys(d, l1[:, None], l2[None, :])
+        return self._evaluate(keys, iter(self._raw_values()), False)[0]
 
-    @abstractmethod
-    def _gram(self, x1, l1, x2, l2) -> np.ndarray: ...
-
-    @abstractmethod
     def _diag(self, x, labels) -> np.ndarray:
         """The prior variances k(x_i, x_i) in O(len(x)) time and memory.
 
-        Equal to ``np.diag(self._gram(x, labels, x, labels))`` bit for bit.
+        Equal to ``np.diag(self._gram(x, labels, x, labels))`` bit for bit:
+        both apply the same elementwise formula at distance 0.
         """
+        keys = PairKeys(np.zeros(len(x)), labels, labels)
+        return self._evaluate(keys, iter(self._raw_values()), False)[0]
+
+    # --- subclass surface -------------------------------------------------
 
     @abstractmethod
-    def _gram_and_grads(
-        self, pairs: InputPairs, raw: Iterator[float]
+    def _evaluate(
+        self, keys: PairKeys, raw: Iterator[float], grads: bool
     ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Square gram and its optimization-space gradients.
+        """The node's value at every key and, if ``grads``, its gradient with
+        respect to each of its optimization-space parameters (else []).
 
         The node's natural-space parameters are drawn from ``raw`` in leaf
-        order.  Every returned array is a distinct work array of ``pairs``
-        and shares no memory with another, so callers may update them in
-        place; the next evaluation after ``pairs.reuse()`` overwrites them.
-        Intermediate results live in work arrays too.
+        order.  Every returned array is new and shares no memory with another,
+        so callers may update them in place.
         """
 
-    @abstractmethod
-    def _walk(self) -> Iterator["Kernel"]: ...
+    def _walk(self) -> Iterator["Kernel"]:
+        """The leaves, in parameter order; a leaf is its own."""
+        yield self
 
     @abstractmethod
     def _param_specs(self) -> list[tuple[str, str, float]]: ...
@@ -266,42 +272,13 @@ class Kernel(ABC):
 
 
 class _Stationary(Kernel):
-    """A leaf equal to output_scale^2 at zero distance."""
+    """A leaf that depends on the distance alone, output_scale^2 at distance 0.
+
+    Its parameters are output_scale and length_scale unless it says otherwise.
+    """
 
     output_scale: float
-
-    def _diag(self, x, labels):
-        return np.full(len(x), self.output_scale**2)
-
-
-@dataclass(frozen=True)
-class SquaredExponential(_Stationary):
-    """k(x, x') = output_scale^2 * exp(-(x - x')^2 / length_scale^2)."""
-
-    output_scale: float = 1.0
-    length_scale: float = 1.0
-
-    def __post_init__(self):
-        _check_positive("output_scale", self.output_scale)
-        _check_positive("length_scale", self.length_scale)
-
-    def _gram(self, x1, l1, x2, l2):
-        d = _abs_diff(x1, x2)
-        return self.output_scale**2 * np.exp(-((d / self.length_scale) ** 2))
-
-    def _gram_and_grads(self, pairs, raw):
-        sigma2, length = next(raw) ** 2, next(raw)
-        r2 = np.divide(pairs.d, length, out=pairs.work())
-        np.square(r2, out=r2)
-        k = np.negative(r2, out=pairs.work())
-        np.exp(k, out=k)
-        k *= sigma2
-        r2 *= 2.0
-        r2 *= k
-        return k, [np.multiply(k, 2.0, out=pairs.work()), r2]
-
-    def _walk(self):
-        yield self
+    length_scale: float
 
     def _param_specs(self):
         return [
@@ -311,6 +288,20 @@ class SquaredExponential(_Stationary):
 
     def _with_raw(self, values):
         return replace(self, output_scale=next(values), length_scale=next(values))
+
+
+@dataclass(frozen=True)
+class SquaredExponential(_Stationary):
+    """k(x, x') = output_scale^2 * exp(-(x - x')^2 / length_scale^2)."""
+
+    output_scale: float = 1.0
+    length_scale: float = 1.0
+
+    def _evaluate(self, keys, raw, grads):
+        sigma2, length = next(raw) ** 2, next(raw)
+        r2 = (keys.d / length) ** 2
+        k = sigma2 * np.exp(-r2)
+        return k, [2.0 * k, 2.0 * r2 * k] if grads else []
 
     def _token(self):
         return "SE"
@@ -331,57 +322,19 @@ class Matern(_Stationary):
     def __post_init__(self):
         if self.nu not in (1.5, 2.5):
             raise ConfigError(f"unsupported Matern smoothness nu={self.nu}")
-        _check_positive("output_scale", self.output_scale)
-        _check_positive("length_scale", self.length_scale)
+        super().__post_init__()
 
-    def _values(self, d, output_scale, length_scale, work):
-        """(k, a, sigma^2 exp(-a)), each in an array from ``work()``; the last
-        is shared with the gradient."""
-        a = np.multiply(
-            d, (math.sqrt(3.0) if self.nu == 1.5 else math.sqrt(5.0)) / length_scale, out=work()
-        )
-        e = np.negative(a, out=work())
-        np.exp(e, out=e)
-        e *= output_scale**2
-        # k = poly e, with poly = 1 + a for nu = 3/2 and 1 + a (1 + a / 3) for nu = 5/2
+    def _evaluate(self, keys, raw, grads):
+        sigma2, length = next(raw) ** 2, next(raw)
+        a = keys.d * ((math.sqrt(3.0) if self.nu == 1.5 else math.sqrt(5.0)) / length)
+        e = sigma2 * np.exp(-a)
+        # k = poly e, with poly = 1 + a for nu = 3/2 and 1 + a (1 + a / 3) for nu = 5/2;
+        # d k / d log rho = e a^2, times (1 + a) / 3 for nu = 5/2
         if self.nu == 1.5:
-            k = np.add(a, 1.0, out=work())
-        else:
-            k = np.divide(a, 3.0, out=work())
-            k += 1.0
-            k *= a
-            k += 1.0
-        k *= e
-        return k, a, e
-
-    def _gram(self, x1, l1, x2, l2):
-        d = _abs_diff(x1, x2)
-        return self._values(d, self.output_scale, self.length_scale, partial(np.empty_like, d))[0]
-
-    def _gram_and_grads(self, pairs, raw):
-        k, a, e = self._values(pairs.d, next(raw), next(raw), pairs.work)
-        # d k / d log rho = sigma^2 exp(-a) a^2 (times (1 + a) / 3 for nu = 5/2)
-        if self.nu == 1.5:
-            a *= a
-        else:
-            one_plus_a = np.add(a, 1.0, out=pairs.work())
-            a *= a
-            a *= one_plus_a
-            a /= 3.0
-        a *= e
-        return k, [np.multiply(k, 2.0, out=pairs.work()), a]
-
-    def _walk(self):
-        yield self
-
-    def _param_specs(self):
-        return [
-            ("output_scale", LOG_OUTPUT_SCALE, self.output_scale),
-            ("length_scale", LOG_LENGTH_SCALE, self.length_scale),
-        ]
-
-    def _with_raw(self, values):
-        return replace(self, output_scale=next(values), length_scale=next(values))
+            k = (a + 1.0) * e
+            return k, [2.0 * k, a * a * e] if grads else []
+        k = ((a / 3.0 + 1.0) * a + 1.0) * e
+        return k, [2.0 * k, a * a * (a + 1.0) / 3.0 * e] if grads else []
 
     def _token(self):
         return "MA3" if self.nu == 1.5 else "MA5"
@@ -395,41 +348,20 @@ class Periodic(_Stationary):
     length_scale: float = 1.0
     period: float = 1.0
 
-    def __post_init__(self):
-        _check_positive("output_scale", self.output_scale)
-        _check_positive("length_scale", self.length_scale)
-        _check_positive("period", self.period)
-
-    def _gram(self, x1, l1, x2, l2):
-        s2 = np.sin(np.pi * _abs_diff(x1, x2) / self.period) ** 2
-        return self.output_scale**2 * np.exp(-2.0 * s2 / self.length_scale**2)
-
-    def _gram_and_grads(self, pairs, raw):
-        sigma, length, period = next(raw), next(raw), next(raw)
-        d = pairs.d
-        u = np.multiply(d, np.pi, out=pairs.work())  # pi d / period
-        u /= period
-        s2 = np.sin(u, out=pairs.work())  # sin^2(u)
-        np.square(s2, out=s2)
-        k = np.multiply(s2, -2.0, out=pairs.work())
-        k /= length**2
-        np.exp(k, out=k)
-        k *= sigma**2
-        # d k / d log length = k 4 sin^2(u) / length^2
-        dk_dloglen = s2
-        dk_dloglen *= 4.0
-        dk_dloglen /= length**2
-        dk_dloglen *= k
+    def _evaluate(self, keys, raw, grads):
+        sigma2, length, period = next(raw) ** 2, next(raw), next(raw)
+        u = np.pi * keys.d / period
+        s2 = np.sin(u) ** 2
+        k = sigma2 * np.exp(-2.0 * s2 / length**2)
+        if not grads:
+            return k, []
+        # d k / d log length = k 4 sin^2(u) / length^2;
         # d k / d log period = k 2 pi d sin(2u) / (length^2 period)
-        dk_dlogp = np.multiply(d, 2.0 * np.pi, out=pairs.work())
-        dk_dlogp /= length**2 * period
-        dk_dlogp *= k
-        u *= 2.0
-        dk_dlogp *= np.sin(u, out=u)
-        return k, [np.multiply(k, 2.0, out=pairs.work()), dk_dloglen, dk_dlogp]
-
-    def _walk(self):
-        yield self
+        return k, [
+            2.0 * k,
+            4.0 / length**2 * s2 * k,
+            2.0 * np.pi / (length**2 * period) * keys.d * np.sin(2.0 * u) * k,
+        ]
 
     def _param_specs(self):
         return [
@@ -456,21 +388,13 @@ class WhiteNoise(Kernel):
 
     scale: float = 1.0
 
-    def __post_init__(self):
-        _check_positive("scale", self.scale)
-
-    def _gram(self, x1, l1, x2, l2):
-        return self.scale**2 * _coincide(x1, l1, x2, l2)
-
-    def _diag(self, x, labels):
-        return np.full(len(x), self.scale**2)
-
-    def _gram_and_grads(self, pairs, raw):
-        k = np.multiply(pairs.same, next(raw) ** 2, out=pairs.work())
-        return k, [np.multiply(k, 2.0, out=pairs.work())]
-
-    def _walk(self):
-        yield self
+    def _evaluate(self, keys, raw, grads):
+        # the inputs coincide where the distance is 0 and, when labeled, the labels agree
+        same = keys.d == 0.0
+        if keys.l1 is not None:
+            same = same & (keys.l1 == keys.l2)
+        k = next(raw) ** 2 * same
+        return k, [2.0 * k] if grads else []
 
     def _param_specs(self):
         return [("scale", LOG_NOISE_SCALE, self.scale)]
@@ -507,33 +431,22 @@ def _spherical_factor(angles: np.ndarray, m: int) -> np.ndarray:
 
 
 def _spherical_factor_grads(angles: np.ndarray, m: int) -> list[np.ndarray]:
-    """d S / d angle_j for each angle, matching _spherical_factor layout."""
-    grads = [np.zeros((m, m)) for _ in angles]
+    """d S / d angle for each angle, matching _spherical_factor's layout.
+
+    The angle at position j of column c enters entries j..c of that column
+    once each, as a cosine at j and as a sine below; shifting it by pi/2
+    differentiates both.
+    """
+    grads = []
     k = 0
     for c in range(1, m):
-        a = angles[k : k + c]
         for j in range(c):
-            g = grads[k + j]
-            # entries i >= j of column c depend on angle j
-            for i in range(j, c + 1):
-                prod = 1.0
-                for t in range(min(i, c)):
-                    term = math.sin(a[t])
-                    if t == j:
-                        term = math.cos(a[t])
-                    prod *= term
-                if i < c:
-                    if i == j:
-                        # cos factor at position j differentiates to -sin
-                        prod = -math.sin(a[i])
-                        for t in range(i):
-                            prod *= math.sin(a[t])
-                        g[i, c] = prod
-                    else:
-                        g[i, c] = prod * math.cos(a[i])
-                else:
-                    g[c, c] = prod
-        k += c
+            shifted = angles.copy()
+            shifted[k] += math.pi / 2
+            g = np.zeros((m, m))
+            g[j : c + 1, c] = _spherical_factor(shifted, m)[j : c + 1, c]
+            grads.append(g)
+            k += 1
     return grads
 
 
@@ -577,41 +490,27 @@ class LabelCovariance(Kernel):
     def matrix(self) -> np.ndarray:
         return label_covariance(np.array(self.angles), self.shared_scale, self.m)
 
-    def _check_labels(self, labels):
-        if labels is None:
-            raise ConfigError("label covariance requires labeled inputs")
-        if np.any((labels < 1) | (labels > self.m)):
-            bad = labels[(labels < 1) | (labels > self.m)]
-            raise BoundsError(f"labels {sorted(set(bad.tolist()))} outside 1..{self.m}")
-
-    def _gram(self, x1, l1, x2, l2):
-        self._check_labels(l1)
-        self._check_labels(l2)
-        kl = self.matrix()
-        return kl[np.ix_(l1 - 1, l2 - 1)]
-
-    def _diag(self, x, labels):
-        self._check_labels(labels)
-        return np.diag(self.matrix())[labels - 1]
-
-    def _gram_and_grads(self, pairs, raw):
+    def _evaluate(self, keys, raw, grads):
         angles = np.array([next(raw) for _ in self.angles])
         tau = next(raw)
-        self._check_labels(pairs.labels)
+        if keys.l1 is None:
+            raise ConfigError("label covariance requires labeled inputs")
+        for labels in (keys.l1, keys.l2):
+            if np.any((labels < 1) | (labels > self.m)):
+                bad = labels[(labels < 1) | (labels > self.m)]
+                raise BoundsError(f"labels {sorted(set(bad.tolist()))} outside 1..{self.m}")
         s = _spherical_factor(angles, self.m)
         kl = tau * (s.T @ s)
-        dkls = [tau * (ds.T @ s + s.T @ ds) for ds in _spherical_factor_grads(angles, self.m)]
-        # the gram, each angle's gradient, then d/d log tau (equal to the gram),
-        # each gathered to the inputs' label pairs through flat m x m indices;
-        # the labels are checked, so mode="clip" only spares take a buffered copy
-        flat = pairs.label_index(self.m)
-        k, *grads = [
-            np.take(mat.ravel(), flat, out=pairs.work(), mode="clip") for mat in (kl, *dkls, kl)
-        ]
-        return k, grads
-
-    def _walk(self):
-        yield self
+        mats = [kl]
+        if grads:
+            # each angle's gradient, then d/d log tau (equal to the matrix)
+            dkls = [tau * (ds.T @ s + s.T @ ds) for ds in _spherical_factor_grads(angles, self.m)]
+            mats += [*dkls, kl]
+        # gathered by label pair through flat m x m indices; the labels are
+        # checked, so mode="clip" only skips a second range check
+        flat = (keys.l1 - 1) * self.m + (keys.l2 - 1)
+        k, *dks = [np.take(mat.ravel(), flat, mode="clip") for mat in mats]
+        return k, dks
 
     def _param_specs(self):
         specs = [
@@ -629,63 +528,42 @@ class LabelCovariance(Kernel):
 
 
 @dataclass(frozen=True)
-class Sum(Kernel):
+class _Composite(Kernel):
+    """A node that combines two kernels and has no parameters of its own."""
+
     left: Kernel
     right: Kernel
-
-    def _gram(self, x1, l1, x2, l2):
-        return self.left._gram(x1, l1, x2, l2) + self.right._gram(x1, l1, x2, l2)
-
-    def _diag(self, x, labels):
-        return self.left._diag(x, labels) + self.right._diag(x, labels)
-
-    def _gram_and_grads(self, pairs, raw):
-        kl, gl = self.left._gram_and_grads(pairs, raw)
-        kr, gr = self.right._gram_and_grads(pairs, raw)
-        kl += kr
-        return kl, gl + gr
 
     def _walk(self):
         yield from self.left._walk()
         yield from self.right._walk()
 
     def _param_specs(self):
-        raise NotImplementedError  # composite nodes carry no parameters
+        return []  # the parameters belong to the leaves
 
     def _with_raw(self, values):
-        return Sum(self.left._with_raw(values), self.right._with_raw(values))
+        return type(self)(self.left._with_raw(values), self.right._with_raw(values))
 
 
 @dataclass(frozen=True)
-class Product(Kernel):
-    left: Kernel
-    right: Kernel
+class Sum(_Composite):
+    def _evaluate(self, keys, raw, grads):
+        kl, gl = self.left._evaluate(keys, raw, grads)
+        kr, gr = self.right._evaluate(keys, raw, grads)
+        return kl + kr, gl + gr
 
-    def _gram(self, x1, l1, x2, l2):
-        return self.left._gram(x1, l1, x2, l2) * self.right._gram(x1, l1, x2, l2)
 
-    def _diag(self, x, labels):
-        return self.left._diag(x, labels) * self.right._diag(x, labels)
-
-    def _gram_and_grads(self, pairs, raw):
-        kl, gl = self.left._gram_and_grads(pairs, raw)
-        kr, gr = self.right._gram_and_grads(pairs, raw)
+@dataclass(frozen=True)
+class Product(_Composite):
+    def _evaluate(self, keys, raw, grads):
+        kl, gl = self.left._evaluate(keys, raw, grads)
+        kr, gr = self.right._evaluate(keys, raw, grads)
         for g in gl:
             g *= kr
         for g in gr:
             g *= kl
-        kl *= kr
-        return kl, gl + gr
+        return kl * kr, gl + gr
 
-    def _walk(self):
-        yield from self.left._walk()
-        yield from self.right._walk()
-
-    def _param_specs(self):
-        raise NotImplementedError
-
-    def _with_raw(self, values):
-        return Product(self.left._with_raw(values), self.right._with_raw(values))
 
 
 def sum_terms(kernel: Kernel) -> list[Kernel]:

@@ -120,12 +120,6 @@ class TestGradients:
         assert peak < 3 * n * n * 8
         assert again[0] == first[0] and np.array_equal(again[1], first[1])
 
-    def test_named_gradients(self):
-        x = np.linspace(0, 5, 5)
-        model = GpModel(SquaredExponential(1.0, 2.0), x, np.sin(x), noise_variance=0.01)
-        named = model.nlml_gradients()
-        assert set(named) == {"se.output_scale", "se.length_scale", "noise.variance"}
-
 
 class TestConditioningLimits:
     def test_interpolates_training_data_at_tiny_noise(self):
@@ -193,6 +187,29 @@ class TestDecomposition:
         assert np.allclose(se.mean + model.mean(grid), post.mean, atol=1e-12)
         assert np.allclose(se.variance, post.variance_latent, atol=1e-12)
 
+    @pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+    def test_whole_kernel_moments_equal_posterior(self, labeled):
+        # two cells observed on the same cycles, so inputs with different
+        # labels coincide in x, and a grid that repeats some of them
+        rng = np.random.default_rng(3)
+        x = np.tile(np.arange(0.0, 12.0), 2)
+        y = np.sin(x / 3.0) + 0.1 * rng.standard_normal(len(x))
+        grid = np.concatenate([x[:5], np.linspace(-2.0, 20.0, 23)])
+        smooth = Matern(2.5, 0.8, 6.0)
+        labels = grid_labels = None
+        if labeled:
+            smooth = Product(LabelCovariance(2, (0.7,), 1.3), smooth)
+            labels = np.repeat([1, 2], 12)
+            grid_labels = rng.integers(1, 3, len(grid))
+        kernel = Sum(smooth, Sum(Periodic(0.3, 1.0, 4.0), WhiteNoise(0.2)))
+        model = GpModel(kernel, x, y, Constant(0.1), noise_variance=1e-3, labels=labels)
+        post = model.posterior(grid, grid_labels)
+        dec = model.decompose_posterior(grid, grid_labels)
+        for field in ("mean", "variance_latent", "variance_noisy"):
+            assert np.allclose(getattr(dec, field), getattr(post, field), rtol=0.0, atol=1e-12)
+        mean_sum = model.mean(grid) + sum(c.mean for c in dec.components)
+        assert np.allclose(mean_sum, post.mean, rtol=0.0, atol=1e-12)
+
     def test_explicit_noise_summand_stays_in_latent_sum(self):
         x = np.linspace(0, 10, 9)
         y = np.sin(x)
@@ -218,42 +235,6 @@ class TestDecomposition:
         )
         with pytest.raises(ContractError, match="product kernel"):
             model.decompose_posterior(x)
-
-
-class TestSampling:
-    def test_shape_and_determinism(self):
-        x = np.linspace(0, 10, 6)
-        model = GpModel(SquaredExponential(1.0, 2.0), x, np.sin(x), noise_variance=1e-3)
-        grid = np.linspace(0, 12, 8)
-        s1 = model.sample_posterior(grid, 5, seed=3)
-        s2 = model.sample_posterior(grid, 5, seed=3)
-        assert s1.shape == (5, 8)
-        assert np.array_equal(s1, s2)
-        assert not np.array_equal(s1, model.sample_posterior(grid, 5, seed=4))
-
-    def test_empirical_moments_match_posterior(self):
-        x = np.linspace(0, 10, 6)
-        model = GpModel(SquaredExponential(1.0, 2.0), x, np.sin(x), noise_variance=1e-3)
-        grid = np.array([3.3, 11.0])
-        post = model.posterior(grid)
-        draws = model.sample_posterior(grid, 20000, seed=0)
-        assert np.allclose(draws.mean(axis=0), post.mean, atol=0.02)
-        assert np.allclose(draws.var(axis=0), post.variance_latent, rtol=0.1, atol=1e-4)
-
-    def test_include_noise_widens_spread(self):
-        x = np.linspace(0, 10, 6)
-        model = GpModel(SquaredExponential(1.0, 2.0), x, np.sin(x), noise_variance=0.05)
-        grid = np.array([5.0])
-        latent = model.sample_posterior(grid, 4000, seed=1).var()
-        noisy = model.sample_posterior(grid, 4000, seed=1, include_noise=True).var()
-        assert noisy > latent + 0.02
-
-    def test_zero_samples(self):
-        x = np.linspace(0, 10, 6)
-        model = GpModel(SquaredExponential(1.0, 2.0), x, np.sin(x))
-        assert model.sample_posterior(x, 0).shape == (0, 6)
-        with pytest.raises(ConfigError):
-            model.sample_posterior(x, -1)
 
 
 class TestNumerics:

@@ -6,6 +6,12 @@ other than the model's own parameters, and checked against the dense oracle,
 central differences and a model rebuilt at that vector.  The same kernels'
 diagonals are checked against their full grams, and posteriors at new
 (labeled) inputs against the dense oracle.
+
+Training evaluates kernels once per distinct (distance, label pair), so the
+inputs are drawn three ways: spread floats, where nearly every pair is
+distinct; whole cycles, where distances repeat; and cycles that advance by 1
+or 1.5, which mix whole and half distances.  On cycles, labeled points share
+them, so points with different labels coincide in x.
 """
 
 import math
@@ -55,11 +61,27 @@ compound_kernels = st.recursive(
 
 
 @st.composite
+def training_inputs(draw, n):
+    """n training inputs: spread floats, or a grid of cycles repeated to length n."""
+    kind = draw(st.sampled_from(["float", "cycle", "1.5-cycle"]))
+    if kind == "float":
+        x = np.sort(np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))))
+        return x + np.arange(n) * 1e-2  # distinct inputs keep the oracle's inverse well conditioned
+    # every cycle of the grid appears at least twice
+    k = draw(st.integers(1, n // 2))
+    if kind == "cycle":
+        grid = np.array(draw(st.lists(st.integers(0, 10), min_size=k, max_size=k)), dtype=float)
+    else:
+        steps = draw(st.lists(st.sampled_from([1.0, 1.5]), min_size=k, max_size=k))
+        grid = np.cumsum(steps)
+    return np.resize(grid, n)
+
+
+@st.composite
 def problems(draw):
     """A model, and an optimization-space vector near but not at its parameters."""
     n = draw(st.integers(2, 9))
-    x = np.sort(np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))))
-    x += np.arange(n) * 1e-2  # distinct inputs keep the oracle's inverse well conditioned
+    x = draw(training_inputs(n))
     y = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
     kernel = draw(compound_kernels)
     labels = None
@@ -92,7 +114,9 @@ def predictions(draw):
     model, theta = draw(problems())
     model = model.with_opt_vector(theta)
     n = draw(st.integers(1, 6))
-    x_new = np.array(draw(st.lists(st.floats(-2.0, 12.0), min_size=n, max_size=n)))
+    # some new inputs repeat training inputs, so cross-covariances meet coincidences
+    new = st.one_of(st.floats(-2.0, 12.0), st.sampled_from(model.x.tolist()))
+    x_new = np.array(draw(st.lists(new, min_size=n, max_size=n)))
     labels = None
     if model.labels is not None:
         m = model.kernel.left.m
