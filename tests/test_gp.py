@@ -15,6 +15,7 @@ from gpprog import (
     Fleet,
     GpModel,
     LabelCovariance,
+    LabeledInput,
     Matern,
     NumericalError,
     Periodic,
@@ -89,6 +90,32 @@ class TestGradients:
         _, grads = model.nlml_value_and_gradients()
         fd = central_difference_gradients(model)
         assert np.allclose(grads, fd, rtol=1e-4, atol=1e-6)
+
+    @pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+    def test_gradients_across_key_blocks_match_the_dense_trace(self, labeled):
+        # fractional inputs give several blocks of distinct keys; the summed
+        # gradients must equal 1/2 tr((A^-1 - alpha alpha^T) dK) on the dense gram
+        rng = np.random.default_rng(11)
+        n = 90
+        x = np.sort(rng.uniform(0.0, 60.0, n))
+        kernel = Sum(Product(Matern(2.5, 0.9, 12.0), Periodic(0.7, 1.2, 9.0)), WhiteNoise(0.2))
+        labels = inputs = None
+        if labeled:
+            kernel = Product(LabelCovariance(2, (0.8,), 1.1), kernel)
+            labels = rng.integers(1, 3, n)
+            inputs = [LabeledInput(float(a), int(b)) for a, b in zip(x, labels)]
+        model = GpModel(kernel, x, np.sin(x / 5.0) + 0.1 * rng.standard_normal(n),
+                        Constant(0.2), noise_variance=0.05, labels=labels)
+        value, grads = model.nlml_value_and_gradients()
+        k, dks = kernel.gram_with_gradients(x if inputs is None else inputs)
+        a = k + model.noise_variance * np.eye(n)
+        a_inv = np.linalg.inv(a)
+        alpha = a_inv @ (model.y - model.mean(x))
+        w = a_inv - np.outer(alpha, alpha)
+        expected = [0.5 * np.sum(w * dk) for dk in dks]
+        expected.append(0.5 * model.noise_variance * np.trace(w))
+        assert value == pytest.approx(model.nlml(), rel=1e-12)
+        assert np.allclose(grads, expected, rtol=1e-8, atol=1e-9)
 
     def test_repeated_evaluations_reuse_their_work_arrays(self):
         # after the first evaluation the Cholesky factor is the only new n x n

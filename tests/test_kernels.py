@@ -26,7 +26,14 @@ from gpprog import (
     sum_terms,
     with_data_scales,
 )
-from gpprog.kernels import LOG_WIGGLE, coerce_inputs, is_log_kind
+from gpprog.kernels import (
+    KEY_BLOCK,
+    LOG_WIGGLE,
+    coerce_inputs,
+    is_log_kind,
+    key_blocks,
+    unique_pair_keys,
+)
 
 from helpers import random_kernel
 
@@ -167,6 +174,49 @@ class TestGradients:
         x = np.linspace(0, 5, 7)
         value, _ = kernel.gram_with_gradients(x)
         assert np.array_equal(value, kernel.gram(x))
+
+
+class TestPairKeys:
+    def test_integer_cycles_give_one_key_per_distance(self):
+        x = np.arange(1.0, 31.0)
+        keys, inverse = unique_pair_keys(x, None)
+        assert keys.l1 is None and keys.l2 is None
+        assert np.array_equal(keys.d, np.arange(30.0))
+        assert np.array_equal(keys.d[inverse], np.abs(x[:, None] - x[None, :]))
+
+    def test_labeled_keys_hold_the_smaller_label_first(self):
+        # labels need not start at 1 or be contiguous; pairs (i, j) and (j, i)
+        # share a key, and every pair's key gives back its distance and labels
+        x = np.array([0.0, 0.0, 1.0, 2.5, 2.5, 4.0, 1.0])
+        labels = np.array([3, 5, 7, 3, 7, 5, 5])
+        keys, inverse = unique_pair_keys(x, labels)
+        assert np.array_equal(inverse, inverse.T)
+        assert np.all(keys.l1 <= keys.l2)
+        lo = np.minimum(labels[:, None], labels[None, :])
+        hi = np.maximum(labels[:, None], labels[None, :])
+        assert np.array_equal(keys.d[inverse], np.abs(x[:, None] - x[None, :]))
+        assert np.array_equal(keys.l1[inverse], lo)
+        assert np.array_equal(keys.l2[inverse], hi)
+        triples = set(zip(keys.d.tolist(), keys.l1.tolist(), keys.l2.tolist()))
+        assert len(triples) == len(keys.d)
+
+    @pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+    def test_key_blocks_cover_the_keys_in_order(self, labeled):
+        rng = np.random.default_rng(8)
+        x = rng.uniform(0.0, 50.0, 90)  # fractional: nearly every pair is distinct
+        labels = rng.integers(1, 3, len(x)) if labeled else None
+        keys, _ = unique_pair_keys(x, labels)
+        blocks = key_blocks(keys)
+        assert len(blocks) == -(-len(keys.d) // KEY_BLOCK) > 1
+        starts = [block.start for block, _ in blocks]
+        assert starts == list(range(0, len(keys.d), KEY_BLOCK))
+        for field in keys._fields:
+            parts = [getattr(part, field) for _, part in blocks]
+            if getattr(keys, field) is None:
+                assert all(p is None for p in parts)
+            else:
+                assert all(len(p) <= KEY_BLOCK for p in parts)
+                assert np.array_equal(np.concatenate(parts), getattr(keys, field))
 
 
 class TestSmoothness:
