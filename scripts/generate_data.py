@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate the committed benchmark CSVs under data/.
 
-The generators are fully deterministic, so rerunning this script must
-leave the working tree unchanged.
+The generators are deterministic.  Rerunning this script reproduces
+b1.csv and c.csv byte for byte; a1.csv's capacities come back to about
+1e-13 relative, since their Matern draws go through BLAS routines whose
+last digits depend on the BLAS build.
 """
 
 from pathlib import Path

@@ -20,19 +20,19 @@ import math
 import os
 import platform
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .dataset import SplitSpec, load_csv
+from .dataset import SplitSpec, load_csv, split
 from .errors import GpprogError, UndefinedMetricError, UsageError
 from .kernels import parse_kernel
-from .meanfn import mean_from_token, mean_params
+from .meanfn import mean_params
 from .optimize import TrainConfig, kernel_search, model_for_series, train
 from .prognostics import (
+    HORIZON_FACTOR,
     evaluate,
     eol_crossings,
     evaluate_mogp,
@@ -43,26 +43,6 @@ from .prognostics import (
 
 COMMANDS = ("fit", "kernel-search", "forecast", "lookahead", "evaluate", "mogp-evaluate")
 DEFAULT_BASES = "SE,MA3,MA5,PER"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    data: str
-    out: str
-    schema: dict | None = None
-    kernel: str = "MA5+MA3"
-    mean: str = "CONST"
-    eol: float = 0.7
-    start: float = 0.2
-    horizons: tuple[int, ...] = (5, 10, 20, 40)
-    restarts: int = 10
-    seed: int = 0
-    jobs: int = 1
-    warm_start: bool = False
-    target: str | None = None
-    train_cells: tuple[str, ...] = ()
-    bases: tuple[str, ...] = ("SE", "MA3", "MA5", "PER")
 
 
 def _parse_schema(text: str | None) -> dict | None:
@@ -111,7 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv=None) -> RunConfig:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The parsed arguments, validated and normalized: the output directory
+    resolved, the kernel, mean and bases upper-cased, the list options as
+    tuples and the schema as a dict."""
     args = build_parser().parse_args(argv)
     if not Path(args.data).is_file():
         raise UsageError(f"--data file not found: {args.data}")
@@ -125,43 +108,29 @@ def parse_args(argv=None) -> RunConfig:
         raise UsageError(f"--eol must lie in (0, 1), got {args.eol}")
     if not (0.0 < args.start < 1.0):
         raise UsageError(f"--start must lie in (0, 1), got {args.start}")
-    horizons = _parse_int_list(args.horizons, "--horizons")
-    if any(h < 1 for h in horizons):
-        raise UsageError(f"--horizons must all be >= 1, got {horizons}")
+    args.horizons = _parse_int_list(args.horizons, "--horizons")
+    if any(h < 1 for h in args.horizons):
+        raise UsageError(f"--horizons must all be >= 1, got {args.horizons}")
     if args.restarts < 1:
         raise UsageError(f"--restarts must be >= 1, got {args.restarts}")
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     if args.jobs > 1 and args.warm_start:
         raise UsageError("--warm-start chains fits sequentially; drop it or use --jobs 1")
-    out = args.out or os.environ.get("GPPROG_OUT") or "gpprog-out"
-    train_cells = tuple(
+    args.out = args.out or os.environ.get("GPPROG_OUT") or "gpprog-out"
+    args.train_cells = tuple(
         s.strip() for s in args.train_cells.split(",") if s.strip()
     ) if args.train_cells else ()
-    bases = tuple(s.strip().upper() for s in args.bases.split(",") if s.strip())
+    args.bases = tuple(s.strip().upper() for s in args.bases.split(",") if s.strip())
     if args.command == "mogp-evaluate":
         if args.target is None:
             raise UsageError("mogp-evaluate requires --target")
-        if not train_cells:
+        if not args.train_cells:
             raise UsageError("mogp-evaluate requires --train-cells")
-    return RunConfig(
-        command=args.command,
-        data=args.data,
-        out=out,
-        schema=_parse_schema(args.schema),
-        kernel=args.kernel.strip().upper(),
-        mean=args.mean.strip().upper(),
-        eol=args.eol,
-        start=args.start,
-        horizons=horizons,
-        restarts=args.restarts,
-        seed=args.seed,
-        jobs=args.jobs,
-        warm_start=args.warm_start,
-        target=args.target,
-        train_cells=train_cells,
-        bases=bases,
-    )
+    args.schema = _parse_schema(args.schema)
+    args.kernel = args.kernel.strip().upper()
+    args.mean = args.mean.strip().upper()
+    return args
 
 
 # --- output helpers -----------------------------------------------------------
@@ -178,13 +147,9 @@ def _write_csv(path: Path, rows) -> None:
         csv.writer(fh).writerows(rows)
 
 
-def _manifest(config: RunConfig) -> dict:
-    args = asdict(config)
-    args["horizons"] = list(config.horizons)
-    args["train_cells"] = list(config.train_cells)
-    args["bases"] = list(config.bases)
+def _manifest(config: argparse.Namespace) -> dict:
     return {
-        "arguments": args,
+        "arguments": vars(config),
         "versions": {
             "gpprog": __version__,
             "numpy": np.__version__,
@@ -204,7 +169,7 @@ def _pick_series(fleet, target: str | None):
     )
 
 
-def _model_summary(config: RunConfig, result) -> dict:
+def _model_summary(config: argparse.Namespace, result) -> dict:
     model = result.model
     return {
         "kernel": config.kernel,
@@ -221,17 +186,17 @@ def _model_summary(config: RunConfig, result) -> dict:
 # --- command implementations ----------------------------------------------------
 
 
-def _train_config(config: RunConfig) -> TrainConfig:
+def _train_config(config: argparse.Namespace) -> TrainConfig:
     return TrainConfig(n_restarts=config.restarts, seed=config.seed)
 
 
-def _cmd_fit(config: RunConfig, series, outdir: Path) -> None:
+def _cmd_fit(config: argparse.Namespace, series, outdir: Path) -> None:
     model = model_for_series(series, config.kernel, config.mean)
     result = train(model, _train_config(config), extra_starts=[model.opt_vector()])
     _write_json(outdir / "model.json", _model_summary(config, result))
 
 
-def _cmd_kernel_search(config: RunConfig, series, outdir: Path) -> None:
+def _cmd_kernel_search(config: argparse.Namespace, series, outdir: Path) -> None:
     result = kernel_search(
         series,
         bases=config.bases,
@@ -243,18 +208,18 @@ def _cmd_kernel_search(config: RunConfig, series, outdir: Path) -> None:
     _write_csv(outdir / "search.csv", result.to_csv_rows())
 
 
-def _cmd_forecast(config: RunConfig, series, outdir: Path) -> None:
+def _cmd_forecast(config: argparse.Namespace, series, outdir: Path) -> None:
     c = math.ceil(config.start * len(series))
     if c >= len(series):
         raise UsageError(f"--start {config.start} leaves no data to forecast")
     spec = SplitSpec(max(1, c), config.eol)
-    prefix_x = series.cycles[: spec.c]
-    prefix_y = series.capacities[: spec.c]
-    model = model_for_series((prefix_x, prefix_y), config.kernel, config.mean)
+    prefix, _ = split(series, spec)
+    model = model_for_series(prefix, config.kernel, config.mean)
     result = train(model, _train_config(config), extra_starts=[model.opt_vector()])
     trained = result.model
+    prefix_x = prefix.cycles
     current_x = float(prefix_x[-1])
-    horizon_x = 2.0 * float(series.cycles[-1])
+    horizon_x = HORIZON_FACTOR * float(series.cycles[-1])
     # forecast_eol's grid: cycle steps when the training inputs are whole cycles
     grid = forecast_grid(current_x, horizon_x, bool(np.all(prefix_x == np.floor(prefix_x))))
     post = trained.decompose_posterior(grid)  # grammar kernels are sums, never products
@@ -283,7 +248,7 @@ def _cmd_forecast(config: RunConfig, series, outdir: Path) -> None:
     _write_json(outdir / "model.json", _model_summary(config, result))
 
 
-def _cmd_lookahead(config: RunConfig, series, outdir: Path) -> None:
+def _cmd_lookahead(config: argparse.Namespace, series, outdir: Path) -> None:
     result = lookahead(
         series,
         kernel_expr=config.kernel,
@@ -297,7 +262,7 @@ def _cmd_lookahead(config: RunConfig, series, outdir: Path) -> None:
     _write_csv(outdir / "lookahead.csv", result.to_csv_rows())
 
 
-def _cmd_evaluate(config: RunConfig, series, outdir: Path) -> None:
+def _cmd_evaluate(config: argparse.Namespace, series, outdir: Path) -> None:
     report = evaluate(
         series,
         kernel_expr=config.kernel,
@@ -312,7 +277,7 @@ def _cmd_evaluate(config: RunConfig, series, outdir: Path) -> None:
     _write_csv(outdir / "report.csv", report.to_csv_rows())
 
 
-def _cmd_mogp_evaluate(config: RunConfig, fleet, outdir: Path) -> None:
+def _cmd_mogp_evaluate(config: argparse.Namespace, fleet, outdir: Path) -> None:
     missing = [c for c in (*config.train_cells, config.target) if c not in fleet.cell_ids]
     if missing:
         raise UsageError(f"cells {missing} not present in {config.data}")
@@ -342,7 +307,7 @@ _IMPLEMENTATIONS = {
 }
 
 
-def run(config: RunConfig) -> None:
+def run(config: argparse.Namespace) -> None:
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "manifest.json", _manifest(config))

@@ -101,10 +101,6 @@ class CapacitySeries:
     def __len__(self) -> int:
         return len(self.cycles)
 
-    @property
-    def n(self) -> int:
-        return len(self.cycles)
-
 
 @dataclass(frozen=True, eq=False)
 class Fleet:

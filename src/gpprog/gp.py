@@ -27,7 +27,6 @@ from .errors import ConfigError, ContractError, NumericalError
 from .kernels import (
     Hyperparameters,
     Kernel,
-    LabelCovariance,
     PairKeys,
     Product,
     is_log_kind,
@@ -36,7 +35,7 @@ from .kernels import (
     sum_terms,
     unique_pair_keys,
 )
-from .meanfn import Constant, MeanFunction, Zero
+from .meanfn import MeanFunction, Zero
 
 LOG_NOISE_VARIANCE = "log_noise_variance"
 
@@ -106,29 +105,6 @@ class Posterior:
         sd = self.sigma_noisy if include_noise else self.sigma_latent
         return self.mean - n_sigma * sd, self.mean + n_sigma * sd
 
-    def to_dict(self) -> dict:
-        lower, upper = self.bounds()
-        out = {
-            "x": [float(v) for v in self.x],
-            "mean": [float(v) for v in self.mean],
-            "sigma_latent": [float(v) for v in self.sigma_latent],
-            "sigma_noisy": [float(v) for v in self.sigma_noisy],
-            "lower_2sigma": [float(v) for v in lower],
-            "upper_2sigma": [float(v) for v in upper],
-        }
-        if self.labels is not None:
-            out["labels"] = [int(v) for v in self.labels]
-        if self.components is not None:
-            out["components"] = [
-                {
-                    "name": c.name,
-                    "mean": [float(v) for v in c.mean],
-                    "sigma": [float(v) for v in np.sqrt(c.variance)],
-                }
-                for c in self.components
-            ]
-        return out
-
 
 def _nlml(chol: np.ndarray, resid: np.ndarray, alpha: np.ndarray) -> float:
     """Negative log marginal likelihood from the Cholesky factor and alpha = K^-1 resid."""
@@ -187,27 +163,6 @@ class GpModel:
         for arr in (self.x, self.y) + (() if self.labels is None else (self.labels,)):
             arr.flags.writeable = False
 
-    # --- constructors -------------------------------------------------------
-
-    @classmethod
-    def for_fleet(cls, fleet, input_kernel, mean=None, noise_variance=1e-4, label_cov=None):
-        """Multi-output model over every observation in the fleet.
-
-        The covariance becomes Product(LabelCovariance(m), input_kernel).
-        """
-        x, y, labels = fleet.labeled_arrays()
-        if label_cov is None:
-            n_angles = fleet.m * (fleet.m - 1) // 2
-            label_cov = LabelCovariance(fleet.m, angles=(math.pi / 4,) * n_angles)
-        elif label_cov.m != fleet.m:
-            raise ConfigError(
-                f"label covariance is for m={label_cov.m}, fleet has m={fleet.m}"
-            )
-        if mean is None:
-            mean = Constant(value=float(np.mean(y)))
-        kernel = Product(label_cov, input_kernel)
-        return cls(kernel, x, y, mean, noise_variance, labels=labels)
-
     # --- parameter plumbing ---------------------------------------------------
 
     def hyperparameters(self) -> Hyperparameters:
@@ -225,17 +180,21 @@ class GpModel:
     def opt_vector(self) -> np.ndarray:
         return self.hyperparameters().values.copy()
 
-    def param_names(self) -> tuple[str, ...]:
-        return self.hyperparameters().names
-
     def param_kinds(self) -> tuple[str, ...]:
         return self.hyperparameters().kinds
 
     def with_opt_vector(self, values) -> "GpModel":
+        """The same model at an optimization-space vector.
+
+        The inputs, labels and parameter kinds do not change, so the new
+        model takes over whichever of the pair keys and the layout this one
+        has computed; the n x n buffer in the keys is only scratch inside
+        ``_factor``, so the two models can share it.
+        """
         raw = iter(self._natural(values).tolist())
         kernel = self.kernel._with_raw(raw)
         noise_variance = next(raw)
-        return GpModel(
+        model = GpModel(
             kernel,
             self.x,
             self.y,
@@ -243,6 +202,8 @@ class GpModel:
             noise_variance=noise_variance,
             labels=self.labels,
         )
+        model.__dict__.update({k: v for k, v in vars(self).items() if k in ("_keys", "_layout")})
+        return model
 
     @cached_property
     def _layout(self) -> tuple[np.ndarray, int]:

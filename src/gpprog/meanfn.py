@@ -1,14 +1,15 @@
 """Explicit prior mean functions for the regression model.
 
 The observation model is y = m(x) + f(x) + noise, where f is the
-zero-mean process and m is one of the functions here.  Mean parameters
-marked trainable are optimized jointly with the kernel hyperparameters.
+zero-mean process and m is one of the functions here.  The exponential
+degradation mean's coefficients are optimized jointly with the kernel
+hyperparameters; the zero and constant means have nothing to train.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -66,26 +67,18 @@ class Zero(MeanFunction):
 
 @dataclass(frozen=True)
 class Constant(MeanFunction):
-    """m(x) = value; by default fixed (not trained)."""
+    """m(x) = value, fixed (not trained)."""
 
     value: float = 0.0
-    trainable: bool = False
 
     def _evaluate(self, x, values):
-        if not self.trainable:
-            return np.full(len(x), self.value), np.zeros((len(x), 0))
-        (value,) = values
-        return np.full(len(x), float(value)), np.ones((len(x), 1))
+        return np.full(len(x), self.value), np.zeros((len(x), 0))
 
     def _param_specs(self):
-        if not self.trainable:
-            return []
-        return [("value", MEAN_OFFSET, self.value)]
+        return []
 
     def _with_values(self, values):
-        if not self.trainable:
-            return self
-        return replace(self, value=float(next(values)))
+        return self
 
 
 @dataclass(frozen=True)
@@ -159,22 +152,6 @@ def mean_from_token(token: str, x, y) -> MeanFunction:
     raise ConfigError(f"unknown mean token {token!r}; expected one of {_TOKENS}")
 
 
-def format_mean(mean: MeanFunction) -> str:
-    if isinstance(mean, Zero):
-        return "ZERO"
-    if isinstance(mean, Constant):
-        return "CONST"
-    if isinstance(mean, ExpDegradation):
-        return "EXPDEG"
-    raise ConfigError(f"cannot serialize mean function {type(mean).__name__}")
-
-
 def mean_params(mean: MeanFunction) -> dict[str, float]:
-    """All defining parameters (trainable or not), for serialization."""
-    if isinstance(mean, Zero):
-        return {}
-    if isinstance(mean, Constant):
-        return {"value": mean.value}
-    if isinstance(mean, ExpDegradation):
-        return {"a1": mean.a1, "a2": mean.a2, "a3": mean.a3}
-    raise ConfigError(f"cannot serialize mean function {type(mean).__name__}")
+    """All defining parameters (trained or not), for serialization."""
+    return asdict(mean)

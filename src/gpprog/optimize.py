@@ -1,9 +1,13 @@
-"""Hyperparameter training and compound-kernel search.
+"""Model building, hyperparameter training and compound-kernel search.
 
-Training minimizes the negative log marginal likelihood with a quasi-Newton
-optimizer (L-BFGS-B, analytic gradients) restarted from a Latin hypercube
-of starting points.  Each run is box-constrained to the same data-driven
-bounds that seed the starts; see :func:`train` for the rationale.
+:func:`model_for_series` turns a (kernel expression, mean token, data)
+triple into an untrained model: a single-output one for one cell, the
+multi-output one for a fleet.  Training minimizes the negative log marginal
+likelihood with a quasi-Newton optimizer (L-BFGS-B, analytic gradients)
+restarted from a Latin hypercube of starting points.  Each run is
+box-constrained to the same data-driven bounds that seed the starts; see
+:func:`train` for the rationale.  :func:`pool_map` is the one place that
+starts worker processes, for the kernel search and the rolling evaluations.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from scipy.optimize import minimize
 
 from . import kernels as kx
 from . import meanfn as mx
-from .dataset import CapacitySeries
+from .dataset import CapacitySeries, Fleet
 from .errors import ConfigError, DegenerateInputError, NumericalError, TrainingError
 from .gp import LOG_NOISE_VARIANCE, GpModel
 
@@ -30,7 +34,6 @@ class TrainConfig:
 
     n_restarts: int = 10
     max_iterations: int = 200
-    gradient_tolerance: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -38,8 +41,6 @@ class TrainConfig:
             raise ConfigError(f"n_restarts must be >= 1, got {self.n_restarts}")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not (self.gradient_tolerance > 0):
-            raise ConfigError("gradient_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,7 @@ def train(model: GpModel, config: TrainConfig = TrainConfig(), extra_starts=()) 
             jac=True,
             method="L-BFGS-B",
             bounds=list(map(tuple, bounds)),
-            options={"maxiter": config.max_iterations, "gtol": config.gradient_tolerance},
+            options={"maxiter": config.max_iterations, "gtol": 1e-6},
         )
         value, theta = float(result.fun), result.x
         if f0 < value:  # never accept a step that lost ground on its start
@@ -274,25 +275,47 @@ def candidate_pairs(bases) -> list[str]:
     ]
 
 
-def model_for_series(
-    series_or_xy,
-    kernel_expr: str,
-    mean_expr: str = "CONST",
-    noise_variance: float = 1e-4,
-) -> GpModel:
-    """Build an untrained single-output model from grammar expressions."""
-    if isinstance(series_or_xy, CapacitySeries):
-        x, y = series_or_xy.cycles, series_or_xy.capacities
+def model_for_series(data, kernel_expr: str, mean_expr: str = "CONST") -> GpModel:
+    """Build an untrained model from grammar expressions.
+
+    ``data`` is a :class:`CapacitySeries`, an ``(x, y)`` pair or a
+    :class:`Fleet`.  A fleet gets the multi-output model over every cell's
+    observations: the covariance becomes Product(LabelCovariance(m), kernel)
+    with every correlation angle at pi/4, and the mean is fitted to all
+    cells together.
+    """
+    labels = None
+    if isinstance(data, Fleet):
+        x, y, labels = data.labeled_arrays()
+    elif isinstance(data, CapacitySeries):
+        x, y = data.cycles, data.capacities
     else:
-        x, y = series_or_xy
+        x, y = data
     kernel = kx.with_data_scales(kx.parse_kernel(kernel_expr), x, y)
+    if labels is not None:
+        angles = (math.pi / 4,) * (data.m * (data.m - 1) // 2)
+        kernel = kx.Product(kx.LabelCovariance(data.m, angles=angles), kernel)
     mean = mx.mean_from_token(mean_expr, x, y)
-    return GpModel(kernel, x, y, mean=mean, noise_variance=noise_variance)
+    return GpModel(kernel, x, y, mean=mean, labels=labels)
+
+
+def pool_map(fn, items, jobs: int) -> list:
+    """``[fn(item) for item in items]``, in order.
+
+    With ``jobs`` > 1 and more than one item the calls run in ``jobs``
+    worker processes, so ``fn`` and the items must pickle and each worker
+    holds its own copy of them.
+    """
+    items = list(items)
+    if jobs > 1 and len(items) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _search_one(payload):
-    expr, x, y, mean_expr, config = payload
-    model = model_for_series((x, y), expr, mean_expr)
+    expr, series, mean_expr, config = payload
+    model = model_for_series(series, expr, mean_expr)
     try:
         result = train(model, config, extra_starts=[model.opt_vector()])
     except TrainingError as exc:
@@ -316,14 +339,10 @@ def kernel_search(
     """
     exprs = candidate_pairs(bases)
     payloads = [
-        (expr, series.cycles, series.capacities, mean_expr, replace(config, seed=config.seed + 7919 * i))
+        (expr, series, mean_expr, replace(config, seed=config.seed + 7919 * i))
         for i, expr in enumerate(exprs)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_search_one, payloads))
-    else:
-        outcomes = [_search_one(p) for p in payloads]
+    outcomes = pool_map(_search_one, payloads, jobs)
     scored = []
     failures = []
     for idx, (expr, nlml, raw, error) in enumerate(outcomes):

@@ -6,19 +6,21 @@ threshold) against the observed crossing.
 
 Every rolling evaluation runs through one origin engine, :func:`_run_origins`:
 it applies a per-origin step at each split position from a starting fraction
-of the data onward, in order or in a process pool, and records an origin
-that fails with one of :data:`ORIGIN_ERRORS` instead of aborting the sweep.
-``lookahead`` and ``ar_lookahead`` share one fixed-horizon sweep and differ
-only in their predict step; ``evaluate`` and ``evaluate_mogp`` share one
-end-of-life backtest.  The GP steps fit through :class:`GpForecaster`, which
-builds a single-cell or a fleet model and warm-starts each fit from the
-previous optimum.
+of the data onward, through :func:`optimize.pool_map` (in order or in worker
+processes), and records an origin that fails with one of
+:data:`ORIGIN_ERRORS` instead of aborting the sweep.  ``lookahead`` and
+``ar_lookahead`` share one fixed-horizon sweep and differ only in their
+predict step; ``evaluate`` and ``evaluate_mogp`` share one end-of-life
+backtest, which forecasts out to :data:`HORIZON_FACTOR` times the last
+observed position.  The GP steps fit through :class:`GpForecaster`, which
+hands the prefix, or the fleet of companions plus prefix, to
+:func:`optimize.model_for_series` and warm-starts each fit from the previous
+optimum.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -33,11 +35,12 @@ from .errors import (
     UndefinedMetricError,
 )
 from .gp import GpModel, Posterior
-from .kernels import parse_kernel, with_data_scales
-from .meanfn import mean_from_token
-from .optimize import TrainConfig, model_for_series, train
+from .optimize import TrainConfig, model_for_series, pool_map, train
 
 DEFAULT_HORIZONS = (5, 10, 20, 40)
+
+# end-of-life forecasts run out to this multiple of the last observed position
+HORIZON_FACTOR = 2.0
 
 
 # --- metrics -----------------------------------------------------------------
@@ -56,22 +59,19 @@ def rmse_q(predicted, actual) -> float:
     return float(np.sqrt(np.mean((predicted - actual) ** 2)))
 
 
-def rmse_eol(predictions, truth: float, clamp: float | None = None) -> float:
+def rmse_eol(predictions, truth: float) -> float:
     """RMSE of end-of-life predictions against the observed end of life.
 
-    ``clamp`` replaces +inf predictions (forecasts that never cross the
-    threshold inside the horizon) with a finite ceiling; without it any
-    non-finite prediction makes the metric undefined.
+    Any non-finite prediction makes the metric undefined; the rolling
+    evaluations clamp forecasts that never cross to the horizon first.
     """
     predictions = np.asarray(predictions, dtype=float)
     if predictions.size == 0:
         raise DegenerateInputError("no end-of-life predictions to score")
     if not math.isfinite(truth):
         raise UndefinedMetricError(f"true end of life {truth} is not finite")
-    if clamp is not None:
-        predictions = np.where(np.isposinf(predictions), clamp, predictions)
     if not np.all(np.isfinite(predictions)):
-        if np.all(np.isposinf(np.asarray(predictions))):
+        if np.all(np.isposinf(predictions)):
             raise UndefinedMetricError("every end-of-life prediction is infinite")
         raise UndefinedMetricError("non-finite end-of-life prediction")
     return float(np.sqrt(np.mean((predictions - truth) ** 2)))
@@ -218,14 +218,10 @@ def _run_origins(step, specs, jobs: int = 1) -> list[tuple[object, str | None]]:
     """``(step(spec), None)`` for every origin, or ``(None, message)`` where
     the step failed with one of :data:`ORIGIN_ERRORS`.
 
-    Steps run in order, or in ``jobs`` worker processes, in which case
-    ``step`` must pickle and each worker holds its own copy of it.
+    Steps run through :func:`pool_map`, so with ``jobs`` > 1 ``step`` must
+    pickle and each worker holds its own copy of it.
     """
-    attempt = partial(_attempt, step)
-    if jobs > 1 and len(specs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(attempt, specs))
-    return [attempt(spec) for spec in specs]
+    return pool_map(partial(_attempt, step), specs, jobs)
 
 
 class GpForecaster:
@@ -247,18 +243,10 @@ class GpForecaster:
         self.label = len(self.companions) + 1 if self.companions else None
         self._warm = None
 
-    def _model(self, prefix: CapacitySeries) -> GpModel:
-        if not self.companions:
-            return model_for_series(prefix, self.kernel_expr, self.mean_expr)
-        fleet = Fleet(self.companions + (prefix,))
-        x_all, y_all, _ = fleet.labeled_arrays()
-        input_kernel = with_data_scales(parse_kernel(self.kernel_expr), x_all, y_all)
-        mean = mean_from_token(self.mean_expr, x_all, y_all)
-        return GpModel.for_fleet(fleet, input_kernel, mean=mean)
-
     def fit(self, prefix: CapacitySeries) -> GpModel:
         """The trained model at one origin, starting also from the last optimum."""
-        model = self._model(prefix)
+        data = Fleet(self.companions + (prefix,)) if self.companions else prefix
+        model = model_for_series(data, self.kernel_expr, self.mean_expr)
         extra = [model.opt_vector()]
         if self.warm_start and self._warm is not None:
             extra.append(self._warm)
@@ -571,7 +559,6 @@ def evaluate(
     eol_threshold: float = 0.7,
     config: TrainConfig = TrainConfig(),
     warm_start: bool = True,
-    horizon_factor: float = 2.0,
     forecaster=None,
     jobs: int = 1,
 ) -> EvaluationReport:
@@ -579,7 +566,7 @@ def evaluate(
 
     Origins run from ``start_fraction`` of the data until the observed end
     of life; infinite point forecasts are clamped to the horizon
-    (``horizon_factor`` times the final observed position) and flagged.
+    (:data:`HORIZON_FACTOR` times the final observed position) and flagged.
     ``forecaster(train_series, test_x, spec, horizon_x)`` returns the
     predicted capacities at ``test_x`` and an :class:`EolForecast`; it
     defaults to a :class:`GpForecaster`.  With ``jobs`` > 1 origins run in
@@ -591,7 +578,7 @@ def evaluate(
     if forecaster is None:
         forecaster = GpForecaster(kernel_expr, mean_expr, config, warm_start)
     true_eol = true_end_of_life(series, eol_threshold)
-    horizon_x = horizon_factor * float(series.cycles[-1])
+    horizon_x = HORIZON_FACTOR * float(series.cycles[-1])
     # origins past the observed end of life have empty test windows
     specs = [
         spec
@@ -628,7 +615,6 @@ def evaluate_mogp(
     eol_threshold: float = 0.7,
     config: TrainConfig = TrainConfig(),
     warm_start: bool = True,
-    horizon_factor: float = 2.0,
     jobs: int = 1,
 ) -> EvaluationReport:
     """Rolling multi-output evaluation of one target cell.
@@ -651,7 +637,6 @@ def evaluate_mogp(
         start_fraction=start_fraction,
         eol_threshold=eol_threshold,
         warm_start=warm_start,
-        horizon_factor=horizon_factor,
         forecaster=forecaster,
         jobs=jobs,
     )

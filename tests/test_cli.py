@@ -164,6 +164,31 @@ class TestFitCommand:
         )
         assert model["n_restarts"] == 3  # 2 LHS + 1 data-informed start
 
+    def test_manifest_arguments_golden(self, single_cell_csv, tmp_path):
+        out = tmp_path / "run"
+        code = main(["fit", "--data", single_cell_csv, "--out", str(out), "--kernel", "ma5",
+                     "--restarts", "1", "--horizons", "3,7", "--bases", "se, per"])
+        assert code == 0
+        arguments = json.loads((out / "manifest.json").read_text())["arguments"]
+        assert arguments == {
+            "bases": ["SE", "PER"],
+            "command": "fit",
+            "data": single_cell_csv,
+            "eol": 0.7,
+            "horizons": [3, 7],
+            "jobs": 1,
+            "kernel": "MA5",
+            "mean": "CONST",
+            "out": str(out),
+            "restarts": 1,
+            "schema": None,
+            "seed": 0,
+            "start": 0.2,
+            "target": None,
+            "train_cells": [],
+            "warm_start": False,
+        }
+
     def test_rerun_is_bit_identical(self, single_cell_csv, tmp_path):
         out = tmp_path / "run"
         argv = ["fit", "--data", single_cell_csv, "--out", str(out),

@@ -1,5 +1,7 @@
 """Data container construction, normalization, splitting, and CSV I/O."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from gpprog import (
     save_csv,
     split,
 )
+from gpprog.synthetic import write_reference_csvs
 
 
 def make_series(n=10, cell_id="A1", start=1.0, slope=-0.002):
@@ -28,7 +31,6 @@ def make_series(n=10, cell_id="A1", start=1.0, slope=-0.002):
 class TestCapacitySeries:
     def test_basic_construction(self):
         s = make_series(5)
-        assert s.n == 5
         assert len(s) == 5
         assert s.cell_id == "A1"
         assert s.raw_initial_capacity == 1.0
@@ -123,8 +125,8 @@ class TestSplit:
     def test_split_counts(self):
         s = make_series(10)
         train, test = split(s, SplitSpec(c=3))
-        assert train.n == 3
-        assert test.n == 7
+        assert len(train) == 3
+        assert len(test) == 7
         assert np.array_equal(train.cycles, [0.0, 1.0, 2.0])
         assert np.array_equal(test.cycles, np.arange(3.0, 10.0))
         assert train.raw_initial_capacity == s.raw_initial_capacity
@@ -224,3 +226,19 @@ class TestCsv:
         assert np.array_equal(fleet.get("A").cycles, [0.0, 5.0])
         # order of first appearance, not alphabetical
         assert fleet.cell_ids == ("A", "B")
+
+
+class TestBundledData:
+    def test_generator_reproduces_the_bundled_csvs(self, tmp_path):
+        data = Path(__file__).resolve().parents[1] / "data"
+        written = write_reference_csvs(tmp_path)
+        assert [p.name for p in written] == ["a1.csv", "b1.csv", "c.csv"]
+        for name in ("b1.csv", "c.csv"):
+            assert (tmp_path / name).read_bytes() == (data / name).read_bytes()
+        # a1's Matern draws go through BLAS, whose last digits vary by build
+        ours, bundled = ((d / "a1.csv").read_text().splitlines() for d in (tmp_path, data))
+        assert len(ours) == len(bundled) and ours[0] == bundled[0]
+        rows = [(a.split(","), b.split(",")) for a, b in zip(ours[1:], bundled[1:])]
+        assert all(a[:2] == b[:2] for a, b in rows)
+        caps = np.array([[float(a[2]), float(b[2])] for a, b in rows])
+        assert np.allclose(caps[:, 0], caps[:, 1], rtol=1e-12, atol=0.0)

@@ -24,6 +24,7 @@ from gpprog import (
     Sum,
     WhiteNoise,
     jittered_cholesky,
+    model_for_series,
     parse_kernel,
 )
 
@@ -78,7 +79,7 @@ class TestGradients:
             mean=ExpDegradation(0.9, 0.1, -0.05),
             noise_variance=1e-3,
         )
-        names = model.param_names()
+        names = model.hyperparameters().names
         assert names == (
             "ma3.output_scale",
             "ma3.length_scale",
@@ -363,18 +364,34 @@ class TestValidationAndPlumbing:
 
     def test_param_ordering_kernel_noise_mean(self):
         x = np.linspace(0, 10, 6)
-        model = GpModel(
-            SquaredExponential(),
-            x,
-            np.sin(x),
-            mean=Constant(0.5, trainable=True),
-        )
-        assert model.param_names() == (
+        model = GpModel(SquaredExponential(), x, np.sin(x), mean=ExpDegradation(0.5, 0.1, -0.1))
+        assert model.hyperparameters().names == (
             "se.output_scale",
             "se.length_scale",
             "noise.variance",
-            "mean.value",
+            "mean.a1",
+            "mean.a2",
+            "mean.a3",
         )
+
+    def test_trained_model_shares_pair_keys_and_matches_fresh_build(self):
+        x = np.arange(1.0, 31.0)
+        y = 1.0 - 0.01 * x + 0.01 * np.sin(x)
+        model = GpModel(parse_kernel("MA5+MA3"), x, y, mean=ExpDegradation(0.8, 0.2, -0.02))
+        theta = model.opt_vector() + 0.1
+        model.nlml_value_and_gradients(theta)  # as training does, computing the keys
+        trained = model.with_opt_vector(theta)
+        assert trained._keys is model._keys
+        assert trained._layout is model._layout
+        fresh = GpModel(trained.kernel, x, y, mean=trained.mean,
+                        noise_variance=trained.noise_variance)
+        grid = np.linspace(0.0, 45.0, 91)
+        a, b = trained.posterior(grid), fresh.posterior(grid)
+        for field in ("mean", "variance_latent", "variance_noisy"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert trained.nlml_value_and_gradients()[0] == fresh.nlml_value_and_gradients()[0]
+        # the parent still factorizes correctly after sharing its scratch buffer
+        assert model.nlml() == GpModel(model.kernel, x, y, mean=model.mean).nlml()
 
     def test_hyperparameters_raw_includes_real_noise_variance(self):
         x = np.linspace(0, 10, 6)
@@ -394,8 +411,8 @@ class TestLabeledModels:
             cells.append(CapacitySeries(cid, x, y))
         return Fleet(tuple(cells))
 
-    def test_for_fleet_builds_product_kernel(self, fleet):
-        model = GpModel.for_fleet(fleet, Matern(2.5, 0.1, 20.0))
+    def test_fleet_model_builds_product_kernel(self, fleet):
+        model = model_for_series(fleet, "MA5")
         assert isinstance(model.kernel, Product)
         assert isinstance(model.kernel.left, LabelCovariance)
         assert model.labels is not None
@@ -403,7 +420,7 @@ class TestLabeledModels:
         assert model.nlml() == pytest.approx(nlml_ref, rel=1e-10)
 
     def test_labeled_prediction_requires_labels(self, fleet):
-        model = GpModel.for_fleet(fleet, Matern(2.5, 0.1, 20.0))
+        model = model_for_series(fleet, "MA5")
         with pytest.raises(ConfigError, match="pass labels"):
             model.posterior(np.array([10.0]))
         post = model.posterior(np.array([10.0, 10.0]), labels=np.array([1, 2]))
@@ -415,29 +432,18 @@ class TestLabeledModels:
         with pytest.raises(ConfigError, match="without labels"):
             model.posterior(x, labels=np.ones(5, dtype=int))
 
-    def test_label_cov_size_mismatch_rejected(self, fleet):
-        with pytest.raises(ConfigError, match="m=3"):
-            GpModel.for_fleet(
-                fleet, Matern(), label_cov=LabelCovariance(3, angles=(0.1,) * 3)
-            )
-
     def test_correlated_fleet_shares_information(self, fleet):
         # a strongly correlated companion tightens the posterior vs. labels alone
-        strong = LabelCovariance(2, angles=(0.05,))
-        weak = LabelCovariance(2, angles=(math.pi / 2 - 0.01,))
-        grid = np.array([60.0])
-        lab = np.array([1])
-        var_strong = (
-            GpModel.for_fleet(fleet, Matern(2.5, 0.1, 20.0), label_cov=strong)
-            .posterior(grid, labels=lab)
-            .variance_latent[0]
-        )
-        var_weak = (
-            GpModel.for_fleet(fleet, Matern(2.5, 0.1, 20.0), label_cov=weak)
-            .posterior(grid, labels=lab)
-            .variance_latent[0]
-        )
-        assert var_strong < var_weak
+        x, y, labels = fleet.labeled_arrays()
+
+        def variance(label_cov):
+            kernel = Product(label_cov, Matern(2.5, 0.1, 20.0))
+            model = GpModel(kernel, x, y, Constant(float(np.mean(y))), labels=labels)
+            return model.posterior(np.array([60.0]), labels=np.array([1])).variance_latent[0]
+
+        strong = variance(LabelCovariance(2, angles=(0.05,)))
+        weak = variance(LabelCovariance(2, angles=(math.pi / 2 - 0.01,)))
+        assert strong < weak
 
 
 class TestPosteriorContainer:
@@ -451,10 +457,3 @@ class TestPosteriorContainer:
         assert up_latent[0] - lo_latent[0] == pytest.approx(4 * post.sigma_latent[0])
         lo3, up3 = post.bounds(n_sigma=3.0)
         assert up3[0] > upper[0]
-
-    def test_to_dict_keys(self):
-        x = np.linspace(0, 10, 6)
-        model = GpModel(Sum(SquaredExponential(), WhiteNoise(0.1)), x, np.sin(x))
-        d = model.decompose_posterior(np.array([1.0, 2.0])).to_dict()
-        assert set(d) >= {"x", "mean", "sigma_latent", "sigma_noisy", "lower_2sigma", "upper_2sigma", "components"}
-        assert [c["name"] for c in d["components"]] == ["SE", "NOISE", "noise"]

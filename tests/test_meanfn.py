@@ -9,7 +9,6 @@ from gpprog import (
     ExpDegradation,
     NumericalError,
     Zero,
-    format_mean,
     mean_from_token,
     mean_params,
 )
@@ -41,14 +40,6 @@ class TestZeroAndConstant:
         assert np.array_equal(m(x), [0.93, 0.93, 0.93])
         assert m.n_params() == 0
         assert m.gradients(x).shape == (3, 0)
-
-    def test_constant_trainable(self):
-        m = Constant(value=0.5, trainable=True)
-        x = np.arange(5.0)
-        assert m.n_params() == 1
-        grads = m.gradients(x)
-        assert np.array_equal(grads, np.ones((5, 1)))
-        assert np.allclose(grads, fd_mean_gradients(m, x))
 
 
 class TestExpDegradation:
@@ -101,7 +92,7 @@ class TestTokens:
         m = mean_from_token("const", [0, 1, 2], [1.0, 0.9, 0.8])
         assert isinstance(m, Constant)
         assert m.value == pytest.approx(0.9)
-        assert not m.trainable
+        assert m.n_params() == 0
 
     def test_expdeg_token(self):
         m = mean_from_token("EXPDEG", [0.0, 10.0], [1.0, 0.9])
@@ -110,10 +101,6 @@ class TestTokens:
     def test_unknown_token(self):
         with pytest.raises(ConfigError, match="unknown mean token"):
             mean_from_token("LINEAR", [0.0], [1.0])
-
-    def test_format_round_trip(self):
-        for token in ("ZERO", "CONST", "EXPDEG"):
-            assert format_mean(mean_from_token(token, [0.0, 1.0], [1.0, 0.9])) == token
 
     def test_mean_params(self):
         assert mean_params(Zero()) == {}

@@ -10,8 +10,11 @@ from gpprog import (
     ConfigError,
     DegenerateInputError,
     ExpDegradation,
+    Fleet,
     GpModel,
+    LabelCovariance,
     Matern,
+    Product,
     SquaredExponential,
     TrainConfig,
     TrainingError,
@@ -23,7 +26,8 @@ from gpprog import (
 )
 from gpprog import gp as gp_module
 from gpprog import optimize
-from gpprog.kernels import parse_kernel
+from gpprog.kernels import parse_kernel, with_data_scales
+from gpprog.meanfn import mean_from_token
 
 
 def se_sample_series(seed=0, n=60, length_scale=8.0, output_scale=0.05, noise_sd=0.004):
@@ -65,8 +69,6 @@ class TestTrainConfig:
             TrainConfig(n_restarts=0)
         with pytest.raises(ConfigError):
             TrainConfig(max_iterations=0)
-        with pytest.raises(ConfigError):
-            TrainConfig(gradient_tolerance=0.0)
 
 
 class TestDefaultBounds:
@@ -294,7 +296,7 @@ class TestModelForSeries:
         m1 = model_for_series(series, "MA5+MA3")
         m2 = model_for_series((x, y), "MA5+MA3")
         assert m1.nlml() == pytest.approx(m2.nlml(), rel=1e-12)
-        assert m1.param_names() == (
+        assert m1.hyperparameters().names == (
             "ma5.output_scale",
             "ma5.length_scale",
             "ma3.output_scale",
@@ -307,6 +309,36 @@ class TestModelForSeries:
         y = 1.0 - 0.003 * x
         model = model_for_series((x, y), "SE", mean_expr="ZERO")
         assert type(model.mean).__name__ == "Zero"
+
+    @pytest.mark.parametrize("mean_expr", ["ZERO", "CONST", "EXPDEG"])
+    def test_fleet_builds_the_multi_output_model(self, mean_expr):
+        cells = tuple(
+            CapacitySeries(cid, np.arange(1.0, n + 1.0), 1.0 - (0.01 + 0.002 * i) * np.arange(n))
+            for i, (cid, n) in enumerate([("a", 20), ("b", 21), ("c", 22)])
+        )
+        fleet = Fleet(cells)
+        model = model_for_series(fleet, "MA5+MA3", mean_expr)
+        x, y, labels = fleet.labeled_arrays()
+        kernel = Product(
+            LabelCovariance(3, angles=(math.pi / 4,) * 3),
+            with_data_scales(parse_kernel("MA5+MA3"), x, y),
+        )
+        by_hand = GpModel(kernel, x, y, mean=mean_from_token(mean_expr, x, y), labels=labels)
+        assert model.hyperparameters().names == by_hand.hyperparameters().names
+        assert model.hyperparameters().names[:4] == (
+            "label.phi_1", "label.phi_2", "label.phi_3", "label.shared_scale"
+        )
+        assert np.array_equal(model.labels, labels)
+        assert model.nlml() == by_hand.nlml()
+
+
+class TestPoolMap:
+    def test_keeps_order_across_workers(self):
+        assert optimize.pool_map(abs, [-3, 1, -2, 5], jobs=2) == [3, 1, 2, 5]
+
+    def test_single_item_runs_in_process(self):
+        # a lambda cannot pickle, so this only passes without a worker pool
+        assert optimize.pool_map(lambda v: v + 1, [1], jobs=2) == [2]
 
 
 @pytest.fixture(scope="module")

@@ -31,6 +31,7 @@ from gpprog import (
     forecast_eol,
     forecast_grid,
     lookahead,
+    model_for_series,
     rmse_eol,
     rmse_q,
     rolling_origins,
@@ -74,9 +75,6 @@ class TestRmseEol:
 
     def test_hand_case(self):
         assert abs(rmse_eol([90.0, 110.0], 100.0) - 10.0) < 1e-12
-
-    def test_clamp_replaces_infinities(self):
-        assert rmse_eol([90.0, math.inf], 100.0, clamp=110.0) == 10.0
 
     def test_all_infinite_is_undefined(self):
         with pytest.raises(UndefinedMetricError, match="infinite"):
@@ -259,7 +257,7 @@ class TestForecastEol:
             CapacitySeries(cid, np.arange(0.0, 10.0), np.linspace(1.0, 0.9, 10))
             for cid in ("a", "b")
         )
-        model = GpModel.for_fleet(Fleet(cells), Matern(2.5, 0.1, 5.0))
+        model = model_for_series(Fleet(cells), "MA5")
         with pytest.raises(ConfigError, match="target label"):
             forecast_eol(model, SplitSpec(c=10), horizon_x=50.0)
 
@@ -489,7 +487,7 @@ class TestEvaluate:
         true_eol = true_end_of_life(series, 0.7)
         inf_c = 15
         report = evaluate(
-            series, start_fraction=0.3, horizon_factor=2.0,
+            series, start_fraction=0.3,
             forecaster=OracleForecaster(series, true_eol, infinite_at={inf_c}),
         )
         clamped = [r for r in report.records if r.clamped]
@@ -579,6 +577,20 @@ class TestEvaluateMogp:
         assert len(report.records) >= 2
         assert any(not r.failed for r in report.records)
         assert math.isfinite(report.rmse_eol)
+
+    def test_jobs_parity(self, tiny_fleet):
+        # fleet models are built and trained inside the pool's workers here
+        config = TrainConfig(n_restarts=1, seed=0, max_iterations=40)
+        reports = [
+            evaluate_mogp(
+                tiny_fleet, target="c2", train_cells=["c1", "c3"],
+                start_fraction=0.6, config=config, warm_start=False, jobs=jobs,
+            )
+            for jobs in (1, 2)
+        ]
+        assert reports[0].to_csv_rows() == reports[1].to_csv_rows()
+        assert reports[0].rmse_eol == reports[1].rmse_eol
+        assert math.isfinite(reports[0].rmse_eol)
 
     @pytest.mark.parametrize(
         "token, expected", [("ZERO", Zero), ("CONST", Constant), ("EXPDEG", ExpDegradation)]
