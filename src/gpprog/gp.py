@@ -9,18 +9,28 @@ the marginal likelihood, its gradients, posterior conditioning and additive
 decomposition.  Posterior variances take the prior variance k(x*, x*) from
 the kernel diagonal (Rasmussen & Williams 2006, eq. 2.26), so prediction
 memory is linear in the number of test inputs.  Models are immutable;
-training evaluates candidate parameter vectors against one model, on the
-distinct pair keys of its inputs, and builds the trained instance once via
-``with_opt_vector``.
+training evaluates candidate parameter vectors against one model and builds
+the trained instance once via ``with_opt_vector``.
+
+Per model, the first evaluation keeps what theta does not change: the
+distinct pair keys of the inputs, each pair's index into them, an n x n
+gram buffer and the positions of the log parameters.  A training step
+computes the rest: exp of those parameters, the mean, the kernel and its
+gradients on the keys, the gathered gram, LAPACK's dpotrf, dpotrs and
+dpotri, and W = K^-1 - alpha alpha^T summed by key.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.linalg import blas, lapack, solve_triangular
 
 from .errors import ConfigError, ContractError, NumericalError
@@ -42,30 +52,62 @@ LOG_NOISE_VARIANCE = "log_noise_variance"
 _LOG2PI = math.log(2.0 * math.pi)
 
 
+@cache
+def _pin_blas_threads() -> None:
+    """Limit the OpenBLAS builds bundled with scipy and numpy to one thread.
+
+    OpenBLAS splits dpotri, and dpotrf from n of about 150, across its
+    threads, which moves results in the last digits with the core count; at
+    these sizes one thread is also the fastest.  Runs once per process,
+    before its first factorization, and ``optimize.pool_map`` runs it in
+    each worker.
+    """
+    pinned = False
+    for package, pattern, setter in (
+        (scipy, "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"),
+        (np, "libscipy_openblas64_-*.so", "scipy_openblas_set_num_threads64_"),
+    ):
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob(pattern)):
+            try:
+                set_threads = getattr(ctypes.CDLL(str(path)), setter)
+            except (OSError, AttributeError):
+                continue
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+            pinned = True
+    if not pinned:
+        print("gpprog: no bundled OpenBLAS found, so its threads are not pinned", file=sys.stderr)
+
+
 def jittered_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor, adding diagonal jitter only if needed.
 
-    The first attempt uses no jitter; on failure the jitter starts at
-    1e-9 times the mean diagonal and escalates tenfold up to 1e-3 of the
-    mean diagonal, after which a NumericalError is raised.
+    The entries are scanned for non-finite values only when their sum is not
+    finite: dpotrf reads one triangle and passes NaN through.  The first
+    attempt uses no jitter; on failure the jitter starts at 1e-9 times the
+    mean diagonal and escalates tenfold up to 1e-3 of it, after which a
+    NumericalError is raised.
     """
-    if not np.all(np.isfinite(a)):
+    _pin_blas_threads()
+    chol, info = lapack.dpotrf(a, lower=1, clean=1)
+    if not math.isfinite(a.sum()) and not np.all(np.isfinite(a)):
         raise NumericalError("covariance matrix contains non-finite entries")
+    if info == 0:
+        return chol, 0.0
     diag_mean = float(np.mean(np.diag(a)))
-    jitter = 0.0
-    while True:
-        shifted = a if jitter == 0.0 else a + jitter * np.eye(len(a))
-        chol, info = lapack.dpotrf(shifted, lower=1, clean=1)
+    jitter = diag_mean * 1e-9
+    while 0.0 < jitter <= diag_mean * 1e-3:
+        chol, info = lapack.dpotrf(a + jitter * np.eye(len(a)), lower=1, clean=1)
         if info == 0:
             return chol, jitter
-        jitter = diag_mean * 1e-9 if jitter == 0.0 else jitter * 10.0
-        if jitter > diag_mean * 1e-3:
-            eigs = np.linalg.eigvalsh(a)
-            raise NumericalError(
-                "covariance not positive definite even with jitter "
-                f"{diag_mean * 1e-3:.3e}; eigenvalue range "
-                f"[{eigs[0]:.3e}, {eigs[-1]:.3e}]"
-            )
+        jitter *= 10.0
+    eigs = np.linalg.eigvalsh(a)
+    raise NumericalError(
+        "covariance not positive definite even with jitter "
+        f"{diag_mean * 1e-3:.3e}; eigenvalue range "
+        f"[{eigs[0]:.3e}, {eigs[-1]:.3e}]"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +150,7 @@ class Posterior:
 
 def _nlml(chol: np.ndarray, resid: np.ndarray, alpha: np.ndarray) -> float:
     """Negative log marginal likelihood from the Cholesky factor and alpha = K^-1 resid."""
-    half_log_det = np.log(np.diagonal(chol)).sum()
+    half_log_det = np.log(chol.diagonal()).sum()
     return float(0.5 * resid @ alpha + half_log_det + 0.5 * len(resid) * _LOG2PI)
 
 
@@ -191,7 +233,7 @@ class GpModel:
         has computed; the n x n buffer in the keys is only scratch inside
         ``_factor``, so the two models can share it.
         """
-        raw = iter(self._natural(values).tolist())
+        raw = iter(self._natural(values))
         kernel = self.kernel._with_raw(raw)
         noise_variance = next(raw)
         model = GpModel(
@@ -206,10 +248,11 @@ class GpModel:
         return model
 
     @cached_property
-    def _layout(self) -> tuple[np.ndarray, int]:
-        """Which optimization-space entries are logs, and the noise entry's index."""
-        log_mask = np.array([is_log_kind(k) for k in self.param_kinds()], dtype=bool)
-        return log_mask, self.kernel.n_params()
+    def _layout(self) -> tuple[np.ndarray, int, int]:
+        """The positions of the log entries in optimization vectors, the
+        noise entry's index and the vectors' length."""
+        kinds = self.param_kinds()
+        return np.flatnonzero([is_log_kind(k) for k in kinds]), self.kernel.n_params(), len(kinds)
 
     @cached_property
     def _keys(self) -> tuple[list[tuple[slice, PairKeys]], np.ndarray, np.ndarray]:
@@ -219,33 +262,35 @@ class GpModel:
         keys, inverse = unique_pair_keys(self.x, self.labels)
         return key_blocks(keys), inverse, np.empty(inverse.shape)
 
-    def _natural(self, values) -> np.ndarray:
+    def _natural(self, values) -> list[float]:
         """An optimization-space vector in natural space, range-checked."""
-        log_mask, nk = self._layout
+        log_positions, nk, dim = self._layout
         values = np.asarray(values, dtype=float)
-        if len(values) != len(log_mask):
-            raise ConfigError(f"expected {len(log_mask)} parameter values, got {len(values)}")
+        if len(values) != dim:
+            raise ConfigError(f"expected {dim} parameter values, got {len(values)}")
         if values[nk] > 700.0:
             raise NumericalError(f"log noise variance {values[nk]} leaves the float range")
-        return natural_values(values, log_mask)
+        return natural_values(values, log_positions)
 
     # --- inference ---------------------------------------------------------
 
     @cached_property
     def _factorization(self):
         """The factorization at the model's own parameters, computed on first use."""
-        return self._factor(self.kernel._raw_values(), self.noise_variance, self.mean(self.x))
+        kraw = self.kernel._raw_values()
+        ks = [self.kernel._evaluate(keys, iter(kraw), False)[0] for _, keys in self._keys[0]]
+        return self._factor(ks, self.noise_variance, self.mean(self.x))
 
-    def _factor(self, kraw, noise, mean):
-        """(Cholesky factor, jitter, residual, alpha) at natural-space kernel
-        parameters ``kraw``, with the gram gathered from the distinct keys."""
-        blocks, inverse, a = self._keys
-        k = np.concatenate([self.kernel._evaluate(keys, iter(kraw), False)[0] for _, keys in blocks])
+    def _factor(self, ks, noise, mean):
+        """(Cholesky factor, jitter, residual, alpha), with the gram gathered
+        from the kernel's values ``ks`` on each block of distinct keys."""
+        _, inverse, a = self._keys
         # the inverse comes from np.unique, so mode="clip" only skips its range check
-        np.take(k, inverse, out=a, mode="clip")
-        del k
-        a.flat[:: len(a) + 1] += noise
-        chol, jitter = jittered_cholesky(a)
+        np.take(ks[0] if len(ks) == 1 else np.concatenate(ks), inverse, out=a, mode="clip")
+        a.ravel()[:: len(a) + 1] += noise
+        # the gram is symmetric, so its transpose is the same matrix in the
+        # Fortran order that LAPACK takes without a transposing copy
+        chol, jitter = jittered_cholesky(a.T)
         resid = self.y - mean
         alpha, _ = lapack.dpotrs(chol, resid, lower=1)
         return chol, jitter, resid, alpha
@@ -264,19 +309,25 @@ class GpModel:
         kept.  The gradient is eq. 5.9 of Rasmussen & Williams (2006),
         1/2 tr((K^-1 - alpha alpha^T) dK).
 
-        The kernel is evaluated on the model's distinct pair keys twice: for
-        the gram, then for the gradients, each contracted with W summed by
-        key.  W needs the factorized gram; one pass would hold every
-        gradient at every key across the factorization.
+        The kernel is evaluated on the model's distinct pair keys, block by
+        block, and its gradients are contracted with W summed by key.  W needs
+        the factorized gram, so every block but the last is evaluated twice,
+        for the gram and then for its gradients; the last block's gradients
+        are kept across the factorization.  Whole-cycle inputs have a single
+        block, so their kernel is evaluated once per step.
         """
         if theta is None:
             raw = [*self.kernel._raw_values(), self.noise_variance, *self.mean._values()]
         else:
-            raw = self._natural(theta).tolist()
+            raw = self._natural(theta)
         nk = self._layout[1]
         kraw, noise = raw[:nk], raw[nk]
         mean, mean_grads = self.mean._evaluate(self.x, raw[nk + 1 :])
-        chol, _, resid, alpha = self._factor(kraw, noise, mean)
+        blocks, inverse, _ = self._keys
+        ks = [self.kernel._evaluate(keys, iter(kraw), False)[0] for _, keys in blocks[:-1]]
+        k_last, dks_last = self.kernel._evaluate(blocks[-1][1], iter(kraw), True)
+        chol, _, resid, alpha = self._factor(ks + [k_last], noise, mean)
+        del ks, k_last
         value = _nlml(chol, resid, alpha)
         # dpotri leaves the lower triangle Z of K^-1 (the upper stays zero) and
         # dsyr takes alpha alpha^T off that triangle in place.  Every dK is
@@ -289,17 +340,15 @@ class GpModel:
         if info:
             raise NumericalError(f"dpotri failed with info {info}")
         z = blas.dsyr(-1.0, alpha, lower=1, a=z, overwrite_a=1)
-        w = z.T  # C-ordered view, so ravel() copies nothing
-        w.flat[:: len(w) + 1] *= 0.5
-        noise_grad = noise * float(np.trace(w))
-        blocks, inverse, _ = self._keys
-        weights = np.bincount(inverse.ravel(), weights=w.ravel())
+        w = z.T.ravel()  # W row by row (z.T is C-ordered, so this is a view)
+        w[:: len(z) + 1] *= 0.5
+        noise_grad = noise * float(w[:: len(z) + 1].sum())
+        weights = np.bincount(inverse.ravel(), weights=w)
         del chol, z, w
         grads = np.zeros(nk)
-        for block, keys in blocks:
-            _, dks = self.kernel._evaluate(keys, iter(kraw), True)
-            grads += [blas.ddot(weights[block], dk) for dk in dks]
-            del dks  # before the next block's are made
+        for block, keys in blocks[:-1]:  # one block's gradients at a time
+            grads += [blas.ddot(weights[block], dk) for dk in self.kernel._evaluate(keys, iter(kraw), True)[1]]
+        grads += [blas.ddot(weights[blocks[-1][0]], dk) for dk in dks_last]
         return value, np.concatenate([grads, [noise_grad], -(mean_grads.T @ alpha)])
 
     def _require_labels(self, x_new, labels):

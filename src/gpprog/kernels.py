@@ -147,21 +147,23 @@ def key_blocks(keys: PairKeys) -> list[tuple[slice, PairKeys]]:
     return [(b, PairKeys(*(None if a is None else a[b] for a in keys))) for b in blocks]
 
 
-def natural_values(values: np.ndarray, log_mask: np.ndarray) -> np.ndarray:
-    """Optimization-space values in natural space (exp of the log entries).
+def natural_values(values: np.ndarray, log_positions: np.ndarray) -> list[float]:
+    """Optimization-space values in natural space (exp of the entries at
+    ``log_positions``), as a list.
 
     An extreme optimizer step can push exp out of the float range; that
     raises NumericalError instead of returning inf or zero.
     """
-    out = np.array(values, dtype=float)
-    logs = out[log_mask]
+    out = values.tolist()
+    logs = values[log_positions]
     with np.errstate(over="ignore", under="ignore"):
-        raw = np.exp(logs)
-    if np.any(np.isinf(raw)):
-        raise NumericalError(f"log parameter {logs[np.isinf(raw)][0]} overflows")
-    if np.any(raw == 0.0):
-        raise NumericalError(f"log parameter {logs[raw == 0.0][0]} underflows to zero")
-    out[log_mask] = raw
+        raw = np.exp(logs).tolist()
+    if math.inf in raw:
+        raise NumericalError(f"log parameter {logs[raw.index(math.inf)]} overflows")
+    if 0.0 in raw:
+        raise NumericalError(f"log parameter {logs[raw.index(0.0)]} underflows to zero")
+    for i, value in zip(log_positions.tolist(), raw):
+        out[i] = value
     return out
 
 
@@ -214,8 +216,8 @@ class Kernel(ABC):
             raise ConfigError(
                 f"expected {self.n_params()} parameter values, got {len(values)}"
             )
-        log_mask = np.array([is_log_kind(k) for k in self.hyperparameters().kinds], dtype=bool)
-        return self._with_raw(iter(natural_values(values, log_mask).tolist()))
+        logs = np.flatnonzero([is_log_kind(k) for k in self.hyperparameters().kinds])
+        return self._with_raw(iter(natural_values(values, logs)))
 
     def _raw_values(self) -> list[float]:
         """Natural-space parameters of every leaf, in leaf order."""
@@ -409,44 +411,44 @@ class WhiteNoise(Kernel):
 # --- label covariance ------------------------------------------------------
 
 
-def _spherical_factor(angles: np.ndarray, m: int) -> np.ndarray:
+def _spherical_column(angles) -> list[float]:
+    """Column len(angles) (0-based) of the factor: a point on the unit sphere
+    in R^(len(angles) + 1) written in spherical coordinates."""
+    column, prod = [], 1.0
+    for a in angles:
+        column.append(prod * math.cos(a))
+        prod *= math.sin(a)
+    return column + [prod]
+
+
+def _spherical_factor(angles, m: int) -> np.ndarray:
     """Upper-triangular factor with unit-norm columns from m(m-1)/2 angles.
 
-    Column c (0-based) is a point on the unit sphere in R^(c+1) written in
-    spherical coordinates, so diag(S^T S) is exactly 1 and off-diagonal
-    entries of S^T S lie in [-1, 1] for any angle values.
+    Column c takes the c angles after the first c(c-1)/2, so diag(S^T S) is
+    exactly 1 and off-diagonal entries of S^T S lie in [-1, 1] for any angle
+    values.
     """
     s = np.zeros((m, m))
-    s[0, 0] = 1.0
-    k = 0
-    for c in range(1, m):
-        a = angles[k : k + c]
-        k += c
-        prod = 1.0
-        for i in range(c):
-            s[i, c] = prod * math.cos(a[i])
-            prod *= math.sin(a[i])
-        s[c, c] = prod
+    for c in range(m):
+        s[: c + 1, c] = _spherical_column(angles[c * (c - 1) // 2 : c * (c + 1) // 2])
     return s
 
 
-def _spherical_factor_grads(angles: np.ndarray, m: int) -> list[np.ndarray]:
+def _spherical_factor_grads(angles, m: int) -> list[np.ndarray]:
     """d S / d angle for each angle, matching _spherical_factor's layout.
 
     The angle at position j of column c enters entries j..c of that column
     once each, as a cosine at j and as a sine below; shifting it by pi/2
-    differentiates both.
+    differentiates both, so each gradient rebuilds that column alone.
     """
     grads = []
-    k = 0
     for c in range(1, m):
         for j in range(c):
-            shifted = angles.copy()
-            shifted[k] += math.pi / 2
+            shifted = list(angles[c * (c - 1) // 2 : c * (c + 1) // 2])
+            shifted[j] += math.pi / 2
             g = np.zeros((m, m))
-            g[j : c + 1, c] = _spherical_factor(shifted, m)[j : c + 1, c]
+            g[j : c + 1, c] = _spherical_column(shifted)[j:]
             grads.append(g)
-            k += 1
     return grads
 
 
@@ -491,12 +493,12 @@ class LabelCovariance(Kernel):
         return label_covariance(np.array(self.angles), self.shared_scale, self.m)
 
     def _evaluate(self, keys, raw, grads):
-        angles = np.array([next(raw) for _ in self.angles])
+        angles = [next(raw) for _ in self.angles]
         tau = next(raw)
         if keys.l1 is None:
             raise ConfigError("label covariance requires labeled inputs")
         for labels in (keys.l1, keys.l2):
-            if np.any((labels < 1) | (labels > self.m)):
+            if labels.min(initial=1) < 1 or labels.max(initial=self.m) > self.m:
                 bad = labels[(labels < 1) | (labels > self.m)]
                 raise BoundsError(f"labels {sorted(set(bad.tolist()))} outside 1..{self.m}")
         s = _spherical_factor(angles, self.m)

@@ -103,11 +103,16 @@ class ExpDegradation(MeanFunction):
     def _evaluate(self, x, values):
         a1, a2, a3 = (float(v) for v in values)
         e = a3 * x
-        if np.any(e > _EXP_LIMIT):
+        # fmax skips NaN, as the elementwise comparison does
+        if np.fmax.reduce(e, initial=-np.inf) > _EXP_LIMIT:
             bad = x[e > _EXP_LIMIT][0]
             raise NumericalError(f"exp overflow in degradation mean at x={bad} with a3={a3}")
         e = np.exp(e)
-        return a1 + a2 * e, np.column_stack([np.ones(len(x)), e, a2 * x * e])
+        grads = np.empty((len(x), 3))
+        grads[:, 0] = 1.0
+        grads[:, 1] = e
+        np.multiply(a2 * x, e, out=grads[:, 2])
+        return a1 + a2 * e, grads
 
     def _param_specs(self):
         return [

@@ -23,7 +23,7 @@ from . import kernels as kx
 from . import meanfn as mx
 from .dataset import CapacitySeries, Fleet
 from .errors import ConfigError, DegenerateInputError, NumericalError, TrainingError
-from .gp import LOG_NOISE_VARIANCE, GpModel
+from .gp import LOG_NOISE_VARIANCE, GpModel, _pin_blas_threads
 
 _PENALTY = 1e25
 
@@ -45,9 +45,14 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class RestartRecord:
+    """One L-BFGS-B run; ``evaluations`` is its nfev, of which ``penalties``
+    failed numerically and were penalized."""
+
     start_nlml: float
     final_nlml: float
     message: str
+    evaluations: int
+    penalties: int
 
 
 @dataclass(frozen=True)
@@ -127,31 +132,18 @@ def default_lhs_bounds(model: GpModel) -> np.ndarray:
 
 def _objective(model: GpModel):
     """NLML and gradient at an optimization-space vector, penalized where
-    evaluation fails numerically.
-
-    The last evaluation is remembered: ``train`` scores each start itself
-    and L-BFGS-B then asks for the same start again.
-    """
+    evaluation fails numerically."""
     dim = len(model.opt_vector())
-    last_theta, last_result = None, None
 
-    def evaluate(theta):
+    def fun(theta):
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 value, grads = model.nlml_value_and_gradients(theta)
         except (NumericalError, FloatingPointError, OverflowError, np.linalg.LinAlgError):
             return _PENALTY, np.zeros(dim)
-        if not (math.isfinite(value) and np.all(np.isfinite(grads))):
+        if not (math.isfinite(value) and np.isfinite(grads).all()):
             return _PENALTY, np.zeros(dim)
         return value, grads
-
-    def fun(theta):
-        nonlocal last_theta, last_result
-        theta = np.asarray(theta, dtype=float)
-        if last_theta is None or not np.array_equal(theta, last_theta):
-            last_theta, last_result = theta.copy(), evaluate(theta)
-        value, grads = last_result
-        return value, grads.copy()
 
     return fun
 
@@ -165,7 +157,8 @@ def train(model: GpModel, config: TrainConfig = TrainConfig(), extra_starts=()) 
     which keeps hyperparameters in the identifiable region the bounds
     describe (a period longer than the observed window, say, is just an
     expensive way to mimic a smooth kernel).  The returned model is the
-    best local optimum found; its NLML never exceeds that of any start.
+    best local optimum found; its NLML never exceeds that of any start,
+    which is the first point L-BFGS-B evaluates.
     """
     if len(model.x) < 2:
         raise DegenerateInputError("training requires at least two points")
@@ -181,27 +174,36 @@ def train(model: GpModel, config: TrainConfig = TrainConfig(), extra_starts=()) 
     best_value = math.inf
     best_theta = None
     for start in starts:
-        f0, _ = fun(start)
+        values = []
+
+        def recorded(theta):
+            value, grads = fun(theta)
+            values.append(value)
+            return value, grads
+
         result = minimize(
-            fun,
+            recorded,
             start,
             jac=True,
             method="L-BFGS-B",
             bounds=list(map(tuple, bounds)),
             options={"maxiter": config.max_iterations, "gtol": 1e-6},
         )
-        value, theta = float(result.fun), result.x
+        f0, value, theta = values[0], float(result.fun), result.x
         if f0 < value:  # never accept a step that lost ground on its start
             value, theta = f0, start
         message = result.message if isinstance(result.message, str) else str(result.message)
-        records.append(RestartRecord(float(f0), value, message))
+        records.append(
+            RestartRecord(float(f0), value, message, int(result.nfev), values.count(_PENALTY))
+        )
         if value < best_value:
             best_value, best_theta = value, theta
     if best_theta is None or best_value >= _PENALTY / 2:
         raise TrainingError(
             "all restarts failed numerically",
             diagnostics=[
-                f"start nlml {r.start_nlml:.6g} -> {r.final_nlml:.6g}: {r.message}"
+                f"start nlml {r.start_nlml:.6g} -> {r.final_nlml:.6g}: {r.message} "
+                f"({r.evaluations} evaluations, {r.penalties} penalized)"
                 for r in records
             ],
         )
@@ -304,11 +306,12 @@ def pool_map(fn, items, jobs: int) -> list:
 
     With ``jobs`` > 1 and more than one item the calls run in ``jobs``
     worker processes, so ``fn`` and the items must pickle and each worker
-    holds its own copy of them.
+    holds its own copy of them.  Each worker pins its BLAS to one thread
+    before its first call.
     """
     items = list(items)
     if jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_blas_threads) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from gpprog import (
     CapacitySeries,
@@ -287,6 +288,39 @@ class TestNumerics:
     def test_jittered_cholesky_rejects_nonfinite(self):
         with pytest.raises(NumericalError, match="non-finite"):
             jittered_cholesky(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [((0, 3), np.nan), ((2, 2), np.inf), ((3, 1), np.nan)],
+        ids=["nan-upper-only", "inf-diagonal", "nan-lower"],
+    )
+    def test_jittered_cholesky_checks_entries_dpotrf_lets_through(self, entry, value):
+        # dpotrf reads the lower triangle only, factors +inf on the diagonal
+        # with info 0 and passes NaN through; each must still be refused
+        a = np.eye(4) + 0.1
+        a[entry] = value
+        with pytest.raises(NumericalError, match="^covariance matrix contains non-finite entries$"):
+            jittered_cholesky(a)
+
+    def test_jittered_cholesky_reports_the_exhausted_ladder(self):
+        a = np.diag([2.0, 1.0, -1.0])
+        message = (r"^covariance not positive definite even with jitter 6\.667e-04; "
+                   r"eigenvalue range \[-1\.000e\+00, 2\.000e\+00\]$")
+        with pytest.raises(NumericalError, match=message):
+            jittered_cholesky(a)
+
+    def test_jittered_cholesky_zero_matrix_raises(self):
+        # a zero mean diagonal leaves no jitter to try
+        with pytest.raises(NumericalError, match="not positive definite"):
+            jittered_cholesky(np.zeros((3, 3)))
+
+    def test_jittered_cholesky_finite_matrix_is_factored_as_is(self):
+        rng = np.random.default_rng(3)
+        b = rng.standard_normal((30, 30))
+        a = b @ b.T + 30.0 * np.eye(30)
+        chol, jitter = jittered_cholesky(a)
+        assert jitter == 0.0
+        assert np.array_equal(chol, lapack.dpotrf(a, lower=1, clean=1)[0])
 
     def test_checked_variance_rejects_large_negative(self):
         x = np.linspace(0, 1, 3)

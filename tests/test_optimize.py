@@ -1,6 +1,7 @@
 """Multi-start training, LHS design, bounds, and the pairwise kernel search."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gpprog import (
     GpModel,
     LabelCovariance,
     Matern,
+    NumericalError,
     Product,
     SquaredExponential,
     TrainConfig,
@@ -170,6 +172,37 @@ class TestTrain:
         assert len(result.restarts) == 4
         assert result.nlml <= base.nlml + 1e-12
 
+    def test_restart_records_count_evaluations_and_penalties(self, monkeypatch):
+        x, y = se_sample_series(seed=2, n=25)
+        model = model_for_series((x, y), "SE", "EXPDEG")
+        calls = []
+        real_nlml = GpModel.nlml_value_and_gradients
+
+        def counting(self, theta=None):
+            calls.append(theta)
+            return real_nlml(self, theta)
+
+        monkeypatch.setattr(GpModel, "nlml_value_and_gradients", counting)
+        result = train(model, TrainConfig(n_restarts=3, seed=0))
+        assert sum(r.evaluations for r in result.restarts) == len(calls)
+        assert all(r.evaluations >= 1 and 0 <= r.penalties <= r.evaluations for r in result.restarts)
+
+        # a start that fails numerically is penalized, and the penalty has no
+        # gradient, so that run ends where it started
+        start = model.opt_vector()
+
+        def failing_at_start(self, theta=None):
+            if np.array_equal(theta, start):
+                raise NumericalError("exp overflow")
+            return real_nlml(self, theta)
+
+        monkeypatch.setattr(GpModel, "nlml_value_and_gradients", failing_at_start)
+        result = train(model, TrainConfig(n_restarts=1, seed=0), extra_starts=[start])
+        failed = result.restarts[-1]
+        assert failed.start_nlml == failed.final_nlml == optimize._PENALTY
+        assert failed.penalties == failed.evaluations == 1
+        assert result.restarts[0].penalties == 0
+
     def test_single_point_rejected(self):
         model = GpModel(SquaredExponential(), [1.0], [1.0])
         with pytest.raises(DegenerateInputError):
@@ -184,6 +217,10 @@ class TestTrain:
         with pytest.raises(TrainingError, match="all restarts failed") as info:
             train(model, TrainConfig(n_restarts=2, seed=0))
         assert len(info.value.diagnostics) == 2
+        for line in info.value.diagnostics:
+            counts = re.search(r"\((\d+) evaluations, (\d+) penalized\)$", line).groups()
+            evaluations, penalized = map(int, counts)
+            assert evaluations >= 1 and penalized == evaluations
 
 
 class TestObjective:
@@ -262,9 +299,9 @@ class TestObjective:
         monkeypatch.setattr(optimize, "minimize", recording_minimize)
         train(model, config)
         starts = optimize._lhs_design(config.seed, config.n_restarts, default_lhs_bounds(model))
-        # L-BFGS-B's first call reuses the start's score instead of recomputing it
+        # each start's score is L-BFGS-B's first evaluation, so nothing else is evaluated
         assert len(run_evals) == len(starts)
-        assert len(evaluated) <= sum(run_evals)
+        assert len(evaluated) == sum(run_evals)
         for start in starts:
             assert sum(np.array_equal(theta, start) for theta in evaluated) == 1
 
