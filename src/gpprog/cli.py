@@ -9,6 +9,14 @@ cell (or, for mogp-evaluate, the fleet) to the subcommand.  ``forecast``
 reads its end-of-life estimates off the same posterior it writes to
 ``posterior.csv``.  Re-running the same manifest with --jobs 1 reproduces
 the output files byte for byte (no timestamps are recorded).
+
+This is the one module that knows the output formats.  The library returns
+plain records (:class:`~gpprog.prognostics.OriginRecord`,
+:class:`~gpprog.prognostics.LookaheadRow`,
+:class:`~gpprog.optimize.SearchEntry`, ...); a JSON payload is
+``dataclasses.asdict`` of a record plus a few derived keys, and every CSV
+goes through :func:`_write_csv` and its one cell rule, so a field added to
+a record reaches the JSON files with no change here.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import math
 import os
 import platform
 import sys
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +36,14 @@ import scipy
 
 from . import __version__
 from .dataset import SplitSpec, load_csv, split
-from .errors import GpprogError, UndefinedMetricError, UsageError
+from .errors import ConfigError, GpprogError, UndefinedMetricError, UsageError
 from .kernels import parse_kernel
-from .meanfn import mean_params
+from .meanfn import MEAN_TOKENS, mean_params
 from .optimize import TrainConfig, kernel_search, model_for_series, train
 from .prognostics import (
     HORIZON_FACTOR,
+    LookaheadRow,
+    _check_horizons,
     evaluate,
     eol_crossings,
     evaluate_mogp,
@@ -102,15 +113,17 @@ def parse_args(argv=None) -> argparse.Namespace:
         parse_kernel(args.kernel)
     except GpprogError as exc:
         raise UsageError(f"--kernel: {exc}") from None
-    if args.mean.strip().upper() not in ("ZERO", "CONST", "EXPDEG"):
-        raise UsageError(f"--mean must be ZERO, CONST, or EXPDEG, got {args.mean!r}")
+    if args.mean.strip().upper() not in MEAN_TOKENS:
+        expected = f"{', '.join(MEAN_TOKENS[:-1])}, or {MEAN_TOKENS[-1]}"
+        raise UsageError(f"--mean must be {expected}, got {args.mean!r}")
     if not (0.0 < args.eol < 1.0):
         raise UsageError(f"--eol must lie in (0, 1), got {args.eol}")
     if not (0.0 < args.start < 1.0):
         raise UsageError(f"--start must lie in (0, 1), got {args.start}")
-    args.horizons = _parse_int_list(args.horizons, "--horizons")
-    if any(h < 1 for h in args.horizons):
-        raise UsageError(f"--horizons must all be >= 1, got {args.horizons}")
+    try:
+        args.horizons = _check_horizons(_parse_int_list(args.horizons, "--horizons"))
+    except ConfigError as exc:
+        raise UsageError(f"--horizons: {exc}") from None
     if args.restarts < 1:
         raise UsageError(f"--restarts must be >= 1, got {args.restarts}")
     if args.jobs < 1:
@@ -142,9 +155,51 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, rows) -> None:
+def _cell(value) -> str:
+    """One CSV cell: None empty, booleans 0/1, strings as they are, dicts as
+    sorted JSON, numbers by ``repr`` (which round-trips a float)."""
+    if type(value) is float:  # nearly every cell; checked first to keep the float path cheap
+        return repr(value)
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True)
+    return repr(value)
+
+
+def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+# report.csv flattens each record's EolForecast into its three estimates
+_REPORT_HEADER = (
+    "c", "current_x", "rmse_q", "eol_mean", "eol_lower", "eol_upper", "eol_estimate",
+    "clamped", "failed",
+)
+
+
+def _report_row(record) -> tuple:
+    eol = record.eol
+    estimates = (None,) * 3 if eol is None else (eol.eol_mean, eol.eol_lower, eol.eol_upper)
+    return (
+        record.c, record.current_x, record.rmse_q, *estimates, record.eol_estimate,
+        record.clamped, record.failed,
+    )
+
+
+def _write_report(outdir: Path, report) -> None:
+    payload = asdict(report)
+    payload["n_records"] = len(report.records)
+    payload["n_failed"] = report.n_failed
+    _write_json(outdir / "report.json", payload)
+    _write_csv(outdir / "report.csv", _REPORT_HEADER, map(_report_row, report.records))
 
 
 def _manifest(config: argparse.Namespace) -> dict:
@@ -204,8 +259,16 @@ def _cmd_kernel_search(config: argparse.Namespace, series, outdir: Path) -> None
         mean_expr=config.mean,
         jobs=config.jobs,
     )
-    _write_json(outdir / "search.json", result.to_dict())
-    _write_csv(outdir / "search.csv", result.to_csv_rows())
+    payload = {
+        "ranking": [{**asdict(e), "lml": e.lml} for e in result.entries],
+        "failures": [{"kernel": k, "error": msg} for k, msg in result.failures],
+    }
+    _write_json(outdir / "search.json", payload)
+    _write_csv(
+        outdir / "search.csv",
+        ("kernel", "lml", "hyperparameters"),
+        ((e.kernel, e.lml, e.hyperparameters) for e in result.entries),
+    )
 
 
 def _cmd_forecast(config: argparse.Namespace, series, outdir: Path) -> None:
@@ -217,32 +280,34 @@ def _cmd_forecast(config: argparse.Namespace, series, outdir: Path) -> None:
     model = model_for_series(prefix, config.kernel, config.mean)
     result = train(model, _train_config(config), extra_starts=[model.opt_vector()])
     trained = result.model
-    prefix_x = prefix.cycles
-    current_x = float(prefix_x[-1])
+    current_x = float(prefix.cycles[-1])
     horizon_x = HORIZON_FACTOR * float(series.cycles[-1])
-    # forecast_eol's grid: cycle steps when the training inputs are whole cycles
-    grid = forecast_grid(current_x, horizon_x, bool(np.all(prefix_x == np.floor(prefix_x))))
+    grid = forecast_grid(current_x, horizon_x, prefix.cycles)
     post = trained.decompose_posterior(grid)  # grammar kernels are sums, never products
     lower, upper = post.bounds()
     columns = (grid, post.mean, post.sigma_latent, post.sigma_noisy, lower, upper)
-    rows = [["x", "mean", "sigma_latent", "sigma_noisy", "lower_2sigma", "upper_2sigma"]]
-    rows.extend([repr(v) for v in row] for row in zip(*(c.tolist() for c in columns)))
-    _write_csv(outdir / "posterior.csv", rows)
-    comp_rows = [["component", "x", "mean", "sigma"]]
-    for comp in post.components:
-        comp_rows.extend(
-            [comp.name, repr(x), repr(mean), repr(sigma)]
+    _write_csv(
+        outdir / "posterior.csv",
+        ("x", "mean", "sigma_latent", "sigma_noisy", "lower_2sigma", "upper_2sigma"),
+        zip(*(c.tolist() for c in columns)),
+    )
+    _write_csv(
+        outdir / "components.csv",
+        ("component", "x", "mean", "sigma"),
+        (
+            (comp.name, x, mean, sigma)
+            for comp in post.components
             for x, mean, sigma in zip(
                 grid.tolist(), comp.mean.tolist(), np.sqrt(comp.variance).tolist()
             )
-        )
-    _write_csv(outdir / "components.csv", comp_rows)
+        ),
+    )
     forecast = eol_crossings(post, spec, current_x)
     try:
         observed = true_end_of_life(series, config.eol)
     except UndefinedMetricError:
         observed = None
-    payload = forecast.to_dict()
+    payload = asdict(forecast)
     payload["observed_eol"] = observed
     _write_json(outdir / "eol.json", payload)
     _write_json(outdir / "model.json", _model_summary(config, result))
@@ -258,8 +323,19 @@ def _cmd_lookahead(config: argparse.Namespace, series, outdir: Path) -> None:
         config=_train_config(config),
         warm_start=config.warm_start,
     )
-    _write_json(outdir / "lookahead.json", result.to_dict())
-    _write_csv(outdir / "lookahead.csv", result.to_csv_rows())
+    payload = {
+        # str keys keep the file's key order (10,20,40,5); int keys would sort as 5,10,20,40
+        "rmse": {str(n): v for n, v in result.rmse.items()},
+        "skipped": {str(n): v for n, v in result.skipped.items()},
+        "failures": [{"c": c, "error": msg} for c, msg in result.failures],
+        "n_rows": len(result.rows),
+    }
+    _write_json(outdir / "lookahead.json", payload)
+    _write_csv(
+        outdir / "lookahead.csv",
+        [f.name for f in fields(LookaheadRow)],
+        map(astuple, result.rows),
+    )
 
 
 def _cmd_evaluate(config: argparse.Namespace, series, outdir: Path) -> None:
@@ -273,8 +349,7 @@ def _cmd_evaluate(config: argparse.Namespace, series, outdir: Path) -> None:
         warm_start=config.warm_start,
         jobs=config.jobs,
     )
-    _write_json(outdir / "report.json", report.to_dict())
-    _write_csv(outdir / "report.csv", report.to_csv_rows())
+    _write_report(outdir, report)
 
 
 def _cmd_mogp_evaluate(config: argparse.Namespace, fleet, outdir: Path) -> None:
@@ -293,8 +368,7 @@ def _cmd_mogp_evaluate(config: argparse.Namespace, fleet, outdir: Path) -> None:
         warm_start=config.warm_start,
         jobs=config.jobs,
     )
-    _write_json(outdir / "report.json", report.to_dict())
-    _write_csv(outdir / "report.csv", report.to_csv_rows())
+    _write_report(outdir, report)
 
 
 _IMPLEMENTATIONS = {

@@ -138,7 +138,7 @@ class ExpDegradation(MeanFunction):
         return cls(a1=float(y[-1]), a2=float(y[0] - y[-1]), a3=-1.0 / x_range)
 
 
-_TOKENS = ("ZERO", "CONST", "EXPDEG")
+MEAN_TOKENS = ("ZERO", "CONST", "EXPDEG")
 
 
 def mean_from_token(token: str, x, y) -> MeanFunction:
@@ -154,7 +154,7 @@ def mean_from_token(token: str, x, y) -> MeanFunction:
         return Constant(value=float(np.mean(np.asarray(y, dtype=float))))
     if token == "EXPDEG":
         return ExpDegradation.initial_guess(x, y)
-    raise ConfigError(f"unknown mean token {token!r}; expected one of {_TOKENS}")
+    raise ConfigError(f"unknown mean token {token!r}; expected one of {MEAN_TOKENS}")
 
 
 def mean_params(mean: MeanFunction) -> dict[str, float]:

@@ -8,6 +8,8 @@ restarted from a Latin hypercube of starting points.  Each run is
 box-constrained to the same data-driven bounds that seed the starts; see
 :func:`train` for the rationale.  :func:`pool_map` is the one place that
 starts worker processes, for the kernel search and the rolling evaluations.
+Training and search results are plain records (:class:`RestartRecord`,
+:class:`SearchEntry`); :mod:`gpprog.cli` writes them.
 """
 
 from __future__ import annotations
@@ -237,30 +239,6 @@ class KernelSearchResult:
         if not self.entries:
             raise TrainingError("every kernel candidate failed to train")
         return self.entries[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "ranking": [
-                {
-                    "kernel": e.kernel,
-                    "lml": e.lml,
-                    "nlml": e.nlml,
-                    "hyperparameters": e.hyperparameters,
-                }
-                for e in self.entries
-            ],
-            "failures": [{"kernel": k, "error": msg} for k, msg in self.failures],
-        }
-
-    def to_csv_rows(self) -> list[list[str]]:
-        import json
-
-        rows = [["kernel", "lml", "hyperparameters"]]
-        for e in self.entries:
-            rows.append(
-                [e.kernel, repr(e.lml), json.dumps(e.hyperparameters, sort_keys=True)]
-            )
-        return rows
 
 
 def candidate_pairs(bases) -> list[str]:

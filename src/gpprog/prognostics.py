@@ -16,12 +16,16 @@ observed position.  The GP steps fit through :class:`GpForecaster`, which
 hands the prefix, or the fleet of companions plus prefix, to
 :func:`optimize.model_for_series` and warm-starts each fit from the previous
 optimum.
+
+Results are plain frozen dataclasses (:class:`OriginRecord`,
+:class:`LookaheadRow`, :class:`EolForecast` and their containers) with no
+file format of their own; :mod:`gpprog.cli` writes them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -136,15 +140,13 @@ class EolForecast:
                 f"{self.eol_mean}, {self.eol_upper}"
             )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-def forecast_grid(current_x: float, horizon_x: float, integer_steps: bool) -> np.ndarray:
-    """Cycle-resolution grid for integer axes, 200 points otherwise."""
+def forecast_grid(current_x: float, horizon_x: float, train_x) -> np.ndarray:
+    """The grid from ``current_x`` to ``horizon_x``: one step per cycle when
+    every training input in ``train_x`` is a whole cycle, 200 points otherwise."""
     if not horizon_x > current_x:
         raise ConfigError(f"horizon {horizon_x} not beyond current x {current_x}")
-    if integer_steps:
+    if np.all(train_x == np.floor(train_x)):
         return current_x + np.arange(0.0, math.floor(horizon_x - current_x) + 0.5)
     return np.linspace(current_x, horizon_x, 200)
 
@@ -159,15 +161,15 @@ def forecast_eol(
     """Extrapolate the posterior on a forecast grid and read off the crossings.
 
     The grid runs from ``current_x`` (by default the last training input of
-    the target) to ``horizon_x``, one step per cycle when every training
-    input is a whole cycle; :func:`eol_crossings` reads the estimates.
+    the target) to ``horizon_x`` (see :func:`forecast_grid`);
+    :func:`eol_crossings` reads the estimates.
     """
     if current_x is None:
         if label is not None and model.labels is not None:
             current_x = float(model.x[model.labels == label].max())
         else:
             current_x = float(model.x.max())
-    grid = forecast_grid(current_x, horizon_x, bool(np.all(model.x == np.floor(model.x))))
+    grid = forecast_grid(current_x, horizon_x, model.x)
     labels = None
     if model.labels is not None:
         if label is None:
@@ -285,29 +287,6 @@ class LookaheadResult:
     rmse: dict[int, float]
     skipped: dict[int, int]
     failures: tuple[tuple[int, str], ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "rmse": {str(k): v for k, v in sorted(self.rmse.items())},
-            "skipped": {str(k): v for k, v in sorted(self.skipped.items())},
-            "failures": [{"c": c, "error": msg} for c, msg in self.failures],
-            "n_rows": len(self.rows),
-        }
-
-    def to_csv_rows(self) -> list[list[str]]:
-        out = [["c", "horizon", "target_x", "predicted", "sigma", "actual"]]
-        for r in self.rows:
-            out.append(
-                [
-                    str(r.c),
-                    str(r.horizon),
-                    repr(r.target_x),
-                    repr(r.predicted),
-                    repr(r.sigma),
-                    repr(r.actual),
-                ]
-            )
-        return out
 
 
 def _check_horizons(horizons) -> tuple[int, ...]:
@@ -474,61 +453,6 @@ class EvaluationReport:
     @property
     def n_failed(self) -> int:
         return sum(1 for r in self.records if r.failed)
-
-    def to_dict(self) -> dict:
-        return {
-            "cell_id": self.cell_id,
-            "threshold": self.threshold,
-            "true_eol": self.true_eol,
-            "horizon_x": self.horizon_x,
-            "rmse_eol": self.rmse_eol,
-            "n_records": len(self.records),
-            "n_failed": self.n_failed,
-            "records": [
-                {
-                    "c": r.c,
-                    "current_x": r.current_x,
-                    "rmse_q": r.rmse_q,
-                    "eol": None if r.eol is None else r.eol.to_dict(),
-                    "eol_estimate": r.eol_estimate,
-                    "clamped": r.clamped,
-                    "failed": r.failed,
-                    "error": r.error,
-                }
-                for r in self.records
-            ],
-        }
-
-    def to_csv_rows(self) -> list[list[str]]:
-        out = [
-            [
-                "c",
-                "current_x",
-                "rmse_q",
-                "eol_mean",
-                "eol_lower",
-                "eol_upper",
-                "eol_estimate",
-                "clamped",
-                "failed",
-            ]
-        ]
-        for r in self.records:
-            eol = r.eol
-            out.append(
-                [
-                    str(r.c),
-                    repr(r.current_x),
-                    "" if r.rmse_q is None else repr(r.rmse_q),
-                    "" if eol is None else repr(eol.eol_mean),
-                    "" if eol is None else repr(eol.eol_lower),
-                    "" if eol is None else repr(eol.eol_upper),
-                    "" if r.eol_estimate is None else repr(r.eol_estimate),
-                    str(int(r.clamped)),
-                    str(int(r.failed)),
-                ]
-            )
-        return out
 
 
 def true_end_of_life(series: CapacitySeries, threshold: float) -> float:

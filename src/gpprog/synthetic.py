@@ -113,11 +113,6 @@ def monotone_benchmark(n_points: int = 60, seed: int = 3) -> CapacitySeries:
     return CapacitySeries.from_raw("MONO", x, y)
 
 
-def series_a(**kwargs) -> CapacitySeries:
-    cycles, ah = cell_a_like(**kwargs)
-    return CapacitySeries.from_raw("A1", cycles, ah)
-
-
 def series_b(**kwargs) -> CapacitySeries:
     cycles, ah = cell_b_like(**kwargs)
     return CapacitySeries.from_raw("B1", cycles, ah)

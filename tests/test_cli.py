@@ -9,8 +9,9 @@ import subprocess
 import numpy as np
 import pytest
 
-from gpprog import UsageError, __version__, find_eol
-from gpprog.cli import main, parse_args
+from gpprog import EolForecast, EvaluationReport, OriginRecord, UsageError, __version__, find_eol
+from gpprog import cli
+from gpprog.cli import COMMANDS, main, parse_args
 
 
 def write_cell_csv(path, cells, header=("cell_id", "cycle", "capacity")):
@@ -43,6 +44,102 @@ def fleet_csv(tmp_path):
 
 def read_tree(outdir):
     return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
+def key_tree(value):
+    """The nested keys of a JSON value with None at the leaves; a non-empty
+    list of objects becomes the distinct trees of its items."""
+    if isinstance(value, dict):
+        return {k: key_tree(v) for k, v in value.items()}
+    if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+        trees = []
+        for item in map(key_tree, value):
+            if item not in trees:
+                trees.append(item)
+        return trees
+    return None
+
+
+def command_argv(command, single_cell_csv, fleet_csv):
+    """One small run of ``command`` on the tiny fixture data, without --out."""
+    extra = {
+        "fit": [],
+        "kernel-search": ["--bases", "SE"],
+        "forecast": ["--start", "0.5"],
+        "lookahead": ["--horizons", "1,3", "--start", "0.5", "--warm-start"],
+        "evaluate": ["--start", "0.55", "--warm-start"],
+        "mogp-evaluate": ["--start", "0.6", "--target", "F2", "--train-cells", "F1",
+                          "--warm-start"],
+    }[command]
+    data = fleet_csv if command == "mogp-evaluate" else single_cell_csv
+    return [command, "--data", data, "--kernel", "MA5", "--restarts", "1", *extra]
+
+
+MANIFEST = {
+    "arguments": dict.fromkeys([
+        "bases", "command", "data", "eol", "horizons", "jobs", "kernel", "mean", "out",
+        "restarts", "schema", "seed", "start", "target", "train_cells", "warm_start",
+    ]),
+    "versions": dict.fromkeys(["gpprog", "numpy", "python", "scipy"]),
+}
+MODEL = {
+    **dict.fromkeys(["kernel", "mean", "nlml", "lml", "noise_variance", "n_restarts"]),
+    "hyperparameters": dict.fromkeys(["ma5.length_scale", "ma5.output_scale", "noise.variance"]),
+    "mean_params": {"value": None},
+}
+EOL = dict.fromkeys(["c", "current_x", "threshold", "eol_mean", "eol_lower", "eol_upper"])
+REPORT = {
+    "manifest.json": MANIFEST,
+    "report.csv": ["c", "current_x", "rmse_q", "eol_mean", "eol_lower", "eol_upper",
+                   "eol_estimate", "clamped", "failed"],
+    "report.json": {
+        **dict.fromkeys(["cell_id", "threshold", "true_eol", "horizon_x", "rmse_eol",
+                         "n_records", "n_failed"]),
+        "records": [{
+            **dict.fromkeys(["c", "current_x", "rmse_q", "eol_estimate", "clamped", "failed",
+                             "error"]),
+            "eol": EOL,
+        }],
+    },
+}
+# every file each subcommand writes: a JSON file's key tree, a CSV file's header row
+OUTPUT_SCHEMA = {
+    "fit": {"manifest.json": MANIFEST, "model.json": MODEL},
+    "kernel-search": {
+        "manifest.json": MANIFEST,
+        "search.csv": ["kernel", "lml", "hyperparameters"],
+        "search.json": {
+            "failures": None,
+            "ranking": [{
+                **dict.fromkeys(["kernel", "lml", "nlml"]),
+                "hyperparameters": dict.fromkeys([
+                    "se.length_scale", "se.output_scale", "se_2.length_scale",
+                    "se_2.output_scale", "noise.variance",
+                ]),
+            }],
+        },
+    },
+    "forecast": {
+        "components.csv": ["component", "x", "mean", "sigma"],
+        "eol.json": {**EOL, "observed_eol": None},
+        "manifest.json": MANIFEST,
+        "model.json": MODEL,
+        "posterior.csv": ["x", "mean", "sigma_latent", "sigma_noisy", "lower_2sigma",
+                          "upper_2sigma"],
+    },
+    "lookahead": {
+        "lookahead.csv": ["c", "horizon", "target_x", "predicted", "sigma", "actual"],
+        "lookahead.json": {
+            "failures": None,
+            "n_rows": None,
+            "rmse": {"1": None, "3": None},
+            "skipped": {"1": None, "3": None},
+        },
+        "manifest.json": MANIFEST,
+    },
+    "evaluate": REPORT,
+    "mogp-evaluate": REPORT,
+}
 
 
 class TestParseArgs:
@@ -92,6 +189,7 @@ class TestParseArgs:
             (["--start", "0"], "--start"),
             (["--horizons", "5,x"], "--horizons"),
             (["--horizons", "0,5"], "--horizons"),
+            (["--horizons", "5,5"], "--horizons"),
             (["--restarts", "0"], "--restarts"),
             (["--jobs", "0"], "--jobs"),
             (["--jobs", "2", "--warm-start"], "--warm-start"),
@@ -188,15 +286,6 @@ class TestFitCommand:
             "train_cells": [],
             "warm_start": False,
         }
-
-    def test_rerun_is_bit_identical(self, single_cell_csv, tmp_path):
-        out = tmp_path / "run"
-        argv = ["fit", "--data", single_cell_csv, "--out", str(out),
-                "--kernel", "MA5+MA3", "--restarts", "1", "--jobs", "1"]
-        assert main(argv) == 0
-        first = read_tree(out)
-        assert main(argv) == 0
-        assert read_tree(out) == first
 
     def test_does_not_mutate_input(self, single_cell_csv, tmp_path):
         before = open(single_cell_csv, "rb").read()
@@ -329,6 +418,56 @@ class TestMogpEvaluateCommand:
                      "--train-cells", "F9"])
         assert code == 2
         assert "F9" in capsys.readouterr().err
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_files_and_their_schema(self, command, single_cell_csv, fleet_csv, tmp_path):
+        out = tmp_path / "run"
+        assert main(command_argv(command, single_cell_csv, fleet_csv) + ["--out", str(out)]) == 0
+        written = {}
+        for path in sorted(out.iterdir()):
+            with open(path, newline="") as fh:
+                if path.suffix == ".json":
+                    written[path.name] = key_tree(json.load(fh))
+                else:
+                    written[path.name] = next(csv.reader(fh))
+        assert written == OUTPUT_SCHEMA[command]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_rerun_is_bit_identical(self, command, single_cell_csv, fleet_csv, tmp_path):
+        out = tmp_path / "run"
+        argv = command_argv(command, single_cell_csv, fleet_csv) + ["--out", str(out)]
+        assert main(argv) == 0
+        first = read_tree(out)
+        assert main(argv) == 0
+        assert read_tree(out) == first
+
+    def test_failed_origin_is_empty_cells_and_null(self, single_cell_csv, tmp_path, monkeypatch):
+        forecast = EolForecast(c=5, current_x=5.0, threshold=0.7, eol_mean=20.5,
+                               eol_lower=18.0, eol_upper=math.inf)
+        report = EvaluationReport(
+            cell_id="X1", threshold=0.7, true_eol=19.0, horizon_x=36.0,
+            records=(
+                OriginRecord(5, 5.0, 0.25, forecast, 20.5),
+                OriginRecord(6, 6.0, None, None, None, failed=True, error="boom"),
+            ),
+            rmse_eol=1.5,
+        )
+        monkeypatch.setattr(cli, "evaluate", lambda *args, **kwargs: report)
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--data", single_cell_csv, "--out", str(out)]) == 0
+        assert (out / "report.csv").read_text().splitlines()[1:] == [
+            "5,5.0,0.25,20.5,18.0,inf,20.5,0,0",
+            "6,6.0,,,,,,0,1",
+        ]
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["n_records"] == 2 and payload["n_failed"] == 1
+        assert payload["records"][0]["eol"]["eol_upper"] == math.inf
+        assert payload["records"][1] == {
+            "c": 6, "current_x": 6.0, "rmse_q": None, "eol": None, "eol_estimate": None,
+            "clamped": False, "failed": True, "error": "boom",
+        }
 
 
 class TestSchemaThroughCli:

@@ -422,15 +422,16 @@ class TestKernelSearch:
         with pytest.raises(TrainingError, match="every kernel candidate"):
             result.best
 
-    def test_serialization_shapes(self, series):
+    def test_single_base_gives_one_entry(self, series):
         config = TrainConfig(n_restarts=1, seed=0, max_iterations=30)
         result = kernel_search(series, bases=("SE",), config=config)
-        d = result.to_dict()
-        assert [r["kernel"] for r in d["ranking"]] == ["SE+SE"]
-        assert d["ranking"][0]["lml"] == -d["ranking"][0]["nlml"]
-        rows = result.to_csv_rows()
-        assert rows[0] == ["kernel", "lml", "hyperparameters"]
-        assert len(rows) == 2
+        assert [e.kernel for e in result.entries] == ["SE+SE"] and result.failures == ()
+        best = result.best
+        assert best.lml == -best.nlml and math.isfinite(best.nlml)
+        assert set(best.hyperparameters) == {
+            "se.length_scale", "se.output_scale", "se_2.length_scale", "se_2.output_scale",
+            "noise.variance",
+        }
 
 
 class TestParseIntegration:

@@ -166,8 +166,7 @@ class TestEolForecastContainer:
     def test_valid_construction(self):
         f = EolForecast(c=10, current_x=50.0, threshold=0.7, eol_mean=80.0,
                         eol_lower=70.0, eol_upper=math.inf)
-        d = f.to_dict()
-        assert d["eol_upper"] == math.inf and d["c"] == 10
+        assert f.eol_upper == math.inf and f.c == 10
 
     def test_interval_ordering_enforced(self):
         from gpprog import NumericalError
@@ -185,18 +184,18 @@ class TestEolForecastContainer:
 
 
 class TestForecastGrid:
-    def test_integer_axis_steps_by_cycle(self):
-        grid = forecast_grid(100.0, 110.5, integer_steps=True)
+    def test_whole_cycle_training_inputs_step_by_cycle(self):
+        grid = forecast_grid(100.0, 110.5, np.arange(1.0, 101.0))
         assert np.array_equal(grid, 100.0 + np.arange(11.0))
 
-    def test_real_axis_uses_dense_grid(self):
-        grid = forecast_grid(10.0, 20.0, integer_steps=False)
+    def test_fractional_training_input_gives_dense_grid(self):
+        grid = forecast_grid(10.0, 20.0, np.array([1.0, 2.0, 2.5, 10.0]))
         assert len(grid) == 200
         assert grid[0] == 10.0 and grid[-1] == 20.0
 
     def test_horizon_must_be_ahead(self):
         with pytest.raises(ConfigError):
-            forecast_grid(10.0, 10.0, integer_steps=True)
+            forecast_grid(10.0, 10.0, np.arange(1.0, 11.0))
 
 
 class TestForecastEol:
@@ -242,7 +241,7 @@ class TestForecastEol:
         tracemalloc.start()
         try:
             forecast = forecast_eol(model, SplitSpec(c=len(x), eol_threshold=0.7), horizon_x)
-            post = model.decompose_posterior(forecast_grid(x[-1], horizon_x, True))
+            post = model.decompose_posterior(forecast_grid(x[-1], horizon_x, x))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -359,16 +358,15 @@ class TestLookahead:
         with pytest.raises(ConfigError, match="at least one"):
             lookahead(series, horizons=())
 
-    def test_serialization(self):
+    def test_result_holds_one_row_per_scored_target(self):
         series = linearish_series(n=20)
         config = TrainConfig(n_restarts=1, seed=0, max_iterations=40)
         result = lookahead(series, kernel_expr="MA5", horizons=(2,), start_fraction=0.6,
                            config=config)
-        d = result.to_dict()
-        assert d["n_rows"] == len(result.rows)
-        assert "2" in d["rmse"]
-        rows = result.to_csv_rows()
-        assert rows[0] == ["c", "horizon", "target_x", "predicted", "sigma", "actual"]
+        assert result.rows and all(r.horizon == 2 for r in result.rows)
+        assert [r.c for r in result.rows] == sorted(r.c for r in result.rows)
+        assert list(result.rmse) == [2] and result.failures == ()
+        assert result.skipped[2] == len(rolling_origins(series, 0.6)) - len(result.rows)
 
 
 ONE_POINT_PREFIX_SWEEPS = {
@@ -521,16 +519,15 @@ class TestEvaluate:
             assert r.eol is not None
             assert r.eol.eol_lower <= r.eol.eol_mean + 1e-9
 
-    def test_report_serialization(self, fading_series):
+    def test_report_describes_its_cell_and_origins(self, fading_series):
         series = fading_series
         true_eol = true_end_of_life(series, 0.7)
         report = evaluate(series, start_fraction=0.4,
                           forecaster=OracleForecaster(series, true_eol))
-        d = report.to_dict()
-        assert d["cell_id"] == "F"
-        assert d["n_records"] == len(report.records)
-        rows = report.to_csv_rows()
-        assert len(rows) == len(report.records) + 1
+        assert report.cell_id == "F" and report.threshold == 0.7
+        assert report.true_eol == true_eol and report.n_failed == 0
+        assert [r.c for r in report.records] == list(range(16, 16 + len(report.records)))
+        assert all(r.eol is not None and r.eol_estimate == r.eol.eol_mean for r in report.records)
 
 
 class TestTrueEol:
@@ -588,7 +585,7 @@ class TestEvaluateMogp:
             )
             for jobs in (1, 2)
         ]
-        assert reports[0].to_csv_rows() == reports[1].to_csv_rows()
+        assert reports[0].records == reports[1].records
         assert reports[0].rmse_eol == reports[1].rmse_eol
         assert math.isfinite(reports[0].rmse_eol)
 
