@@ -36,7 +36,7 @@ RUNS = {
                     "--start", "0.75"],
     "search_a1_jobs1": ["kernel-search", "--data", A1, "--jobs", "1"],
     "search_a1_jobs2": ["kernel-search", "--data", A1, "--jobs", "2"],
-    "lookahead_b1": ["lookahead", "--data", B1, "--eol", "0.8", "--warm-start"],
+    "lookahead_b1": ["lookahead", "--data", B1, "--warm-start"],
     "evaluate_b1_warm": ["evaluate", "--data", B1, "--eol", "0.8", "--warm-start"],
     "evaluate_b1_jobs2": ["evaluate", "--data", B1, "--eol", "0.8", "--jobs", "2"],
     "mogp_c3_warm": ["mogp-evaluate", *FLEET_C3, "--warm-start"],

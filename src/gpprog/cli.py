@@ -1,14 +1,16 @@
 """Command line interface.
 
-Subcommands cover the full workflow: fit a single model, search compound
-kernels, forecast capacity and end of life from a partial history, run
-fixed-horizon lookahead sweeps, and run rolling end-of-life evaluations in
-single- or multi-output form.  Every run writes a ``manifest.json`` with
-the resolved configuration, then loads the CSV once and hands the chosen
-cell (or, for mogp-evaluate, the fleet) to the subcommand.  ``forecast``
-reads its end-of-life estimates off the same posterior it writes to
-``posterior.csv``.  Re-running the same manifest with --jobs 1 reproduces
-the output files byte for byte (no timestamps are recorded).
+Six subcommands cover the workflow: fit one model, search compound kernels,
+forecast capacity and end of life from a partial history, sweep fixed
+lookahead horizons, and evaluate end-of-life forecasts at rolling origins
+for one cell or within its fleet.  :data:`OPTIONS` declares each option once,
+with an argparse type that checks it through the library's own validators;
+:data:`COMMANDS` lists each subcommand once, with its implementation and the
+options it reads.  Any other option, a bad value or a missing required one
+is a :class:`UsageError` (exit 2) before anything is written.  A run writes
+``manifest.json`` (the options read, and library versions), loads the CSV
+once and hands the cell (for mogp-evaluate, the fleet) to the subcommand.
+With --jobs 1 a rerun reproduces every output file byte for byte.
 
 This is the one module that knows the output formats.  The library returns
 plain records (:class:`~gpprog.prognostics.OriginRecord`,
@@ -36,11 +38,13 @@ import scipy
 
 from . import __version__
 from .dataset import SplitSpec, load_csv, split
-from .errors import ConfigError, GpprogError, UndefinedMetricError, UsageError
+from .errors import GpprogError, UndefinedMetricError, UsageError
 from .kernels import parse_kernel
 from .meanfn import MEAN_TOKENS, mean_params
-from .optimize import TrainConfig, kernel_search, model_for_series, train
+from .optimize import DEFAULT_BASES, TrainConfig, candidate_pairs, kernel_search
+from .optimize import model_for_series, train
 from .prognostics import (
+    DEFAULT_HORIZONS,
     HORIZON_FACTOR,
     LookaheadRow,
     _check_horizons,
@@ -52,98 +56,94 @@ from .prognostics import (
     true_end_of_life,
 )
 
-COMMANDS = ("fit", "kernel-search", "forecast", "lookahead", "evaluate", "mogp-evaluate")
-DEFAULT_BASES = "SE,MA3,MA5,PER"
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # every parse error reaches main as a UsageError
+        raise UsageError(message)
 
 
-def _parse_schema(text: str | None) -> dict | None:
-    if text is None:
-        return None
+def _validated(parse):
+    """An argparse type from a parser that raises ValueError or a GpprogError."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (GpprogError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+def _existing_file(text: str) -> str:
+    if not Path(text).is_file():
+        raise ValueError(f"file not found: {text}")
+    return text
+
+
+def _parse_schema(text: str) -> dict:
     mapping = {}
     for item in text.split(","):
         if "=" not in item:
-            raise UsageError(f"--schema entries must look like canonical=actual, got {item!r}")
+            raise ValueError(f"entries must look like canonical=actual, got {item!r}")
         key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()
     return mapping
 
 
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise UsageError(f"{flag} must be a comma-separated list of integers") from None
-    return values
+def _items(text: str) -> tuple[str, ...]:
+    items = tuple(s.strip() for s in text.split(",") if s.strip())
+    if not items:
+        raise ValueError("expected a comma-separated list")
+    return items
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gpprog",
-        description="Gaussian process capacity forecasting and end-of-life evaluation",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--data", required=True, help="input CSV path")
-        p.add_argument("--schema", default=None, help="column mapping, e.g. cycle=cyc")
-        p.add_argument("--kernel", default="MA5+MA3", help="kernel expression (SE|MA3|MA5|PER|NOISE joined by +)")
-        p.add_argument("--mean", default="CONST", help="mean function (ZERO|CONST|EXPDEG)")
-        p.add_argument("--eol", type=float, default=0.7, help="end-of-life capacity threshold")
-        p.add_argument("--start", type=float, default=0.2, help="starting fraction of the data")
-        p.add_argument("--horizons", default="5,10,20,40", help="lookahead horizons, comma separated")
-        p.add_argument("--restarts", type=int, default=10, help="optimizer restarts")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers (1 = deterministic)")
-        p.add_argument("--out", default=None, help="output directory (default $GPPROG_OUT or ./gpprog-out)")
-        p.add_argument("--warm-start", action="store_true", help="reuse the previous optimum in rolling sweeps")
-        p.add_argument("--target", default=None, help="cell id to model")
-        p.add_argument("--train-cells", default=None, help="companion cell ids, comma separated")
-        p.add_argument("--bases", default=DEFAULT_BASES, help="base kernels for kernel-search")
-    return parser
+def _kernel(text: str) -> str:
+    parse_kernel(text)
+    return text.strip().upper()
 
 
-def parse_args(argv=None) -> argparse.Namespace:
-    """The parsed arguments, validated and normalized: the output directory
-    resolved, the kernel, mean and bases upper-cased, the list options as
-    tuples and the schema as a dict."""
-    args = build_parser().parse_args(argv)
-    if not Path(args.data).is_file():
-        raise UsageError(f"--data file not found: {args.data}")
-    try:
-        parse_kernel(args.kernel)
-    except GpprogError as exc:
-        raise UsageError(f"--kernel: {exc}") from None
-    if args.mean.strip().upper() not in MEAN_TOKENS:
-        expected = f"{', '.join(MEAN_TOKENS[:-1])}, or {MEAN_TOKENS[-1]}"
-        raise UsageError(f"--mean must be {expected}, got {args.mean!r}")
-    if not (0.0 < args.eol < 1.0):
-        raise UsageError(f"--eol must lie in (0, 1), got {args.eol}")
-    if not (0.0 < args.start < 1.0):
-        raise UsageError(f"--start must lie in (0, 1), got {args.start}")
-    try:
-        args.horizons = _check_horizons(_parse_int_list(args.horizons, "--horizons"))
-    except ConfigError as exc:
-        raise UsageError(f"--horizons: {exc}") from None
-    if args.restarts < 1:
-        raise UsageError(f"--restarts must be >= 1, got {args.restarts}")
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    if args.jobs > 1 and args.warm_start:
-        raise UsageError("--warm-start chains fits sequentially; drop it or use --jobs 1")
-    args.out = args.out or os.environ.get("GPPROG_OUT") or "gpprog-out"
-    args.train_cells = tuple(
-        s.strip() for s in args.train_cells.split(",") if s.strip()
-    ) if args.train_cells else ()
-    args.bases = tuple(s.strip().upper() for s in args.bases.split(",") if s.strip())
-    if args.command == "mogp-evaluate":
-        if args.target is None:
-            raise UsageError("mogp-evaluate requires --target")
-        if not args.train_cells:
-            raise UsageError("mogp-evaluate requires --train-cells")
-    args.schema = _parse_schema(args.schema)
-    args.kernel = args.kernel.strip().upper()
-    args.mean = args.mean.strip().upper()
-    return args
+def _bases(text: str) -> tuple[str, ...]:
+    bases = _items(text.upper())
+    candidate_pairs(bases)
+    return bases
+
+
+def _fraction(text: str) -> float:
+    if not 0.0 < float(text) < 1.0:
+        raise ValueError(f"must lie in (0, 1), got {text}")
+    return float(text)
+
+
+def _jobs(text: str) -> int:
+    if int(text) < 1:
+        raise ValueError(f"must be >= 1, got {text}")
+    return int(text)
+
+
+# every option once, as its add_argument settings; each type validates and
+# normalizes the value, and parse_args turns its errors into usage errors
+OPTIONS = {
+    "--data": dict(required=True, type=_existing_file, help="input CSV path"),
+    "--schema": dict(type=_parse_schema, help="column mapping, e.g. cycle=cyc"),
+    "--target": dict(help="cell id to model"),
+    "--mean": dict(default="CONST", type=lambda text: text.strip().upper(), choices=MEAN_TOKENS,
+                   help="mean function"),
+    "--restarts": dict(default=TrainConfig().n_restarts, help="optimizer restarts",
+                       type=lambda text: TrainConfig(n_restarts=int(text)).n_restarts),
+    "--seed": dict(default=TrainConfig().seed, help="random seed",
+                   type=lambda text: TrainConfig(seed=int(text)).seed),
+    "--jobs": dict(default=1, type=_jobs, help="worker processes (1 = deterministic)"),
+    "--out": dict(help="output directory (default $GPPROG_OUT or ./gpprog-out)"),
+    "--kernel": dict(default="MA5+MA3", type=_kernel,
+                     help="kernel expression (SE|MA3|MA5|PER|NOISE joined by +)"),
+    "--eol": dict(default=0.7, type=_fraction, help="end-of-life capacity threshold"),
+    "--start": dict(default=0.2, type=_fraction, help="starting fraction of the data"),
+    "--horizons": dict(default=DEFAULT_HORIZONS, type=lambda text: _check_horizons(text.split(",")),
+                       help="lookahead horizons, comma separated"),
+    "--warm-start": dict(action="store_true", help="reuse the previous optimum in rolling sweeps"),
+    "--train-cells": dict(type=_items, help="companion cell ids, comma separated"),
+    "--bases": dict(default=DEFAULT_BASES, type=_bases, help="base kernels, comma separated"),
+}
 
 
 # --- output helpers -----------------------------------------------------------
@@ -219,9 +219,7 @@ def _pick_series(fleet, target: str | None):
         return fleet.get(target)
     if fleet.m == 1:
         return fleet.series[0]
-    raise UsageError(
-        f"data contains cells {list(fleet.cell_ids)}; choose one with --target"
-    )
+    raise UsageError(f"data contains cells {list(fleet.cell_ids)}; choose one with --target")
 
 
 def _model_summary(config: argparse.Namespace, result) -> dict:
@@ -252,13 +250,7 @@ def _cmd_fit(config: argparse.Namespace, series, outdir: Path) -> None:
 
 
 def _cmd_kernel_search(config: argparse.Namespace, series, outdir: Path) -> None:
-    result = kernel_search(
-        series,
-        bases=config.bases,
-        config=_train_config(config),
-        mean_expr=config.mean,
-        jobs=config.jobs,
-    )
+    result = kernel_search(series, config.bases, _train_config(config), config.mean, config.jobs)
     payload = {
         "ranking": [{**asdict(e), "lml": e.lml} for e in result.entries],
         "failures": [{"kernel": k, "error": msg} for k, msg in result.failures],
@@ -279,11 +271,10 @@ def _cmd_forecast(config: argparse.Namespace, series, outdir: Path) -> None:
     prefix, _ = split(series, spec)
     model = model_for_series(prefix, config.kernel, config.mean)
     result = train(model, _train_config(config), extra_starts=[model.opt_vector()])
-    trained = result.model
     current_x = float(prefix.cycles[-1])
     horizon_x = HORIZON_FACTOR * float(series.cycles[-1])
     grid = forecast_grid(current_x, horizon_x, prefix.cycles)
-    post = trained.decompose_posterior(grid)  # grammar kernels are sums, never products
+    post = result.model.decompose_posterior(grid)  # grammar kernels are sums, never products
     lower, upper = post.bounds()
     columns = (grid, post.mean, post.sigma_latent, post.sigma_noisy, lower, upper)
     _write_csv(
@@ -307,21 +298,14 @@ def _cmd_forecast(config: argparse.Namespace, series, outdir: Path) -> None:
         observed = true_end_of_life(series, config.eol)
     except UndefinedMetricError:
         observed = None
-    payload = asdict(forecast)
-    payload["observed_eol"] = observed
-    _write_json(outdir / "eol.json", payload)
+    _write_json(outdir / "eol.json", {**asdict(forecast), "observed_eol": observed})
     _write_json(outdir / "model.json", _model_summary(config, result))
 
 
 def _cmd_lookahead(config: argparse.Namespace, series, outdir: Path) -> None:
     result = lookahead(
-        series,
-        kernel_expr=config.kernel,
-        mean_expr=config.mean,
-        horizons=config.horizons,
-        start_fraction=config.start,
-        config=_train_config(config),
-        warm_start=config.warm_start,
+        series, kernel_expr=config.kernel, mean_expr=config.mean, horizons=config.horizons,
+        start_fraction=config.start, config=_train_config(config), warm_start=config.warm_start,
     )
     payload = {
         # str keys keep the file's key order (10,20,40,5); int keys would sort as 5,10,20,40
@@ -338,47 +322,65 @@ def _cmd_lookahead(config: argparse.Namespace, series, outdir: Path) -> None:
     )
 
 
+def _rolling(config: argparse.Namespace) -> dict:
+    """The keyword arguments evaluate and evaluate_mogp share."""
+    return dict(kernel_expr=config.kernel, mean_expr=config.mean, start_fraction=config.start,
+                eol_threshold=config.eol, config=_train_config(config),
+                warm_start=config.warm_start, jobs=config.jobs)
+
+
 def _cmd_evaluate(config: argparse.Namespace, series, outdir: Path) -> None:
-    report = evaluate(
-        series,
-        kernel_expr=config.kernel,
-        mean_expr=config.mean,
-        start_fraction=config.start,
-        eol_threshold=config.eol,
-        config=_train_config(config),
-        warm_start=config.warm_start,
-        jobs=config.jobs,
-    )
-    _write_report(outdir, report)
+    _write_report(outdir, evaluate(series, **_rolling(config)))
 
 
 def _cmd_mogp_evaluate(config: argparse.Namespace, fleet, outdir: Path) -> None:
     missing = [c for c in (*config.train_cells, config.target) if c not in fleet.cell_ids]
     if missing:
         raise UsageError(f"cells {missing} not present in {config.data}")
-    report = evaluate_mogp(
-        fleet,
-        target=config.target,
-        train_cells=config.train_cells,
-        kernel_expr=config.kernel,
-        mean_expr=config.mean,
-        start_fraction=config.start,
-        eol_threshold=config.eol,
-        config=_train_config(config),
-        warm_start=config.warm_start,
-        jobs=config.jobs,
-    )
+    report = evaluate_mogp(fleet, config.target, config.train_cells, **_rolling(config))
     _write_report(outdir, report)
 
 
-_IMPLEMENTATIONS = {
-    "fit": _cmd_fit,
-    "kernel-search": _cmd_kernel_search,
-    "forecast": _cmd_forecast,
-    "lookahead": _cmd_lookahead,
-    "evaluate": _cmd_evaluate,
-    "mogp-evaluate": _cmd_mogp_evaluate,
+_COMMON = "--data --schema --target --mean --restarts --seed --jobs --out".split()
+# fit, forecast and lookahead each train one chain of models, which one worker runs
+_ONE_CHAIN = {"--jobs": dict(choices=(1,))}
+_FLEET = {"--target": dict(required=True), "--train-cells": dict(required=True)}
+
+# every subcommand once: its implementation, the options it reads besides the
+# _COMMON ones that every subcommand reads, and the OPTIONS settings it overrides
+COMMANDS = {
+    "fit": (_cmd_fit, "--kernel", _ONE_CHAIN),
+    "kernel-search": (_cmd_kernel_search, "--bases", {}),
+    "forecast": (_cmd_forecast, "--kernel --eol --start", _ONE_CHAIN),
+    "lookahead": (_cmd_lookahead, "--kernel --start --horizons --warm-start", _ONE_CHAIN),
+    "evaluate": (_cmd_evaluate, "--kernel --eol --start --warm-start", {}),
+    "mogp-evaluate": (
+        _cmd_mogp_evaluate, "--kernel --eol --start --warm-start --train-cells", _FLEET,
+    ),
 }
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """The options the subcommand reads, each validated and normalized by its
+    type, with the output directory resolved.  Any other option, a bad value
+    or a missing required option raises :class:`UsageError`."""
+    description = "Gaussian process capacity forecasting and end-of-life evaluation"
+    parser = _Parser(prog="gpprog", description=description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, options, overrides) in COMMANDS.items():
+        command = sub.add_parser(name)
+        for flag in (*_COMMON, *options.split()):
+            settings = {**OPTIONS[flag], **overrides.get(flag, {})}
+            if "type" in settings:
+                settings["type"] = _validated(settings["type"])
+            command.add_argument(flag, **settings)
+    args, unread = parser.parse_known_args(argv)
+    if unread:
+        parser.error(f"{args.command} does not read {' '.join(unread)}")
+    if args.jobs > 1 and getattr(args, "warm_start", False):
+        parser.error("--warm-start chains fits sequentially; drop it or use --jobs 1")
+    args.out = args.out or os.environ.get("GPPROG_OUT") or "gpprog-out"
+    return args
 
 
 def run(config: argparse.Namespace) -> None:
@@ -387,23 +389,15 @@ def run(config: argparse.Namespace) -> None:
     _write_json(outdir / "manifest.json", _manifest(config))
     fleet = load_csv(config.data, config.schema)
     data = fleet if config.command == "mogp-evaluate" else _pick_series(fleet, config.target)
-    _IMPLEMENTATIONS[config.command](config, data, outdir)
+    COMMANDS[config.command][0](config, data, outdir)
 
 
 def main(argv=None) -> int:
     try:
-        config = parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        run(config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        run(parse_args(argv))
     except GpprogError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
     return 0
 
 

@@ -28,6 +28,7 @@ from .errors import ConfigError, DegenerateInputError, NumericalError, TrainingE
 from .gp import LOG_NOISE_VARIANCE, GpModel, _pin_blas_threads
 
 _PENALTY = 1e25
+DEFAULT_BASES = ("SE", "MA3", "MA5", "PER")
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,8 @@ class TrainConfig:
             raise ConfigError(f"n_restarts must be >= 1, got {self.n_restarts}")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -246,6 +249,8 @@ def candidate_pairs(bases) -> list[str]:
     bases = [b.strip().upper() for b in bases]
     if not bases:
         raise ConfigError("kernel search needs at least one base kernel")
+    if len(set(bases)) != len(bases):
+        raise ConfigError(f"duplicate bases in {tuple(bases)}")
     for b in bases:
         kx.base_kernel(b)  # validate tokens up front
     return [
@@ -307,7 +312,7 @@ def _search_one(payload):
 
 def kernel_search(
     series: CapacitySeries,
-    bases=("SE", "MA3", "MA5", "PER"),
+    bases=DEFAULT_BASES,
     config: TrainConfig = TrainConfig(),
     mean_expr: str = "CONST",
     jobs: int = 1,

@@ -5,6 +5,7 @@ import json
 import math
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,25 +64,56 @@ def key_tree(value):
 def command_argv(command, single_cell_csv, fleet_csv):
     """One small run of ``command`` on the tiny fixture data, without --out."""
     extra = {
-        "fit": [],
-        "kernel-search": ["--bases", "SE"],
-        "forecast": ["--start", "0.5"],
-        "lookahead": ["--horizons", "1,3", "--start", "0.5", "--warm-start"],
-        "evaluate": ["--start", "0.55", "--warm-start"],
-        "mogp-evaluate": ["--start", "0.6", "--target", "F2", "--train-cells", "F1",
-                          "--warm-start"],
+        "fit": ["--kernel", "ma5"],
+        "kernel-search": ["--bases", "se"],
+        "forecast": ["--kernel", "ma5", "--start", "0.5"],
+        "lookahead": ["--kernel", "ma5", "--horizons", "1,3", "--start", "0.5", "--warm-start"],
+        "evaluate": ["--kernel", "ma5", "--start", "0.55", "--warm-start"],
+        "mogp-evaluate": ["--kernel", "ma5", "--start", "0.6", "--target", "F2",
+                          "--train-cells", "F1", "--warm-start"],
     }[command]
     data = fleet_csv if command == "mogp-evaluate" else single_cell_csv
-    return [command, "--data", data, "--kernel", "MA5", "--restarts", "1", *extra]
+    return [command, "--data", data, "--restarts", "1", *extra]
 
 
-MANIFEST = {
-    "arguments": dict.fromkeys([
-        "bases", "command", "data", "eol", "horizons", "jobs", "kernel", "mean", "out",
-        "restarts", "schema", "seed", "start", "target", "train_cells", "warm_start",
-    ]),
-    "versions": dict.fromkeys(["gpprog", "numpy", "python", "scipy"]),
+# the options each subcommand reads besides the ones every subcommand reads;
+# any other option is a usage error
+COMMON = "--data --schema --target --mean --restarts --seed --jobs --out".split()
+READS = {
+    "fit": "--kernel",
+    "kernel-search": "--bases",
+    "forecast": "--kernel --eol --start",
+    "lookahead": "--kernel --start --horizons --warm-start",
+    "evaluate": "--kernel --eol --start --warm-start",
+    "mogp-evaluate": "--kernel --eol --start --warm-start --train-cells",
 }
+ACCEPTS = {command: {*COMMON, *extra.split()} for command, extra in READS.items()}
+DATA = Path(__file__).resolve().parents[1] / "data"
+# a valid value of each option, by itself, on the bundled data
+SAMPLE = {
+    "--data": [str(DATA / "a1.csv")], "--schema": ["cycle=cycle"], "--target": ["A1"],
+    "--mean": ["zero"], "--restarts": ["2"], "--seed": ["3"], "--jobs": ["1"],
+    "--out": ["elsewhere"], "--kernel": ["ma3"], "--eol": ["0.8"], "--start": ["0.5"],
+    "--horizons": ["1,3"], "--warm-start": [], "--train-cells": ["C1"], "--bases": ["se"],
+}
+
+
+def base_argv(command):
+    """The least argv that ``command`` parses, on the bundled data."""
+    if command == "mogp-evaluate":
+        return [command, "--data", str(DATA / "c.csv"), "--target", "C3", "--train-cells", "C2"]
+    return [command, "--data", str(DATA / "a1.csv")]
+
+
+def manifest(command):
+    """The key tree of ``command``'s manifest.json: the options it reads."""
+    read = sorted(flag[2:].replace("-", "_") for flag in ACCEPTS[command])
+    return {
+        "arguments": dict.fromkeys(["command", *read]),
+        "versions": dict.fromkeys(["gpprog", "numpy", "python", "scipy"]),
+    }
+
+
 MODEL = {
     **dict.fromkeys(["kernel", "mean", "nlml", "lml", "noise_variance", "n_restarts"]),
     "hyperparameters": dict.fromkeys(["ma5.length_scale", "ma5.output_scale", "noise.variance"]),
@@ -89,7 +121,6 @@ MODEL = {
 }
 EOL = dict.fromkeys(["c", "current_x", "threshold", "eol_mean", "eol_lower", "eol_upper"])
 REPORT = {
-    "manifest.json": MANIFEST,
     "report.csv": ["c", "current_x", "rmse_q", "eol_mean", "eol_lower", "eol_upper",
                    "eol_estimate", "clamped", "failed"],
     "report.json": {
@@ -104,9 +135,9 @@ REPORT = {
 }
 # every file each subcommand writes: a JSON file's key tree, a CSV file's header row
 OUTPUT_SCHEMA = {
-    "fit": {"manifest.json": MANIFEST, "model.json": MODEL},
+    "fit": {"manifest.json": manifest("fit"), "model.json": MODEL},
     "kernel-search": {
-        "manifest.json": MANIFEST,
+        "manifest.json": manifest("kernel-search"),
         "search.csv": ["kernel", "lml", "hyperparameters"],
         "search.json": {
             "failures": None,
@@ -122,7 +153,7 @@ OUTPUT_SCHEMA = {
     "forecast": {
         "components.csv": ["component", "x", "mean", "sigma"],
         "eol.json": {**EOL, "observed_eol": None},
-        "manifest.json": MANIFEST,
+        "manifest.json": manifest("forecast"),
         "model.json": MODEL,
         "posterior.csv": ["x", "mean", "sigma_latent", "sigma_noisy", "lower_2sigma",
                           "upper_2sigma"],
@@ -135,18 +166,18 @@ OUTPUT_SCHEMA = {
             "rmse": {"1": None, "3": None},
             "skipped": {"1": None, "3": None},
         },
-        "manifest.json": MANIFEST,
+        "manifest.json": manifest("lookahead"),
     },
-    "evaluate": REPORT,
-    "mogp-evaluate": REPORT,
+    "evaluate": {**REPORT, "manifest.json": manifest("evaluate")},
+    "mogp-evaluate": {**REPORT, "manifest.json": manifest("mogp-evaluate")},
 }
 
 
 class TestParseArgs:
     def test_defaults(self, single_cell_csv, monkeypatch):
         monkeypatch.delenv("GPPROG_OUT", raising=False)
-        config = parse_args(["fit", "--data", single_cell_csv])
-        assert config.command == "fit"
+        config = parse_args(["lookahead", "--data", single_cell_csv])
+        assert config.command == "lookahead"
         assert config.kernel == "MA5+MA3"
         assert config.mean == "CONST"
         assert config.horizons == (5, 10, 20, 40)
@@ -174,45 +205,113 @@ class TestParseArgs:
 
     def test_train_cells_and_bases_split(self, fleet_csv):
         config = parse_args(
-            ["mogp-evaluate", "--data", fleet_csv, "--target", "F2",
-             "--train-cells", "F1, F3", "--bases", "se,ma3"]
+            ["mogp-evaluate", "--data", fleet_csv, "--target", "F2", "--train-cells", "F1, F3"]
         )
         assert config.train_cells == ("F1", "F3")
+        config = parse_args(["kernel-search", "--data", fleet_csv, "--bases", "se,ma3"])
         assert config.bases == ("SE", "MA3")
 
     @pytest.mark.parametrize(
-        "argv_extra, message",
+        "command, argv_extra, message",
         [
-            (["--kernel", "WAT"], "--kernel"),
-            (["--mean", "SPLINE"], "--mean"),
-            (["--eol", "1.2"], "--eol"),
-            (["--start", "0"], "--start"),
-            (["--horizons", "5,x"], "--horizons"),
-            (["--horizons", "0,5"], "--horizons"),
-            (["--horizons", "5,5"], "--horizons"),
-            (["--restarts", "0"], "--restarts"),
-            (["--jobs", "0"], "--jobs"),
-            (["--jobs", "2", "--warm-start"], "--warm-start"),
+            ("evaluate", ["--kernel", "WAT"], "--kernel"),
+            ("evaluate", ["--mean", "SPLINE"], "--mean"),
+            ("evaluate", ["--eol", "1.2"], "--eol"),
+            ("evaluate", ["--start", "0"], "--start"),
+            ("lookahead", ["--horizons", "5,x"], "--horizons"),
+            ("lookahead", ["--horizons", "0,5"], "--horizons"),
+            ("lookahead", ["--horizons", "5,5"], "--horizons"),
+            ("evaluate", ["--restarts", "0"], "--restarts"),
+            ("evaluate", ["--seed", "-1"], "--seed"),
+            ("evaluate", ["--jobs", "0"], "--jobs"),
+            ("evaluate", ["--jobs", "2", "--warm-start"], "--warm-start"),
+            ("mogp-evaluate", ["--jobs", "2", "--warm-start"], "--warm-start"),
+            ("kernel-search", ["--bases", "WAT"], "--bases"),
+            ("kernel-search", ["--bases", "SE,se"], "--bases"),
+            ("mogp-evaluate", ["--train-cells", " , "], "--train-cells"),
         ],
     )
-    def test_invalid_values_rejected(self, single_cell_csv, argv_extra, message):
+    def test_invalid_values_rejected(self, command, argv_extra, message):
         with pytest.raises(UsageError, match=message):
-            parse_args(["evaluate", "--data", single_cell_csv] + argv_extra)
+            parse_args(base_argv(command) + argv_extra)
 
     def test_missing_data_file(self):
         with pytest.raises(UsageError, match="not found"):
             parse_args(["fit", "--data", "/nonexistent/file.csv"])
 
-    def test_mogp_requires_target_and_train_cells(self, fleet_csv):
+    def test_mogp_requires_target_and_train_cells(self, fleet_csv, tmp_path, capsys):
         with pytest.raises(UsageError, match="--target"):
             parse_args(["mogp-evaluate", "--data", fleet_csv, "--train-cells", "F1"])
         with pytest.raises(UsageError, match="--train-cells"):
             parse_args(["mogp-evaluate", "--data", fleet_csv, "--target", "F1"])
+        out = tmp_path / "o"
+        code = main(["mogp-evaluate", "--data", fleet_csv, "--target", "F1", "--out", str(out)])
+        assert code == 2
+        assert "--train-cells" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_command_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as info:
+        with pytest.raises(UsageError, match="frobnicate"):
             parse_args(["frobnicate", "--data", "x.csv"])
-        assert info.value.code == 2
+        assert main(["frobnicate", "--data", "x.csv"]) == 2
+        assert "frobnicate" in capsys.readouterr().err
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command in READS for flag in sorted(set(SAMPLE) | set(cli.OPTIONS))],
+    )
+    def test_subcommand_reads_exactly_its_options(self, command, flag, tmp_path, capsys):
+        argv = base_argv(command) + [flag, *SAMPLE[flag]]
+        if flag in ACCEPTS[command]:
+            assert flag[2:].replace("-", "_") in vars(parse_args(argv))
+            return
+        with pytest.raises(UsageError, match=f"{command} does not read {flag}"):
+            parse_args(argv)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_table_has_66_pairs(self):
+        assert sum(map(len, ACCEPTS.values())) == 66
+        assert set(cli.COMMANDS) == set(READS)
+
+    def test_fit_rejects_the_options_it_ignored(self, tmp_path, capsys):
+        argv = ["fit", "--data", str(DATA / "a1.csv"), "--restarts", "1", "--bases", "SE",
+                "--warm-start", "--eol", "0.9", "--horizons", "3", "--train-cells", "X"]
+        with pytest.raises(UsageError, match="fit does not read"):
+            parse_args(argv)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        for flag in ("--bases", "--warm-start", "--eol", "--horizons", "--train-cells"):
+            assert flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(READS))
+    def test_jobs_above_one_only_where_workers_run(self, command):
+        argv = base_argv(command) + ["--jobs", "2"]
+        if command in ("fit", "forecast", "lookahead"):
+            with pytest.raises(UsageError, match="--jobs"):
+                parse_args(argv)
+        else:
+            assert parse_args(argv).jobs == 2
+
+    @pytest.mark.parametrize(
+        "argv_extra",
+        [["fit", "--seed", "-1"], ["kernel-search", "--bases", "WAT"],
+         ["kernel-search", "--bases", "SE,SE"]],
+    )
+    def test_bad_value_exits_two_before_writing(self, argv_extra, tmp_path, capsys):
+        argv = base_argv(argv_extra[0]) + argv_extra[1:]
+        with pytest.raises(UsageError, match=argv_extra[1]):
+            parse_args(argv)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert argv_extra[1] in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMainExitCodes:
@@ -262,29 +361,41 @@ class TestFitCommand:
         )
         assert model["n_restarts"] == 3  # 2 LHS + 1 data-informed start
 
-    def test_manifest_arguments_golden(self, single_cell_csv, tmp_path):
+    @pytest.mark.parametrize(
+        "command, argv_extra, golden",
+        [
+            ("fit", ["--kernel", "ma5"], {"kernel": "MA5"}),
+            ("kernel-search", ["--bases", "se, per"], {"bases": ["SE", "PER"]}),
+            ("forecast", ["--kernel", "ma5", "--start", "0.5"],
+             {"kernel": "MA5", "eol": 0.7, "start": 0.5}),
+            ("lookahead", ["--kernel", "ma5", "--start", "0.5", "--horizons", "3,7"],
+             {"kernel": "MA5", "start": 0.5, "horizons": [3, 7], "warm_start": False}),
+            ("evaluate", ["--kernel", "ma5", "--start", "0.55", "--warm-start"],
+             {"kernel": "MA5", "eol": 0.7, "start": 0.55, "warm_start": True}),
+            ("mogp-evaluate",
+             ["--kernel", "ma5", "--start", "0.6", "--target", "F2", "--train-cells", "F1, F3"],
+             {"kernel": "MA5", "eol": 0.7, "start": 0.6, "warm_start": False, "target": "F2",
+              "train_cells": ["F1", "F3"]}),
+        ],
+    )
+    def test_manifest_arguments_golden(self, command, argv_extra, golden, single_cell_csv,
+                                       fleet_csv, tmp_path):
         out = tmp_path / "run"
-        code = main(["fit", "--data", single_cell_csv, "--out", str(out), "--kernel", "ma5",
-                     "--restarts", "1", "--horizons", "3,7", "--bases", "se, per"])
+        data = fleet_csv if command == "mogp-evaluate" else single_cell_csv
+        code = main([command, "--data", data, "--out", str(out), "--restarts", "1", *argv_extra])
         assert code == 0
         arguments = json.loads((out / "manifest.json").read_text())["arguments"]
         assert arguments == {
-            "bases": ["SE", "PER"],
-            "command": "fit",
-            "data": single_cell_csv,
-            "eol": 0.7,
-            "horizons": [3, 7],
+            "command": command,
+            "data": data,
             "jobs": 1,
-            "kernel": "MA5",
             "mean": "CONST",
             "out": str(out),
             "restarts": 1,
             "schema": None,
             "seed": 0,
-            "start": 0.2,
             "target": None,
-            "train_cells": [],
-            "warm_start": False,
+            **golden,
         }
 
     def test_does_not_mutate_input(self, single_cell_csv, tmp_path):

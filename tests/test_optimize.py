@@ -71,6 +71,9 @@ class TestTrainConfig:
             TrainConfig(n_restarts=0)
         with pytest.raises(ConfigError):
             TrainConfig(max_iterations=0)
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig(seed=-1)
+        assert TrainConfig(seed=0).seed == 0
 
 
 class TestDefaultBounds:
@@ -320,6 +323,12 @@ class TestCandidatePairs:
             candidate_pairs(("SE", "BOGUS"))
         with pytest.raises(ConfigError):
             candidate_pairs(())
+
+    def test_rejects_duplicate_bases(self):
+        with pytest.raises(ConfigError, match="duplicate"):
+            candidate_pairs(("SE", "SE"))
+        with pytest.raises(ConfigError, match="duplicate"):
+            candidate_pairs(("se", " SE", "MA3"))
 
     def test_single_base(self):
         assert candidate_pairs(("SE",)) == ["SE+SE"]
