@@ -6,11 +6,12 @@ lookahead horizons, and evaluate end-of-life forecasts at rolling origins
 for one cell or within its fleet.  :data:`OPTIONS` declares each option once,
 with an argparse type that checks it through the library's own validators;
 :data:`COMMANDS` lists each subcommand once, with its implementation and the
-options it reads.  Any other option, a bad value or a missing required one
-is a :class:`UsageError` (exit 2) before anything is written.  A run writes
-``manifest.json`` (the options read, and library versions), loads the CSV
-once and hands the cell (for mogp-evaluate, the fleet) to the subcommand.
-With --jobs 1 a rerun reproduces every output file byte for byte.
+options it reads.  A run loads the CSV and picks the cell (for
+mogp-evaluate, the fleet) before it writes ``manifest.json`` (the options
+read, and library versions).  Any other option, a bad value, a missing
+required one, or an unknown, repeated or missing cell id is a
+:class:`UsageError` (exit 2) before anything is written.  With --jobs 1 a
+rerun reproduces every output file byte for byte.
 
 This is the one module that knows the output formats.  The library returns
 plain records (:class:`~gpprog.prognostics.OriginRecord`,
@@ -37,7 +38,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dataset import SplitSpec, load_csv, split
+from .dataset import SplitSpec, _resolve_schema, load_csv, split
 from .errors import GpprogError, UndefinedMetricError, UsageError
 from .kernels import parse_kernel
 from .meanfn import MEAN_TOKENS, mean_params
@@ -87,6 +88,7 @@ def _parse_schema(text: str) -> dict:
             raise ValueError(f"entries must look like canonical=actual, got {item!r}")
         key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()
+    _resolve_schema(mapping)  # rejects unknown canonical names
     return mapping
 
 
@@ -214,12 +216,21 @@ def _manifest(config: argparse.Namespace) -> dict:
     }
 
 
-def _pick_series(fleet, target: str | None):
-    if target is not None:
-        return fleet.get(target)
-    if fleet.m == 1:
-        return fleet.series[0]
-    raise UsageError(f"data contains cells {list(fleet.cell_ids)}; choose one with --target")
+def _select(config: argparse.Namespace, fleet):
+    """The cell the subcommand reads (for mogp-evaluate, the fleet); a cell id
+    that is unknown, repeated or missing is a UsageError."""
+    if config.target is None:  # mogp-evaluate requires --target
+        if fleet.m == 1:
+            return fleet.series[0]
+        raise UsageError(f"data contains cells {list(fleet.cell_ids)}; choose one with --target")
+    named = [*getattr(config, "train_cells", ()), config.target]
+    unknown = [c for c in named if c not in fleet.cell_ids]
+    if unknown:
+        raise UsageError(f"cells {unknown} not present in {config.data}")
+    repeated = sorted({c for c in named if named.count(c) > 1})
+    if repeated:
+        raise UsageError(f"cells {repeated} named more than once in --target and --train-cells")
+    return fleet if config.command == "mogp-evaluate" else fleet.get(config.target)
 
 
 def _model_summary(config: argparse.Namespace, result) -> dict:
@@ -334,9 +345,6 @@ def _cmd_evaluate(config: argparse.Namespace, series, outdir: Path) -> None:
 
 
 def _cmd_mogp_evaluate(config: argparse.Namespace, fleet, outdir: Path) -> None:
-    missing = [c for c in (*config.train_cells, config.target) if c not in fleet.cell_ids]
-    if missing:
-        raise UsageError(f"cells {missing} not present in {config.data}")
     report = evaluate_mogp(fleet, config.target, config.train_cells, **_rolling(config))
     _write_report(outdir, report)
 
@@ -384,11 +392,10 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def run(config: argparse.Namespace) -> None:
+    data = _select(config, load_csv(config.data, config.schema))
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "manifest.json", _manifest(config))
-    fleet = load_csv(config.data, config.schema)
-    data = fleet if config.command == "mogp-evaluate" else _pick_series(fleet, config.target)
     COMMANDS[config.command][0](config, data, outdir)
 
 

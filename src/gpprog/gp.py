@@ -240,7 +240,7 @@ class GpModel:
             kernel,
             self.x,
             self.y,
-            mean=self.mean._with_values(raw),
+            mean=self.mean._with_raw(raw),
             noise_variance=noise_variance,
             labels=self.labels,
         )
@@ -317,7 +317,7 @@ class GpModel:
         block, so their kernel is evaluated once per step.
         """
         if theta is None:
-            raw = [*self.kernel._raw_values(), self.noise_variance, *self.mean._values()]
+            raw = [*self.kernel._raw_values(), self.noise_variance, *self.mean._raw_values()]
         else:
             raw = self._natural(theta)
         nk = self._layout[1]

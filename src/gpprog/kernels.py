@@ -15,6 +15,12 @@ every pair's key; a square gram evaluates it once per distinct key and
 gathers.  Battery cycles are integers, so the n^2 pairs of a capacity history
 share about n distinct distances (124 keys for the 15,376 pairs of cell A1).
 
+Each leaf, and each mean function in :mod:`gpprog.meanfn`, declares its
+parameters once, as a ``_params`` tuple of (field, kind) pairs in
+optimization order; their :class:`Parametrized` base reads them out and
+rebuilds the object from new values.  Only the label covariance (its angles
+are one tuple field) and the Sum and Product nodes override that.
+
 Positive hyperparameters are optimized in log space; gradients returned by
 ``gram_with_gradients`` are taken with respect to that parametrization.  Label
 covariances are built from hypersphere angles, which keeps the implied
@@ -27,7 +33,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple
+from typing import ClassVar, Iterator, NamedTuple
 
 import numpy as np
 
@@ -85,9 +91,6 @@ class Hyperparameters:
             raise ConfigError("hyperparameter names/kinds/values length mismatch")
         if not np.all(np.isfinite(values)):
             raise ConfigError("non-finite hyperparameter values")
-
-    def __len__(self) -> int:
-        return len(self.names)
 
     def raw(self) -> dict[str, float]:
         """Parameters in their natural (non-log) space, keyed by name."""
@@ -167,13 +170,45 @@ def natural_values(values: np.ndarray, log_positions: np.ndarray) -> list[float]
     return out
 
 
-class Kernel(ABC):
-    """Base class for covariance expression nodes."""
+class Parametrized:
+    """Base of the immutable dataclasses whose parameters are the fields
+    named in ``_params``, as (field, kind) pairs in optimization order.
+
+    Construction checks that log_* kinds are positive and finite and that
+    every other parameter is finite.
+    """
+
+    _params: ClassVar[tuple[tuple[str, str], ...]] = ()
 
     def __post_init__(self):
         for name, kind, value in self._param_specs():
             if is_log_kind(kind):
                 _check_positive(name, value)
+            elif not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+
+    def _walk(self) -> Iterator["Parametrized"]:
+        """The leaves, in parameter order; a leaf is its own."""
+        yield self
+
+    def _param_specs(self) -> list[tuple[str, str, float]]:
+        """(name, kind, natural-space value) of each of this leaf's parameters."""
+        return [(name, kind, getattr(self, name)) for name, kind in self._params]
+
+    def _raw_values(self) -> list[float]:
+        """Natural-space parameters of every leaf, in leaf order."""
+        return [raw for leaf in self._walk() for _, _, raw in leaf._param_specs()]
+
+    def _with_raw(self, values: Iterator[float]):
+        """A copy with the parameters drawn from ``values`` in order."""
+        return replace(self, **{name: next(values) for name, _ in self._params})
+
+    def n_params(self) -> int:
+        return sum(len(leaf._param_specs()) for leaf in self._walk())
+
+
+class Kernel(Parametrized, ABC):
+    """Base class for covariance expression nodes."""
 
     def gram(self, xs, xs2=None) -> np.ndarray:
         """Covariance matrix between ``xs`` and ``xs2`` (defaults to ``xs``)."""
@@ -204,9 +239,6 @@ class Kernel(ABC):
                 values.append(math.log(raw) if is_log_kind(kind) else raw)
         return Hyperparameters(tuple(names), tuple(kinds), np.array(values))
 
-    def n_params(self) -> int:
-        return sum(len(leaf._param_specs()) for leaf in self._walk())
-
     def with_hyperparameters(self, values) -> "Kernel":
         """New kernel with parameters replaced (optimization-space vector)."""
         if isinstance(values, Hyperparameters):
@@ -218,10 +250,6 @@ class Kernel(ABC):
             )
         logs = np.flatnonzero([is_log_kind(k) for k in self.hyperparameters().kinds])
         return self._with_raw(iter(natural_values(values, logs)))
-
-    def _raw_values(self) -> list[float]:
-        """Natural-space parameters of every leaf, in leaf order."""
-        return [raw for leaf in self._walk() for _, _, raw in leaf._param_specs()]
 
     def __add__(self, other: "Kernel") -> "Sum":
         return Sum(self, other)
@@ -259,16 +287,6 @@ class Kernel(ABC):
         so callers may update them in place.
         """
 
-    def _walk(self) -> Iterator["Kernel"]:
-        """The leaves, in parameter order; a leaf is its own."""
-        yield self
-
-    @abstractmethod
-    def _param_specs(self) -> list[tuple[str, str, float]]: ...
-
-    @abstractmethod
-    def _with_raw(self, values: Iterator[float]) -> "Kernel": ...
-
     def _token(self) -> str:
         return type(self).__name__
 
@@ -281,15 +299,7 @@ class _Stationary(Kernel):
 
     output_scale: float
     length_scale: float
-
-    def _param_specs(self):
-        return [
-            ("output_scale", LOG_OUTPUT_SCALE, self.output_scale),
-            ("length_scale", LOG_LENGTH_SCALE, self.length_scale),
-        ]
-
-    def _with_raw(self, values):
-        return replace(self, output_scale=next(values), length_scale=next(values))
+    _params = (("output_scale", LOG_OUTPUT_SCALE), ("length_scale", LOG_LENGTH_SCALE))
 
 
 @dataclass(frozen=True)
@@ -349,6 +359,8 @@ class Periodic(_Stationary):
     output_scale: float = 1.0
     length_scale: float = 1.0
     period: float = 1.0
+    _params = (("output_scale", LOG_OUTPUT_SCALE), ("length_scale", LOG_WIGGLE),
+               ("period", LOG_PERIOD))
 
     def _evaluate(self, keys, raw, grads):
         sigma2, length, period = next(raw) ** 2, next(raw), next(raw)
@@ -365,21 +377,6 @@ class Periodic(_Stationary):
             2.0 * np.pi / (length**2 * period) * keys.d * np.sin(2.0 * u) * k,
         ]
 
-    def _param_specs(self):
-        return [
-            ("output_scale", LOG_OUTPUT_SCALE, self.output_scale),
-            ("length_scale", LOG_WIGGLE, self.length_scale),
-            ("period", LOG_PERIOD, self.period),
-        ]
-
-    def _with_raw(self, values):
-        return replace(
-            self,
-            output_scale=next(values),
-            length_scale=next(values),
-            period=next(values),
-        )
-
     def _token(self):
         return "PER"
 
@@ -389,6 +386,7 @@ class WhiteNoise(Kernel):
     """k = scale^2 when the two inputs coincide exactly, else 0."""
 
     scale: float = 1.0
+    _params = (("scale", LOG_NOISE_SCALE),)
 
     def _evaluate(self, keys, raw, grads):
         # the inputs coincide where the distance is 0 and, when labeled, the labels agree
@@ -397,12 +395,6 @@ class WhiteNoise(Kernel):
             same = same & (keys.l1 == keys.l2)
         k = next(raw) ** 2 * same
         return k, [2.0 * k] if grads else []
-
-    def _param_specs(self):
-        return [("scale", LOG_NOISE_SCALE, self.scale)]
-
-    def _with_raw(self, values):
-        return replace(self, scale=next(values))
 
     def _token(self):
         return "NOISE"
@@ -539,9 +531,6 @@ class _Composite(Kernel):
     def _walk(self):
         yield from self.left._walk()
         yield from self.right._walk()
-
-    def _param_specs(self):
-        return []  # the parameters belong to the leaves
 
     def _with_raw(self, values):
         return type(self)(self.left._with_raw(values), self.right._with_raw(values))

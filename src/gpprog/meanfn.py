@@ -3,17 +3,20 @@
 The observation model is y = m(x) + f(x) + noise, where f is the
 zero-mean process and m is one of the functions here.  The exponential
 degradation mean's coefficients are optimized jointly with the kernel
-hyperparameters; the zero and constant means have nothing to train.
+hyperparameters; the zero and constant means have nothing to train.  Mean
+functions declare their parameters through the kernel leaves' base,
+:class:`~gpprog.kernels.Parametrized`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
+from .kernels import Parametrized
 
 # parameter kinds for data-driven search bounds
 MEAN_OFFSET = "mean_offset"
@@ -23,32 +26,19 @@ MEAN_RATE = "mean_rate"
 _EXP_LIMIT = 700.0  # exp() overflows past this
 
 
-class MeanFunction(ABC):
+class MeanFunction(Parametrized, ABC):
     """Base class; subclasses are immutable value objects."""
 
     def __call__(self, x) -> np.ndarray:
-        return self._evaluate(np.asarray(x, dtype=float), self._values())[0]
+        return self._evaluate(np.asarray(x, dtype=float), self._raw_values())[0]
 
     def gradients(self, x) -> np.ndarray:
         """Partial derivatives w.r.t. trainable parameters, shape (n, p)."""
-        return self._evaluate(np.asarray(x, dtype=float), self._values())[1]
+        return self._evaluate(np.asarray(x, dtype=float), self._raw_values())[1]
 
     @abstractmethod
     def _evaluate(self, x: np.ndarray, values) -> tuple[np.ndarray, np.ndarray]:
         """m(x) and its (n, p) gradient with the trainable parameters set to ``values``."""
-
-    def _values(self) -> list[float]:
-        return [value for _, _, value in self._param_specs()]
-
-    @abstractmethod
-    def _param_specs(self) -> list[tuple[str, str, float]]:
-        """(name, kind, value) for each trainable parameter."""
-
-    @abstractmethod
-    def _with_values(self, values) -> "MeanFunction": ...
-
-    def n_params(self) -> int:
-        return len(self._param_specs())
 
 
 @dataclass(frozen=True)
@@ -57,12 +47,6 @@ class Zero(MeanFunction):
 
     def _evaluate(self, x, values):
         return np.zeros(len(x)), np.zeros((len(x), 0))
-
-    def _param_specs(self):
-        return []
-
-    def _with_values(self, values):
-        return self
 
 
 @dataclass(frozen=True)
@@ -73,12 +57,6 @@ class Constant(MeanFunction):
 
     def _evaluate(self, x, values):
         return np.full(len(x), self.value), np.zeros((len(x), 0))
-
-    def _param_specs(self):
-        return []
-
-    def _with_values(self, values):
-        return self
 
 
 @dataclass(frozen=True)
@@ -93,12 +71,7 @@ class ExpDegradation(MeanFunction):
     a1: float = 0.0
     a2: float = 1.0
     a3: float = -1.0
-
-    def __post_init__(self):
-        for name in ("a1", "a2", "a3"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ConfigError(f"{name} must be finite, got {v}")
+    _params = (("a1", MEAN_OFFSET), ("a2", MEAN_AMPLITUDE), ("a3", MEAN_RATE))
 
     def _evaluate(self, x, values):
         a1, a2, a3 = (float(v) for v in values)
@@ -113,18 +86,6 @@ class ExpDegradation(MeanFunction):
         grads[:, 1] = e
         np.multiply(a2 * x, e, out=grads[:, 2])
         return a1 + a2 * e, grads
-
-    def _param_specs(self):
-        return [
-            ("a1", MEAN_OFFSET, self.a1),
-            ("a2", MEAN_AMPLITUDE, self.a2),
-            ("a3", MEAN_RATE, self.a3),
-        ]
-
-    def _with_values(self, values):
-        return replace(
-            self, a1=float(next(values)), a2=float(next(values)), a3=float(next(values))
-        )
 
     @classmethod
     def initial_guess(cls, x, y) -> "ExpDegradation":

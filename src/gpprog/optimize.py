@@ -157,13 +157,15 @@ def train(model: GpModel, config: TrainConfig = TrainConfig(), extra_starts=()) 
     """Fit hyperparameters by multi-start NLML minimization.
 
     ``extra_starts`` lets callers add warm starts (for example the previous
-    optimum in a rolling evaluation) on top of the Latin hypercube draws.
-    The search is box-constrained to the same bounds that seed the starts,
-    which keeps hyperparameters in the identifiable region the bounds
-    describe (a period longer than the observed window, say, is just an
-    expensive way to mimic a smooth kernel).  The returned model is the
-    best local optimum found; its NLML never exceeds that of any start,
-    which is the first point L-BFGS-B evaluates.
+    optimum in a rolling evaluation) on top of the Latin hypercube draws;
+    each must be a finite optimization-space vector of the model's length,
+    and is clipped to the bounds.  The search is box-constrained to the
+    same bounds that seed the starts, which keeps hyperparameters in the
+    identifiable region the bounds describe (a period longer than the
+    observed window, say, is just an expensive way to mimic a smooth
+    kernel).  The returned model is the best local optimum found; its NLML
+    never exceeds that of any start, which is the first point L-BFGS-B
+    evaluates.
     """
     if len(model.x) < 2:
         raise DegenerateInputError("training requires at least two points")
@@ -172,8 +174,9 @@ def train(model: GpModel, config: TrainConfig = TrainConfig(), extra_starts=()) 
     starts = list(_lhs_design(config.seed, config.n_restarts, bounds))
     for extra in extra_starts:
         extra = np.asarray(extra, dtype=float)
-        if extra.shape == (dim,) and np.all(np.isfinite(extra)):
-            starts.append(np.clip(extra, bounds[:, 0], bounds[:, 1]))
+        if extra.shape != (dim,) or not np.all(np.isfinite(extra)):
+            raise ConfigError(f"extra start must be {dim} finite values, got {extra.tolist()}")
+        starts.append(np.clip(extra, bounds[:, 0], bounds[:, 1]))
     fun = _objective(model)
     records = []
     best_value = math.inf

@@ -105,27 +105,6 @@ def fleet_c_like(seed: int = 29) -> list[tuple[str, np.ndarray, np.ndarray]]:
     return out
 
 
-def monotone_benchmark(n_points: int = 60, seed: int = 3) -> CapacitySeries:
-    """Smooth strictly fading series for sanity checks on horizon error growth."""
-    x = np.arange(1.0, n_points + 1.0)
-    y = 1.0 - 0.30 * (x / n_points) ** 1.6
-    y = y + 0.001 * np.random.default_rng(seed).standard_normal(n_points)
-    return CapacitySeries.from_raw("MONO", x, y)
-
-
-def series_b(**kwargs) -> CapacitySeries:
-    cycles, ah = cell_b_like(**kwargs)
-    return CapacitySeries.from_raw("B1", cycles, ah)
-
-
-def fleet_c(**kwargs) -> Fleet:
-    return Fleet(
-        tuple(
-            CapacitySeries.from_raw(cid, t, ah) for cid, t, ah in fleet_c_like(**kwargs)
-        )
-    )
-
-
 def write_reference_csvs(outdir) -> list[Path]:
     """Write the bundled example CSVs (raw amp-hours, canonical schema)."""
     outdir = Path(outdir)

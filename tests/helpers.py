@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from gpprog import (
+    CapacitySeries,
     GpModel,
     Matern,
     Periodic,
@@ -56,6 +57,14 @@ def central_difference_gradients(model: GpModel, step: float = 1e-6) -> np.ndarr
             model.with_opt_vector(up).nlml() - model.with_opt_vector(down).nlml()
         ) / (2 * step)
     return grads
+
+
+def monotone_benchmark(n_points: int = 60, seed: int = 3) -> CapacitySeries:
+    """Smooth strictly fading series for sanity checks on horizon error growth."""
+    x = np.arange(1.0, n_points + 1.0)
+    y = 1.0 - 0.30 * (x / n_points) ** 1.6
+    y = y + 0.001 * np.random.default_rng(seed).standard_normal(n_points)
+    return CapacitySeries.from_raw("MONO", x, y)
 
 
 def brute_force_eol(xs, values, threshold: float, start_x: float, n_scan: int = 200_001) -> float:

@@ -302,7 +302,7 @@ class TestOptionTable:
     @pytest.mark.parametrize(
         "argv_extra",
         [["fit", "--seed", "-1"], ["kernel-search", "--bases", "WAT"],
-         ["kernel-search", "--bases", "SE,SE"]],
+         ["kernel-search", "--bases", "SE,SE"], ["fit", "--schema", "foo=bar"]],
     )
     def test_bad_value_exits_two_before_writing(self, argv_extra, tmp_path, capsys):
         argv = base_argv(argv_extra[0]) + argv_extra[1:]
@@ -320,11 +320,40 @@ class TestMainExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_runtime_usage_error_returns_two(self, fleet_csv, tmp_path, capsys):
-        # multi-cell file without --target is only detectable at run time
-        code = main(["fit", "--data", fleet_csv, "--out", str(tmp_path / "o"),
-                     "--restarts", "1"])
+        # multi-cell file without --target is only detectable once the data is read
+        out = tmp_path / "o"
+        code = main(["fit", "--data", fleet_csv, "--out", str(out), "--restarts", "1"])
         assert code == 2
         assert "--target" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, cell",
+        [
+            (["fit", "--data", str(DATA / "c.csv"), "--target", "X9"], "X9"),
+            (base_argv("mogp-evaluate")[:-1] + ["C3"], "C3"),
+            (base_argv("mogp-evaluate")[:-1] + ["C1,C1"], "C1"),
+            (base_argv("mogp-evaluate")[:-1] + ["C9"], "C9"),
+        ],
+    )
+    def test_cell_mistakes_exit_two_before_writing(self, argv, cell, tmp_path, capsys):
+        # the cell ids are checked against the data before anything is written
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert cell in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_target_picks_its_cell_from_a_fleet(self):
+        config = parse_args(["fit", "--data", str(DATA / "c.csv"), "--target", "C2"])
+        assert cli._select(config, cli.load_csv(config.data)).cell_id == "C2"
+
+    def test_malformed_row_returns_one_before_writing(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text("cell_id,cycle,capacity\nA,1,1.0\nA,two,0.9\n")
+        out = tmp_path / "o"
+        assert main(["fit", "--data", str(data), "--out", str(out)]) == 1
+        assert "unparseable row" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_domain_error_returns_one(self, tmp_path, capsys):
         # capacity never crosses the threshold: evaluation is undefined
@@ -529,6 +558,7 @@ class TestMogpEvaluateCommand:
                      "--train-cells", "F9"])
         assert code == 2
         assert "F9" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestOutputFiles:

@@ -310,11 +310,21 @@ class TestHyperparameterPlumbing:
         assert kinds[1] == LOG_WIGGLE
         assert is_log_kind(LOG_WIGGLE) and not is_log_kind("angle")
 
-    def test_with_hyperparameters_round_trip(self):
-        k = Sum(Periodic(0.9, 1.3, 2.7), WhiteNoise(0.2))
-        rebuilt = k.with_hyperparameters(k.hyperparameters().values)
-        x = np.linspace(0, 4, 6)
-        assert np.allclose(rebuilt.gram(x), k.gram(x), rtol=1e-14)
+    @pytest.mark.parametrize("token", ["SE", "MA3", "MA5", "PER", "NOISE", "LABEL"])
+    def test_with_hyperparameters_round_trip(self, token):
+        k = LabelCovariance(m=3, angles=(0.4, 0.9, 1.3)) if token == "LABEL" else base_kernel(token)
+        k = Sum(k, Periodic(0.9, 1.3, 2.7))
+        hp = k.hyperparameters()
+        rebuilt = k.with_hyperparameters(hp.values)
+        xs = [LabeledInput(x, label) for x, label in zip(np.linspace(0, 4, 6), [1, 2, 3] * 2)]
+        if token != "LABEL":
+            xs = [p.x for p in xs]
+        assert np.allclose(rebuilt.gram(xs), k.gram(xs), rtol=1e-14)
+        # every parameter lands in its own field: distinct values read back in order
+        values = hp.values + 0.1 * np.arange(1, len(hp.values) + 1)
+        moved = k.with_hyperparameters(values).hyperparameters()
+        assert (moved.names, moved.kinds) == (hp.names, hp.kinds)
+        assert np.allclose(moved.values, values, rtol=1e-14)
 
     def test_with_hyperparameters_length_check(self):
         with pytest.raises(ConfigError, match="expected 2"):

@@ -12,17 +12,17 @@ from gpprog import (
     mean_from_token,
     mean_params,
 )
+from gpprog.meanfn import MEAN_TOKENS
 
 
 def fd_mean_gradients(mean, x, step=1e-7):
-    specs = mean._param_specs()
-    base = np.array([v for _, _, v in specs])
+    base = np.array(mean._raw_values())
     cols = []
     for i in range(len(base)):
         up, down = base.copy(), base.copy()
         up[i] += step
         down[i] -= step
-        cols.append((mean._with_values(iter(up))(x) - mean._with_values(iter(down))(x)) / (2 * step))
+        cols.append((mean._with_raw(iter(up))(x) - mean._with_raw(iter(down))(x)) / (2 * step))
     return np.column_stack(cols) if cols else np.zeros((len(x), 0))
 
 
@@ -48,15 +48,20 @@ class TestExpDegradation:
         x = np.array([0.0, 100.0])
         assert np.allclose(m(x), [1.0, 0.7 + 0.3 * np.exp(-1.0)], rtol=1e-14)
 
-    def test_gradients_match_finite_differences(self):
+    @pytest.mark.parametrize("token", MEAN_TOKENS)
+    def test_gradients_match_finite_differences(self, token):
         rng = np.random.default_rng(4)
         x = np.linspace(0, 50, 9)
         for _ in range(10):
-            m = ExpDegradation(
-                a1=float(rng.uniform(0.5, 1.5)),
-                a2=float(rng.uniform(-0.5, 0.5)),
-                a3=float(rng.uniform(-0.05, 0.02)),
-            )
+            coefficients = [
+                float(rng.uniform(0.5, 1.5)),
+                float(rng.uniform(-0.5, 0.5)),
+                float(rng.uniform(-0.05, 0.02)),
+            ]
+            m = mean_from_token(token, x, 1.0 - 0.004 * x)
+            # the declared parameters read back in the order they were set
+            m = m._with_raw(iter(coefficients[: m.n_params()]))
+            assert m._raw_values() == coefficients[: m.n_params()]
             assert np.allclose(m.gradients(x), fd_mean_gradients(m, x), rtol=1e-5, atol=1e-7)
 
     def test_overflow_raises(self):

@@ -2,6 +2,7 @@
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from gpprog import (
     candidate_pairs,
     default_lhs_bounds,
     kernel_search,
+    load_csv,
     model_for_series,
     train,
 )
@@ -174,6 +176,11 @@ class TestTrain:
         result = train(model, config, extra_starts=[wild, base.model.opt_vector()])
         assert len(result.restarts) == 4
         assert result.nlml <= base.nlml + 1e-12
+        # a malformed start is an error, not silently dropped
+        with pytest.raises(ConfigError, match=f"{len(wild)} finite values"):
+            train(model, config, extra_starts=[wild[:-1]])
+        with pytest.raises(ConfigError, match=f"{len(wild)} finite values"):
+            train(model, config, extra_starts=[np.full(len(wild), np.nan)])
 
     def test_restart_records_count_evaluations_and_penalties(self, monkeypatch):
         x, y = se_sample_series(seed=2, n=25)
@@ -348,6 +355,24 @@ class TestModelForSeries:
             "ma3.output_scale",
             "ma3.length_scale",
             "noise.variance",
+        )
+
+    def test_fleet_c_parameter_order_golden(self):
+        # the order of the optimization vector, and the names search.json and
+        # model.json carry, for the multi-output model on the bundled fleet
+        fleet = load_csv(Path(__file__).resolve().parents[1] / "data" / "c.csv")
+        hp = model_for_series(fleet, "MA5+MA3+PER+NOISE", "EXPDEG").hyperparameters()
+        assert hp.names == (
+            "label.phi_1", "label.phi_2", "label.phi_3", "label.shared_scale",
+            "ma5.output_scale", "ma5.length_scale", "ma3.output_scale", "ma3.length_scale",
+            "per.output_scale", "per.length_scale", "per.period", "noise.scale",
+            "noise.variance", "mean.a1", "mean.a2", "mean.a3",
+        )
+        assert hp.kinds == (
+            "angle", "angle", "angle", "log_tau",
+            "log_output_scale", "log_length_scale", "log_output_scale", "log_length_scale",
+            "log_output_scale", "log_wiggle", "log_period", "log_noise_scale",
+            "log_noise_variance", "mean_offset", "mean_amplitude", "mean_rate",
         )
 
     def test_mean_token_applies(self):

@@ -37,9 +37,9 @@ from gpprog import (
     rolling_origins,
     true_end_of_life,
 )
-from gpprog.synthetic import series_b
+from gpprog.synthetic import cell_b_like
 
-from helpers import brute_force_eol
+from helpers import brute_force_eol, monotone_benchmark
 
 
 class TestRmseQ:
@@ -232,7 +232,7 @@ class TestForecastEol:
     def test_long_grid_memory_is_linear(self):
         # a 1,700-cycle life observed every 10th cycle, forecast at cycle
         # resolution for 20,000 cycles; one 20,001 x 20,001 float64 array is 3.2 GB
-        series = series_b(n_cycles=1700)
+        series = CapacitySeries.from_raw("B1", *cell_b_like(n_cycles=1700))
         x, y = series.cycles[9::10], series.capacities[9::10]
         c = 0.25 / (math.e**1.2 - 1.0)  # the generator's fade curve
         mean = ExpDegradation(1.0 + c, -c, 1.2 / 1700)
@@ -339,9 +339,7 @@ class TestLookahead:
         assert result.rmse[1] < 0.01
 
     def test_longer_horizons_are_harder(self):
-        from gpprog import synthetic
-
-        series = synthetic.monotone_benchmark(n_points=40)
+        series = monotone_benchmark(n_points=40)
         config = TrainConfig(n_restarts=1, seed=0, max_iterations=60)
         result = lookahead(
             series, kernel_expr="MA5", horizons=(1, 10), start_fraction=0.5,
