@@ -9,9 +9,9 @@ with an argparse type that checks it through the library's own validators;
 options it reads.  A run loads the CSV and picks the cell (for
 mogp-evaluate, the fleet) before it writes ``manifest.json`` (the options
 read, and library versions).  Any other option, a bad value, a missing
-required one, or an unknown, repeated or missing cell id is a
-:class:`UsageError` (exit 2) before anything is written.  With --jobs 1 a
-rerun reproduces every output file byte for byte.
+required one, an unknown, repeated or missing cell id, or a --start that
+leaves nothing to forecast is a :class:`UsageError` (exit 2) before anything
+is written.  With --jobs 1 a rerun reproduces every output file byte for byte.
 
 This is the one module that knows the output formats.  The library returns
 plain records (:class:`~gpprog.prognostics.OriginRecord`,
@@ -130,7 +130,7 @@ OPTIONS = {
     "--target": dict(help="cell id to model"),
     "--mean": dict(default="CONST", type=lambda text: text.strip().upper(), choices=MEAN_TOKENS,
                    help="mean function"),
-    "--restarts": dict(default=TrainConfig().n_restarts, help="optimizer restarts",
+    "--restarts": dict(default=TrainConfig().n_restarts, help="Latin hypercube starts",
                        type=lambda text: TrainConfig(n_restarts=int(text)).n_restarts),
     "--seed": dict(default=TrainConfig().seed, help="random seed",
                    type=lambda text: TrainConfig(seed=int(text)).seed),
@@ -233,6 +233,18 @@ def _select(config: argparse.Namespace, fleet):
     return fleet if config.command == "mogp-evaluate" else fleet.get(config.target)
 
 
+def _first_split(config: argparse.Namespace, data) -> int:
+    """The first split of --start in the forecast cell (for mogp-evaluate, the
+    target); a UsageError unless data follows it and forecast has two before it."""
+    series = data.get(config.target) if config.command == "mogp-evaluate" else data
+    c, n = max(1, math.ceil(config.start * len(series))), len(series)
+    least = 2 if config.command == "forecast" else 1
+    if not least <= c < n:
+        raise UsageError(f"--start {config.start} splits {series.cell_id!r} at {c} of {n} "
+                         f"points; {config.command} needs at least {least} before it and 1 after")
+    return c
+
+
 def _model_summary(config: argparse.Namespace, result) -> dict:
     model = result.model
     return {
@@ -255,8 +267,7 @@ def _train_config(config: argparse.Namespace) -> TrainConfig:
 
 
 def _cmd_fit(config: argparse.Namespace, series, outdir: Path) -> None:
-    model = model_for_series(series, config.kernel, config.mean)
-    result = train(model, _train_config(config), extra_starts=[model.opt_vector()])
+    result = train(model_for_series(series, config.kernel, config.mean), _train_config(config))
     _write_json(outdir / "model.json", _model_summary(config, result))
 
 
@@ -275,13 +286,9 @@ def _cmd_kernel_search(config: argparse.Namespace, series, outdir: Path) -> None
 
 
 def _cmd_forecast(config: argparse.Namespace, series, outdir: Path) -> None:
-    c = math.ceil(config.start * len(series))
-    if c >= len(series):
-        raise UsageError(f"--start {config.start} leaves no data to forecast")
-    spec = SplitSpec(max(1, c), config.eol)
+    spec = SplitSpec(_first_split(config, series), config.eol)
     prefix, _ = split(series, spec)
-    model = model_for_series(prefix, config.kernel, config.mean)
-    result = train(model, _train_config(config), extra_starts=[model.opt_vector()])
+    result = train(model_for_series(prefix, config.kernel, config.mean), _train_config(config))
     current_x = float(prefix.cycles[-1])
     horizon_x = HORIZON_FACTOR * float(series.cycles[-1])
     grid = forecast_grid(current_x, horizon_x, prefix.cycles)
@@ -393,6 +400,8 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def run(config: argparse.Namespace) -> None:
     data = _select(config, load_csv(config.data, config.schema))
+    if "start" in config:  # checked before anything is written
+        _first_split(config, data)
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "manifest.json", _manifest(config))

@@ -4,10 +4,11 @@
 triple into an untrained model: a single-output one for one cell, the
 multi-output one for a fleet.  Training minimizes the negative log marginal
 likelihood with a quasi-Newton optimizer (L-BFGS-B, analytic gradients)
-restarted from a Latin hypercube of starting points.  Each run is
-box-constrained to the same data-driven bounds that seed the starts; see
-:func:`train` for the rationale.  :func:`pool_map` is the one place that
-starts worker processes, for the kernel search and the rolling evaluations.
+restarted from a Latin hypercube of starting points, the model's own
+parameters and an optional warm start.  Each run is box-constrained to the
+same data-driven bounds that seed the starts; see :func:`train` for the
+rationale.  :func:`pool_map` is the one place that starts worker processes,
+for the kernel search and the rolling evaluations.
 Training and search results are plain records (:class:`RestartRecord`,
 :class:`SearchEntry`); :mod:`gpprog.cli` writes them.
 """
@@ -33,7 +34,7 @@ DEFAULT_BASES = ("SE", "MA3", "MA5", "PER")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Budget and reproducibility knobs for one training run."""
+    """Training budget and seed; ``n_restarts`` counts the Latin hypercube starts."""
 
     n_restarts: int = 10
     max_iterations: int = 200
@@ -153,30 +154,28 @@ def _objective(model: GpModel):
     return fun
 
 
-def train(model: GpModel, config: TrainConfig = TrainConfig(), extra_starts=()) -> TrainResult:
+def train(model: GpModel, config: TrainConfig = TrainConfig(), warm=None) -> TrainResult:
     """Fit hyperparameters by multi-start NLML minimization.
 
-    ``extra_starts`` lets callers add warm starts (for example the previous
-    optimum in a rolling evaluation) on top of the Latin hypercube draws;
-    each must be a finite optimization-space vector of the model's length,
-    and is clipped to the bounds.  The search is box-constrained to the
-    same bounds that seed the starts, which keeps hyperparameters in the
-    identifiable region the bounds describe (a period longer than the
-    observed window, say, is just an expensive way to mimic a smooth
-    kernel).  The returned model is the best local optimum found; its NLML
-    never exceeds that of any start, which is the first point L-BFGS-B
-    evaluates.
+    Every caller gets the same starts, in this order (``restarts`` keeps it):
+    ``config.n_restarts`` Latin hypercube draws, the model's own parameters,
+    and ``warm`` if given (say, a rolling sweep's previous optimum).  The
+    last two are clipped to the bounds, which also box-constrain the search
+    and so keep hyperparameters in the identifiable region they describe (a
+    period longer than the observed window, say, is just an expensive way to
+    mimic a smooth kernel).  The returned model is the best local optimum
+    found; its NLML never exceeds that of any start, which L-BFGS-B
+    evaluates first.
     """
     if len(model.x) < 2:
         raise DegenerateInputError("training requires at least two points")
-    dim = len(model.opt_vector())
+    own = model.opt_vector()
+    extra = [own] if warm is None else [own, np.asarray(warm, dtype=float)]
+    if extra[-1].shape != own.shape or not np.all(np.isfinite(extra[-1])):
+        raise ConfigError(f"warm start must be {len(own)} finite values, got {extra[-1].tolist()}")
     bounds = default_lhs_bounds(model)
-    starts = list(_lhs_design(config.seed, config.n_restarts, bounds))
-    for extra in extra_starts:
-        extra = np.asarray(extra, dtype=float)
-        if extra.shape != (dim,) or not np.all(np.isfinite(extra)):
-            raise ConfigError(f"extra start must be {dim} finite values, got {extra.tolist()}")
-        starts.append(np.clip(extra, bounds[:, 0], bounds[:, 1]))
+    extra = np.clip(extra, bounds[:, 0], bounds[:, 1])
+    starts = [*_lhs_design(config.seed, config.n_restarts, bounds), *extra]
     fun = _objective(model)
     records = []
     best_value = math.inf
@@ -200,7 +199,7 @@ def train(model: GpModel, config: TrainConfig = TrainConfig(), extra_starts=()) 
         f0, value, theta = values[0], float(result.fun), result.x
         if f0 < value:  # never accept a step that lost ground on its start
             value, theta = f0, start
-        message = result.message if isinstance(result.message, str) else str(result.message)
+        message = str(result.message)
         records.append(
             RestartRecord(float(f0), value, message, int(result.nfev), values.count(_PENALTY))
         )
@@ -290,27 +289,26 @@ def model_for_series(data, kernel_expr: str, mean_expr: str = "CONST") -> GpMode
 def pool_map(fn, items, jobs: int) -> list:
     """``[fn(item) for item in items]``, in order.
 
-    With ``jobs`` > 1 and more than one item the calls run in ``jobs``
-    worker processes, so ``fn`` and the items must pickle and each worker
-    holds its own copy of them.  Each worker pins its BLAS to one thread
-    before its first call.
+    With ``jobs`` > 1 and more than one item the calls run in
+    ``min(jobs, len(items))`` worker processes, so ``fn`` and the items must
+    pickle and each worker holds its own copy of them.  Each worker pins its
+    BLAS to one thread before its first call.
     """
     items = list(items)
     if jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_blas_threads) as pool:
+        with ProcessPoolExecutor(min(jobs, len(items)), initializer=_pin_blas_threads) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 
 
-def _search_one(payload):
+def _search_one(payload) -> SearchEntry | str:
+    """One trained candidate, or the message it failed to train with."""
     expr, series, mean_expr, config = payload
-    model = model_for_series(series, expr, mean_expr)
     try:
-        result = train(model, config, extra_starts=[model.opt_vector()])
+        result = train(model_for_series(series, expr, mean_expr), config)
     except TrainingError as exc:
-        return expr, None, None, str(exc)
-    raw = result.model.hyperparameters().raw()
-    return expr, float(result.nlml), raw, None
+        return str(exc)
+    return SearchEntry(expr, float(result.nlml), result.model.hyperparameters().raw())
 
 
 def kernel_search(
@@ -332,14 +330,8 @@ def kernel_search(
         for i, expr in enumerate(exprs)
     ]
     outcomes = pool_map(_search_one, payloads, jobs)
-    scored = []
-    failures = []
-    for idx, (expr, nlml, raw, error) in enumerate(outcomes):
-        if error is not None:
-            failures.append((expr, error))
-        else:
-            scored.append((nlml, idx, SearchEntry(expr, nlml, raw)))
-    scored.sort(key=lambda item: (item[0], item[1]))
+    entries = [o for o in outcomes if isinstance(o, SearchEntry)]
     return KernelSearchResult(
-        entries=tuple(entry for _, _, entry in scored), failures=tuple(failures)
+        entries=tuple(sorted(entries, key=lambda e: e.nlml)),  # stable: ties keep candidate order
+        failures=tuple((expr, o) for expr, o in zip(exprs, outcomes) if isinstance(o, str)),
     )

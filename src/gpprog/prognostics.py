@@ -249,10 +249,7 @@ class GpForecaster:
         """The trained model at one origin, starting also from the last optimum."""
         data = Fleet(self.companions + (prefix,)) if self.companions else prefix
         model = model_for_series(data, self.kernel_expr, self.mean_expr)
-        extra = [model.opt_vector()]
-        if self.warm_start and self._warm is not None:
-            extra.append(self._warm)
-        trained = train(model, self.config, extra_starts=extra).model
+        trained = train(model, self.config, warm=self._warm).model
         if self.warm_start:
             self._warm = trained.opt_vector()
         return trained

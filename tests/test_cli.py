@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpprog import EolForecast, EvaluationReport, OriginRecord, UsageError, __version__, find_eol
+from gpprog import EolForecast, EvaluationReport, OriginRecord, TrainConfig, UsageError
+from gpprog import __version__, find_eol, load_csv, model_for_series, train
 from gpprog import cli
 from gpprog.cli import COMMANDS, main, parse_args
 
@@ -343,6 +344,24 @@ class TestMainExitCodes:
         assert cell in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["forecast", "--data", str(DATA / "a1.csv"), "--start", "0.999"],
+            ["forecast", "--data", str(DATA / "a1.csv"), "--start", "0.005"],
+            ["lookahead", "--data", str(DATA / "b1.csv"), "--start", "0.999"],
+            ["mogp-evaluate", "--data", str(DATA / "c.csv"), "--target", "C3",
+             "--train-cells", "C1", "--start", "0.99"],
+        ],
+        ids=["forecast-no-future", "forecast-one-point", "lookahead", "mogp-evaluate"],
+    )
+    def test_start_without_room_exits_two_before_writing(self, argv, tmp_path, capsys):
+        # the first split of the forecast cell is checked before anything is written
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "--start" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_target_picks_its_cell_from_a_fleet(self):
         config = parse_args(["fit", "--data", str(DATA / "c.csv"), "--target", "C2"])
         assert cli._select(config, cli.load_csv(config.data)).cell_id == "C2"
@@ -426,6 +445,14 @@ class TestFitCommand:
             "target": None,
             **golden,
         }
+
+    def test_library_and_cli_run_the_same_fit(self, tmp_path):
+        a1 = load_csv(DATA / "a1.csv").series[0]
+        result = train(model_for_series(a1, "MA5+MA3"), TrainConfig(n_restarts=2, seed=0))
+        out = tmp_path / "fit"
+        argv = ["fit", "--data", str(DATA / "a1.csv"), "--restarts", "2", "--seed", "0"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert json.loads((out / "model.json").read_text())["nlml"] == result.nlml
 
     def test_does_not_mutate_input(self, single_cell_csv, tmp_path):
         before = open(single_cell_csv, "rb").read()

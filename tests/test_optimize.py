@@ -167,20 +167,47 @@ class TestTrain:
         assert np.all(theta >= bounds[:, 0] - 1e-9)
         assert np.all(theta <= bounds[:, 1] + 1e-9)
 
-    def test_extra_starts_are_clipped_and_used(self):
+    def test_warm_start_is_clipped_and_used(self):
         x, y = se_sample_series(seed=2)
         model = model_for_series((x, y), "SE")
         config = TrainConfig(n_restarts=2, seed=0)
         base = train(model, config)
-        wild = np.full(len(model.opt_vector()), 1e6)
-        result = train(model, config, extra_starts=[wild, base.model.opt_vector()])
-        assert len(result.restarts) == 4
+        assert len(base.restarts) == config.n_restarts + 1  # the model's own start
+        result = train(model, config, warm=base.model.opt_vector())
+        assert len(result.restarts) == config.n_restarts + 2
         assert result.nlml <= base.nlml + 1e-12
+        wild = np.full(len(model.opt_vector()), 1e6)
+        assert len(train(model, config, warm=wild).restarts) == config.n_restarts + 2
         # a malformed start is an error, not silently dropped
         with pytest.raises(ConfigError, match=f"{len(wild)} finite values"):
-            train(model, config, extra_starts=[wild[:-1]])
+            train(model, config, warm=wild[:-1])
         with pytest.raises(ConfigError, match=f"{len(wild)} finite values"):
-            train(model, config, extra_starts=[np.full(len(wild), np.nan)])
+            train(model, config, warm=np.full(len(wild), np.nan))
+
+    def test_start_list_is_lhs_then_own_then_warm(self, monkeypatch):
+        x, y = se_sample_series(seed=4, n=20)
+        # the model's own start and the warm start both lie outside the box
+        model = GpModel(SquaredExponential(output_scale=1e3, length_scale=1e4), x, y)
+        warm = np.full(len(model.opt_vector()), -50.0)
+        config = TrainConfig(n_restarts=3, seed=7, max_iterations=5)
+        x0s = []
+        real_minimize = optimize.minimize
+
+        def recording_minimize(fun, x0, **kwargs):
+            x0s.append(np.array(x0, dtype=float))
+            return real_minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(optimize, "minimize", recording_minimize)
+        result = train(model, config, warm=warm)
+        bounds = default_lhs_bounds(model)
+        own = np.clip(model.opt_vector(), bounds[:, 0], bounds[:, 1])
+        clipped_warm = np.clip(warm, bounds[:, 0], bounds[:, 1])
+        assert not np.array_equal(own, model.opt_vector())
+        assert not np.array_equal(clipped_warm, warm)
+        expected = [*optimize._lhs_design(config.seed, config.n_restarts, bounds), own, clipped_warm]
+        assert len(x0s) == len(result.restarts) == config.n_restarts + 2
+        for got, want in zip(x0s, expected):
+            assert np.array_equal(got, want)
 
     def test_restart_records_count_evaluations_and_penalties(self, monkeypatch):
         x, y = se_sample_series(seed=2, n=25)
@@ -207,8 +234,8 @@ class TestTrain:
             return real_nlml(self, theta)
 
         monkeypatch.setattr(GpModel, "nlml_value_and_gradients", failing_at_start)
-        result = train(model, TrainConfig(n_restarts=1, seed=0), extra_starts=[start])
-        failed = result.restarts[-1]
+        result = train(model, TrainConfig(n_restarts=1, seed=0))
+        failed = result.restarts[-1]  # the model's own start, after the one LHS draw
         assert failed.start_nlml == failed.final_nlml == optimize._PENALTY
         assert failed.penalties == failed.evaluations == 1
         assert result.restarts[0].penalties == 0
@@ -226,7 +253,7 @@ class TestTrain:
         ))
         with pytest.raises(TrainingError, match="all restarts failed") as info:
             train(model, TrainConfig(n_restarts=2, seed=0))
-        assert len(info.value.diagnostics) == 2
+        assert len(info.value.diagnostics) == 3  # two LHS draws and the model's own start
         for line in info.value.diagnostics:
             counts = re.search(r"\((\d+) evaluations, (\d+) penalized\)$", line).groups()
             evaluations, penalized = map(int, counts)
@@ -308,7 +335,11 @@ class TestObjective:
         monkeypatch.setattr(GpModel, "nlml_value_and_gradients", counting)
         monkeypatch.setattr(optimize, "minimize", recording_minimize)
         train(model, config)
-        starts = optimize._lhs_design(config.seed, config.n_restarts, default_lhs_bounds(model))
+        bounds = default_lhs_bounds(model)
+        starts = [
+            *optimize._lhs_design(config.seed, config.n_restarts, bounds),
+            np.clip(model.opt_vector(), bounds[:, 0], bounds[:, 1]),
+        ]
         # each start's score is L-BFGS-B's first evaluation, so nothing else is evaluated
         assert len(run_evals) == len(starts)
         assert len(evaluated) == sum(run_evals)
@@ -411,6 +442,27 @@ class TestPoolMap:
         # a lambda cannot pickle, so this only passes without a worker pool
         assert optimize.pool_map(lambda v: v + 1, [1], jobs=2) == [2]
 
+    @pytest.mark.parametrize("jobs, workers", [(64, 3), (2, 2)])
+    def test_starts_no_more_workers_than_items(self, monkeypatch, jobs, workers):
+        started = []
+
+        class InProcessPool:  # records the pool size and starts no process
+            def __init__(self, max_workers, initializer):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(optimize, "ProcessPoolExecutor", InProcessPool)
+        assert optimize.pool_map(abs, [-3, 1, -2], jobs=jobs) == [3, 1, 2]
+        assert started == [workers]
+
 
 @pytest.fixture(scope="module")
 def series():
@@ -439,10 +491,10 @@ class TestKernelSearch:
     def test_failures_are_recorded_not_raised(self, series, monkeypatch):
         real_train = optimize.train
 
-        def flaky_train(model, config, extra_starts=()):
+        def flaky_train(model, config, warm=None):
             if "PER" in optimize.kx.format_kernel(model.kernel):
                 raise TrainingError("boom")
-            return real_train(model, config, extra_starts=extra_starts)
+            return real_train(model, config, warm)
 
         monkeypatch.setattr(optimize, "train", flaky_train)
         config = TrainConfig(n_restarts=1, seed=0, max_iterations=30)
@@ -450,6 +502,16 @@ class TestKernelSearch:
         assert [e.kernel for e in result.entries] == ["SE+SE"]
         assert len(result.failures) == 2
         assert all("boom" in msg for _, msg in result.failures)
+
+    def test_nlml_ties_keep_candidate_order(self, series, monkeypatch):
+        def tied_train(model, config, warm=None):
+            return optimize.TrainResult(model, 1.0, ())
+
+        monkeypatch.setattr(optimize, "train", tied_train)
+        bases = ("PER", "SE", "MA3")
+        result = kernel_search(series, bases=bases, config=TrainConfig(n_restarts=1), jobs=1)
+        assert [e.kernel for e in result.entries] == candidate_pairs(bases)
+        assert result.failures == ()
 
     def test_all_failures_make_best_raise(self):
         result = optimize.KernelSearchResult(entries=(), failures=(("SE+SE", "x"),))

@@ -596,9 +596,9 @@ class TestEvaluateMogp:
         means = []
         real_train = prognostics.train
 
-        def recording_train(model, config, extra_starts=()):
+        def recording_train(model, config, warm=None):
             means.append(model.mean)
-            return real_train(model, config, extra_starts)
+            return real_train(model, config, warm)
 
         monkeypatch.setattr(prognostics, "train", recording_train)
         evaluate_mogp(
