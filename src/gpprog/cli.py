@@ -235,13 +235,24 @@ def _select(config: argparse.Namespace, fleet):
 
 def _first_split(config: argparse.Namespace, data) -> int:
     """The first split of --start in the forecast cell (for mogp-evaluate, the
-    target); a UsageError unless data follows it and forecast has two before it."""
+    target); a UsageError unless it leaves something to forecast: data after
+    it, two points before it for forecast, an origin before the observed end
+    of life for evaluate and mogp-evaluate, and a target within the smallest
+    horizon for lookahead."""
     series = data.get(config.target) if config.command == "mogp-evaluate" else data
     c, n = max(1, math.ceil(config.start * len(series))), len(series)
     least = 2 if config.command == "forecast" else 1
+    where = f"--start {config.start} splits {series.cell_id!r} at {c} of {n} points"
     if not least <= c < n:
-        raise UsageError(f"--start {config.start} splits {series.cell_id!r} at {c} of {n} "
-                         f"points; {config.command} needs at least {least} before it and 1 after")
+        raise UsageError(f"{where}; {config.command} needs at least {least} before it and 1 after")
+    if config.command == "lookahead" and c + min(config.horizons) > n:
+        raise UsageError(f"{where}, so even the smallest horizon, {min(config.horizons)}, "
+                         "lies past the last point")
+    if config.command in ("evaluate", "mogp-evaluate"):
+        eol = true_end_of_life(series, config.eol)
+        if series.cycles[c] > eol:  # the filter prognostics.evaluate applies to origins
+            raise UsageError(f"{where}, and every origin lies past its observed end of life "
+                             f"at cycle {eol:.6g} (--eol {config.eol})")
     return c
 
 

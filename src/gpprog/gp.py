@@ -7,8 +7,10 @@ The observation model is
 All inference reuses a single Cholesky factorization of K + sigma^2 I:
 the marginal likelihood, its gradients, posterior conditioning and additive
 decomposition.  Posterior variances take the prior variance k(x*, x*) from
-the kernel diagonal (Rasmussen & Williams 2006, eq. 2.26), so prediction
-memory is linear in the number of test inputs.  Models are immutable;
+the kernel diagonal (Rasmussen & Williams 2006, eq. 2.26), and test inputs
+are conditioned POSTERIOR_BLOCK at a time (their columns are independent,
+Alg. 2.1), so a posterior of N inputs needs O(N) memory for its outputs plus
+O(POSTERIOR_BLOCK n) scratch, whatever N.  Models are immutable;
 training evaluates candidate parameter vectors against one model and builds
 the trained instance once via ``with_opt_vector``.
 
@@ -44,10 +46,16 @@ from .kernels import (
     natural_values,
     sum_terms,
     unique_pair_keys,
+    with_label_pairs,
 )
 from .meanfn import MeanFunction, Zero
 
 LOG_NOISE_VARIANCE = "log_noise_variance"
+
+# a posterior conditions its inputs in blocks of this many, so that its scratch
+# (a block's cross-covariance, its kernel temporaries and v = L^-1 k*) stays a
+# few hundred kilobytes however long the grid; far smaller blocks move last digits
+POSTERIOR_BLOCK = 128
 
 _LOG2PI = math.log(2.0 * math.pi)
 
@@ -164,12 +172,6 @@ def _checked_variance(var: np.ndarray, scale: float) -> np.ndarray:
     return np.clip(var, 0.0, None)
 
 
-def _latent_variance(kernel, v: np.ndarray, x_new, labels) -> np.ndarray:
-    """``kernel``'s prior variance at new inputs less the column sums of v^2."""
-    prior = kernel._diag(x_new, labels)
-    return _checked_variance(prior - np.sum(v * v, axis=0), prior.max(initial=1.0))
-
-
 class GpModel:
     """An immutable GP regression model bound to its training data.
 
@@ -260,7 +262,7 @@ class GpModel:
         KEY_BLOCK keys, each pair's index into them (n x n), and an n x n
         buffer that every training step gathers its gram into."""
         keys, inverse = unique_pair_keys(self.x, self.labels)
-        return key_blocks(keys), inverse, np.empty(inverse.shape)
+        return key_blocks(with_label_pairs(self.kernel, keys)), inverse, np.empty(inverse.shape)
 
     def _natural(self, values) -> list[float]:
         """An optimization-space vector in natural space, range-checked."""
@@ -366,31 +368,12 @@ class GpModel:
     def posterior(self, x_new, labels=None) -> Posterior:
         """Posterior mean and variance at new inputs.
 
-        Time and memory grow linearly in ``len(x_new)``: the prior
-        variances come from the kernel diagonal, never from the N x N prior
-        gram over the new inputs.
+        Time grows linearly in ``len(x_new)``, and memory is O(len(x_new))
+        for the outputs plus O(POSTERIOR_BLOCK n) scratch: the inputs are
+        conditioned a block at a time, and the prior variances come from the
+        kernel diagonal, never from the N x N prior gram over the new inputs.
         """
-        x_new, labels = self._require_labels(x_new, labels)
-        return self._posterior(x_new, labels, *self._solve(self.kernel, x_new, labels))
-
-    def _solve(self, kernel, x_new, labels):
-        """``kernel``'s share of the posterior mean at new inputs (prior mean
-        excluded), and v = L^-1 k*, both from one len(x_new) x n
-        cross-covariance k*."""
-        chol, _, _, alpha = self._factorization
-        ks = kernel._gram(x_new, labels, self.x, self.labels)
-        return ks @ alpha, solve_triangular(chol, ks.T, lower=True, check_finite=False)
-
-    def _posterior(self, x_new, labels, offset, v, components=None) -> Posterior:
-        var = _latent_variance(self.kernel, v, x_new, labels)
-        return Posterior(
-            x=x_new,
-            labels=labels,
-            mean=self.mean(x_new) + offset,
-            variance_latent=var,
-            variance_noisy=var + self.noise_variance,
-            components=components,
-        )
+        return self._condition(*self._require_labels(x_new, labels))
 
     def decompose_posterior(self, x_new, labels=None) -> Posterior:
         """Posterior split into one component per additive kernel term.
@@ -398,31 +381,66 @@ class GpModel:
         The observation noise appears as a final implicit component: test
         points carry fresh noise draws, so its mean is zero and its
         variance is the noise variance everywhere.  Component means plus
-        the prior mean reproduce the total posterior mean exactly.
-
-        Each term's cross-covariance is solved once: v = L^-1 k* is linear in
-        k*, so the whole kernel's mean offset is the sum of the terms' and its
-        variance is its prior variance less |sum of the terms' v|^2.
+        the prior mean reproduce the total posterior mean exactly.  Memory
+        is bounded as for :meth:`posterior`, with one mean and one variance
+        per component.
         """
         if isinstance(self.kernel, Product):
             raise ContractError(
                 "cannot decompose a product kernel into additive components"
             )
         x_new, labels = self._require_labels(x_new, labels)
-        terms = sum_terms(self.kernel)
-        names = []
+        terms = {}
         seen: dict[str, int] = {}
-        for term in terms:
+        for term in sum_terms(self.kernel):
             token = term._token()
             seen[token] = seen.get(token, 0) + 1
-            names.append(token if seen[token] == 1 else f"{token}_{seen[token]}")
-        components, offset, v_sum = [], 0.0, None
-        for name, term in zip(names, terms):
-            term_offset, v = self._solve(term, x_new, labels)
-            variance = _latent_variance(term, v, x_new, labels)
-            components.append(PosteriorComponent(name, term_offset, variance))
-            offset = offset + term_offset
-            v_sum = v if v_sum is None else np.add(v_sum, v, out=v_sum)
-        noise = np.full(len(x_new), self.noise_variance)
-        components.append(PosteriorComponent("noise", np.zeros(len(x_new)), noise))
-        return self._posterior(x_new, labels, offset, v_sum, tuple(components))
+            terms[token if seen[token] == 1 else f"{token}_{seen[token]}"] = term
+        return self._condition(x_new, labels, terms)
+
+    def _condition(self, x_new, labels, terms: dict[str, Kernel] | None = None) -> Posterior:
+        """The posterior at new inputs, with a component per named additive
+        term in ``terms`` when given.
+
+        Only the length-N outputs outlive a block of POSTERIOR_BLOCK inputs.
+        Each term's block cross-covariance k* is solved once: its mean offset
+        is k* alpha, and v = L^-1 k*^T is linear in k*, so the whole kernel's
+        offset is the sum of the terms' and its variance is its prior variance
+        less |sum of the terms' v|^2.  Variances are checked against the
+        largest prior variance on all the inputs, whatever the block.
+        """
+        chol, _, _, alpha = self._factorization
+        kernels = [self.kernel] if terms is None else list(terms.values())
+        # a last slot for the whole kernel's variance, unless it is the one term
+        whole = [self.kernel] if len(kernels) > 1 else []
+        priors = [k._diag(x_new, labels) for k in kernels + whole]
+        offsets = [np.empty(len(x_new)) for _ in kernels]
+        variances = [np.empty(len(x_new)) for _ in priors]
+        for start in range(0, len(x_new), POSTERIOR_BLOCK):
+            block = slice(start, start + POSTERIOR_BLOCK)
+            block_labels = None if labels is None else labels[block]
+            v_sum = None
+            for kernel, offset, prior, var in zip(kernels, offsets, priors, variances):
+                ks = kernel._gram(x_new[block], block_labels, self.x, self.labels)
+                offset[block] = ks @ alpha
+                v = solve_triangular(chol, ks.T, lower=True, check_finite=False)
+                var[block] = prior[block] - np.sum(v * v, axis=0)
+                v_sum = v if v_sum is None else np.add(v_sum, v, out=v_sum)
+            if whole:
+                variances[-1][block] = priors[-1][block] - np.sum(v_sum * v_sum, axis=0)
+        variances = [_checked_variance(v, p.max(initial=1.0)) for v, p in zip(variances, priors)]
+        components = None
+        if terms is not None:
+            noise = np.full(len(x_new), self.noise_variance)
+            components = (
+                *map(PosteriorComponent, terms, offsets, variances),
+                PosteriorComponent("noise", np.zeros(len(x_new)), noise),
+            )
+        return Posterior(
+            x=x_new,
+            labels=labels,
+            mean=self.mean(x_new) + (offsets[0] if terms is None else sum(offsets)),
+            variance_latent=variances[-1],
+            variance_noisy=variances[-1] + self.noise_variance,
+            components=components,
+        )

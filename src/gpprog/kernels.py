@@ -110,11 +110,16 @@ def _check_positive(name: str, value: float) -> float:
 class PairKeys(NamedTuple):
     """All a kernel here reads of a pair of inputs: the distance |x - x'| and,
     for labeled inputs, the two labels.  The arrays broadcast against each
-    other; the kernel's values come out in their common shape."""
+    other; the kernel's values come out in their common shape.
+
+    ``pairs``, when set, is :func:`label_pairs` of the keys for the kernel's
+    label covariance; see :func:`with_label_pairs`.
+    """
 
     d: np.ndarray
     l1: np.ndarray | None = None
     l2: np.ndarray | None = None
+    pairs: np.ndarray | None = None
 
 
 def unique_pair_keys(x, labels) -> tuple[PairKeys, np.ndarray]:
@@ -148,6 +153,28 @@ def key_blocks(keys: PairKeys) -> list[tuple[slice, PairKeys]]:
     """Consecutive slices of at most KEY_BLOCK keys, with the keys in each."""
     blocks = [slice(start, start + KEY_BLOCK) for start in range(0, len(keys.d), KEY_BLOCK)]
     return [(b, PairKeys(*(None if a is None else a[b] for a in keys))) for b in blocks]
+
+
+def label_pairs(keys: PairKeys, m: int) -> np.ndarray:
+    """Each key's label pair as a flat index (l1 - 1) m + (l2 - 1) into an
+    m x m matrix; a label outside 1..m raises BoundsError."""
+    if keys.l1 is None:
+        raise ConfigError("label covariance requires labeled inputs")
+    for labels in (keys.l1, keys.l2):
+        if labels.min(initial=1) < 1 or labels.max(initial=m) > m:
+            bad = labels[(labels < 1) | (labels > m)]
+            raise BoundsError(f"labels {sorted(set(bad.tolist()))} outside 1..{m}")
+    return (keys.l1 - 1) * m + (keys.l2 - 1)
+
+
+def with_label_pairs(kernel: "Kernel", keys: PairKeys) -> PairKeys:
+    """``keys`` with their label pairs checked and indexed once for the
+    kernel's label covariance, so that evaluations on them skip both;
+    unchanged for a kernel with none, or with ones of different sizes."""
+    sizes = {leaf.m for leaf in kernel._walk() if isinstance(leaf, LabelCovariance)}
+    if len(sizes) != 1:
+        return keys
+    return keys._replace(pairs=label_pairs(keys, *sizes))
 
 
 def natural_values(values: np.ndarray, log_positions: np.ndarray) -> list[float]:
@@ -487,22 +514,17 @@ class LabelCovariance(Kernel):
     def _evaluate(self, keys, raw, grads):
         angles = [next(raw) for _ in self.angles]
         tau = next(raw)
-        if keys.l1 is None:
-            raise ConfigError("label covariance requires labeled inputs")
-        for labels in (keys.l1, keys.l2):
-            if labels.min(initial=1) < 1 or labels.max(initial=self.m) > self.m:
-                bad = labels[(labels < 1) | (labels > self.m)]
-                raise BoundsError(f"labels {sorted(set(bad.tolist()))} outside 1..{self.m}")
+        flat = label_pairs(keys, self.m) if keys.pairs is None else keys.pairs
         s = _spherical_factor(angles, self.m)
         kl = tau * (s.T @ s)
         mats = [kl]
         if grads:
-            # each angle's gradient, then d/d log tau (equal to the matrix)
-            dkls = [tau * (ds.T @ s + s.T @ ds) for ds in _spherical_factor_grads(angles, self.m)]
-            mats += [*dkls, kl]
+            # each angle's gradient tau (dS^T S + S^T dS), where S^T dS is the
+            # transpose of dS^T S, then d/d log tau (equal to the matrix)
+            products = [ds.T @ s for ds in _spherical_factor_grads(angles, self.m)]
+            mats += [*(tau * (p + p.T) for p in products), kl]
         # gathered by label pair through flat m x m indices; the labels are
         # checked, so mode="clip" only skips a second range check
-        flat = (keys.l1 - 1) * self.m + (keys.l2 - 1)
         k, *dks = [np.take(mat.ravel(), flat, mode="clip") for mat in mats]
         return k, dks
 

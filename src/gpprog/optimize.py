@@ -138,13 +138,13 @@ def default_lhs_bounds(model: GpModel) -> np.ndarray:
 
 def _objective(model: GpModel):
     """NLML and gradient at an optimization-space vector, penalized where
-    evaluation fails numerically."""
+    evaluation fails numerically.  It leaves numpy's floating-point warnings
+    as the caller set them; :func:`train` ignores them for all its runs."""
     dim = len(model.opt_vector())
 
     def fun(theta):
         try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                value, grads = model.nlml_value_and_gradients(theta)
+            value, grads = model.nlml_value_and_gradients(theta)
         except (NumericalError, FloatingPointError, OverflowError, np.linalg.LinAlgError):
             return _PENALTY, np.zeros(dim)
         if not (math.isfinite(value) and np.isfinite(grads).all()):
@@ -180,31 +180,34 @@ def train(model: GpModel, config: TrainConfig = TrainConfig(), warm=None) -> Tra
     records = []
     best_value = math.inf
     best_theta = None
-    for start in starts:
-        values = []
+    # an extreme step overflows the kernel or the mean; the objective
+    # penalizes what that breaks, so the warnings would only be noise
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in starts:
+            values = []
 
-        def recorded(theta):
-            value, grads = fun(theta)
-            values.append(value)
-            return value, grads
+            def recorded(theta):
+                value, grads = fun(theta)
+                values.append(value)
+                return value, grads
 
-        result = minimize(
-            recorded,
-            start,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=list(map(tuple, bounds)),
-            options={"maxiter": config.max_iterations, "gtol": 1e-6},
-        )
-        f0, value, theta = values[0], float(result.fun), result.x
-        if f0 < value:  # never accept a step that lost ground on its start
-            value, theta = f0, start
-        message = str(result.message)
-        records.append(
-            RestartRecord(float(f0), value, message, int(result.nfev), values.count(_PENALTY))
-        )
-        if value < best_value:
-            best_value, best_theta = value, theta
+            result = minimize(
+                recorded,
+                start,
+                jac=True,
+                method="L-BFGS-B",
+                bounds=list(map(tuple, bounds)),
+                options={"maxiter": config.max_iterations, "gtol": 1e-6},
+            )
+            f0, value, theta = values[0], float(result.fun), result.x
+            if f0 < value:  # never accept a step that lost ground on its start
+                value, theta = f0, start
+            message = str(result.message)
+            records.append(
+                RestartRecord(float(f0), value, message, int(result.nfev), values.count(_PENALTY))
+            )
+            if value < best_value:
+                best_value, best_theta = value, theta
     if best_theta is None or best_value >= _PENALTY / 2:
         raise TrainingError(
             "all restarts failed numerically",

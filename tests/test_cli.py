@@ -362,6 +362,40 @@ class TestMainExitCodes:
         assert "--start" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, words",
+        [
+            (["evaluate", "--data", str(DATA / "b1.csv"), "--eol", "0.8", "--start", "0.95"],
+             ["'B1'", "--start 0.95", "end of life at cycle 107.006"]),
+            (["mogp-evaluate", "--data", str(DATA / "c.csv"), "--target", "C3",
+              "--train-cells", "C1", "--start", "0.97"],
+             ["'C3'", "--start 0.97", "end of life at cycle 130.662"]),
+            (["lookahead", "--data", str(DATA / "b1.csv"), "--start", "0.99"],
+             ["'B1'", "--start 0.99", "smallest horizon, 5,"]),
+            (["lookahead", "--data", str(DATA / "b1.csv"), "--start", "0.9",
+              "--horizons", "20,40"],
+             ["'B1'", "--start 0.9", "smallest horizon, 20,"]),
+        ],
+        ids=["evaluate", "mogp-evaluate", "lookahead", "lookahead-horizons"],
+    )
+    def test_start_without_origins_exits_two_before_writing(self, argv, words, tmp_path,
+                                                            capsys):
+        # a split that leaves data after it can still leave no origin: every one
+        # past the observed end of life, or every target past the last point
+        out = tmp_path / "o"
+        assert main(argv + ["--restarts", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert all(word in err for word in words), err
+        assert not out.exists()
+
+    def test_start_with_one_origin_runs(self, tmp_path):
+        # B1's split 106 of 120 is the last origin before its end of life at 0.8
+        out = tmp_path / "o"
+        argv = ["evaluate", "--data", str(DATA / "b1.csv"), "--eol", "0.8", "--start", "0.88",
+                "--restarts", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads((out / "report.json").read_text())["n_records"] == 1
+
     def test_target_picks_its_cell_from_a_fleet(self):
         config = parse_args(["fit", "--data", str(DATA / "c.csv"), "--target", "C2"])
         assert cli._select(config, cli.load_csv(config.data)).cell_id == "C2"

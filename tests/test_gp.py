@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import lapack
 
 from gpprog import (
+    BoundsError,
     CapacitySeries,
     ConfigError,
     Constant,
@@ -27,7 +28,9 @@ from gpprog import (
     jittered_cholesky,
     model_for_series,
     parse_kernel,
+    synthetic,
 )
+from gpprog import gp as gp_module
 
 from helpers import central_difference_gradients, dense_oracle, random_problem
 
@@ -257,6 +260,24 @@ class TestDecomposition:
         names = [c.name for c in model.decompose_posterior(x).components]
         assert names == ["MA3", "MA3_2", "noise"]
 
+    def test_decomposition_memory_does_not_grow_with_grid_times_data(self):
+        # 20,000 grid points and n = 128: a whole-grid cross-covariance and its
+        # v = L^-1 k* are 20 MB each, while blocks keep the peak to the length-N
+        # outputs and a few hundred kilobytes of scratch
+        x, y = synthetic.cell_b_like(128)
+        model = model_for_series((x, y), "MA5+MA3", "EXPDEG")
+        model.nlml()  # factorize first: only the conditioning is measured
+        grid = np.arange(129.0, 20129.0)
+        tracemalloc.start()
+        try:
+            post = model.decompose_posterior(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grid) > 100 * gp_module.POSTERIOR_BLOCK
+        assert peak < 8e6
+        assert np.all(np.isfinite(post.mean)) and np.all(post.variance_latent >= 0.0)
+
     def test_product_kernel_cannot_be_decomposed(self):
         x = np.linspace(0, 4, 5)
         model = GpModel(
@@ -337,6 +358,22 @@ class TestNumerics:
 
 
 class TestValidationAndPlumbing:
+    def test_labels_outside_the_label_covariance_raise(self):
+        # training labels are checked once, with the model's keys; every
+        # prediction request's labels are checked again
+        x = np.arange(6.0)
+        kernel = Product(LabelCovariance(2, (0.6,)), Matern(2.5))
+        bad = GpModel(kernel, x, np.sin(x), labels=[1, 2, 3, 1, 2, 1])
+        with pytest.raises(BoundsError, match=r"labels \[3\] outside 1..2"):
+            bad.nlml_value_and_gradients()
+        with pytest.raises(BoundsError, match=r"labels \[3\] outside 1..2"):
+            bad.nlml()
+        good = GpModel(kernel, x, np.sin(x), labels=[1, 2, 2, 1, 2, 1])
+        assert all(keys.pairs is not None for _, keys in good._keys[0])
+        good.posterior([1.0, 2.5], [2, 1])
+        with pytest.raises(BoundsError, match=r"labels \[0\] outside 1..2"):
+            good.posterior([1.0, 2.5], [1, 0])
+
     def test_bad_training_data_rejected(self):
         k = SquaredExponential()
         with pytest.raises(ConfigError):

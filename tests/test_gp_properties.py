@@ -15,6 +15,7 @@ them, so points with different labels coincide in x.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from gpprog import (
     WhiteNoise,
     Zero,
 )
+from gpprog import gp as gp_module
 
 from helpers import central_difference_gradients, dense_oracle
 
@@ -108,12 +110,12 @@ def problems(draw):
 
 
 @st.composite
-def predictions(draw):
+def predictions(draw, sizes=st.integers(1, 6)):
     """A model at a drawn parameter vector, and new inputs to predict at,
     labeled when the model is."""
     model, theta = draw(problems())
     model = model.with_opt_vector(theta)
-    n = draw(st.integers(1, 6))
+    n = draw(sizes)
     # some new inputs repeat training inputs, so cross-covariances meet coincidences
     new = st.one_of(st.floats(-2.0, 12.0), st.sampled_from(model.x.tolist()))
     x_new = np.array(draw(st.lists(new, min_size=n, max_size=n)))
@@ -169,3 +171,32 @@ def test_posterior_matches_dense_oracle(prediction):
     _, mean_ref, var_ref = dense_oracle(model, x_new, labels)
     assert np.allclose(post.mean, mean_ref, rtol=1e-8, atol=1e-10)
     assert np.allclose(post.variance_latent, var_ref, rtol=1e-8, atol=1e-9)
+
+
+def _assert_close(blocked, whole):
+    scale = max(float(np.max(np.abs(whole))), 1.0)
+    assert np.max(np.abs(blocked - whole)) <= 1e-12 * scale
+
+
+@given(predictions(st.integers(7, 27)))
+def test_blocks_condition_like_one_block(prediction):
+    # 7 to 27 new inputs are one to three blocks of 7 and a remainder; a
+    # block larger than the inputs conditions them all at once.  A second
+    # term on top makes every model, labeled ones included, decomposable.
+    model, x_new, labels = prediction
+    summed = GpModel(Sum(model.kernel, Matern(1.5, 0.5, 2.0)), model.x, model.y, model.mean,
+                     model.noise_variance, labels=model.labels)
+    results = []
+    for block in (7, 10**6):
+        with mock.patch.object(gp_module, "POSTERIOR_BLOCK", block):
+            results.append((model.posterior(x_new, labels),
+                            summed.decompose_posterior(x_new, labels)))
+    (post, dec), (post_whole, dec_whole) = results
+    for blocked, whole in ((post, post_whole), (dec, dec_whole)):
+        for field in ("mean", "variance_latent", "variance_noisy"):
+            _assert_close(getattr(blocked, field), getattr(whole, field))
+    for comp, comp_whole in zip(dec.components, dec_whole.components, strict=True):
+        assert comp.name == comp_whole.name
+        _assert_close(comp.mean, comp_whole.mean)
+        _assert_close(comp.variance, comp_whole.variance)
+    _assert_close(summed.mean(x_new) + sum(c.mean for c in dec.components), dec.mean)

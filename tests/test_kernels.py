@@ -33,6 +33,7 @@ from gpprog.kernels import (
     is_log_kind,
     key_blocks,
     unique_pair_keys,
+    with_label_pairs,
 )
 
 from helpers import random_kernel
@@ -217,6 +218,29 @@ class TestPairKeys:
             else:
                 assert all(len(p) <= KEY_BLOCK for p in parts)
                 assert np.array_equal(np.concatenate(parts), getattr(keys, field))
+
+    def test_label_pairs_are_checked_and_indexed_once(self):
+        # keys indexed for the kernel's label covariance evaluate to the same
+        # bits as keys that each evaluation checks and indexes itself
+        x = np.array([0.0, 1.0, 1.0, 2.0, 0.0])
+        keys, _ = unique_pair_keys(x, np.array([1, 2, 3, 1, 3]))
+        kernel = Product(LabelCovariance(3, (0.4, 0.9, 1.7), 1.3), Matern(1.5, 0.8, 2.0))
+        indexed = with_label_pairs(kernel, keys)
+        assert np.array_equal(indexed.pairs, (keys.l1 - 1) * 3 + keys.l2 - 1)
+        raw = kernel._raw_values()
+        for grads in (False, True):
+            k, dks = kernel._evaluate(keys, iter(raw), grads)
+            k_indexed, dks_indexed = kernel._evaluate(indexed, iter(raw), grads)
+            assert np.array_equal(k, k_indexed)
+            assert len(dks) == len(dks_indexed) == (6 if grads else 0)
+            assert all(np.array_equal(a, b) for a, b in zip(dks, dks_indexed))
+        # no label covariance, or two of different sizes: nothing to index once
+        assert with_label_pairs(Matern(1.5), keys) is keys
+        two_sizes = Sum(Product(LabelCovariance(3, (0.4, 0.9, 1.7)), Matern(1.5)),
+                        Product(LabelCovariance(4, (0.5,) * 6), Matern(2.5)))
+        assert with_label_pairs(two_sizes, keys) is keys
+        with pytest.raises(BoundsError, match=r"labels \[3\] outside 1..2"):
+            with_label_pairs(Product(LabelCovariance(2, (0.4,)), Matern(1.5)), keys)
 
 
 class TestSmoothness:
