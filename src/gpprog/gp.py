@@ -17,9 +17,12 @@ the trained instance once via ``with_opt_vector``.
 Per model, the first evaluation keeps what theta does not change: the
 distinct pair keys of the inputs, each pair's index into them, an n x n
 gram buffer and the positions of the log parameters.  A training step
-computes the rest: exp of those parameters, the mean, the kernel and its
-gradients on the keys, the gathered gram, LAPACK's dpotrf, dpotrs and
-dpotri, and W = K^-1 - alpha alpha^T summed by key.
+computes the rest: exp of those parameters, the mean, one evaluation of the
+kernel and its gradients on all the keys, the gathered gram, LAPACK's
+dpotrf, dpotrs and dpotri, and W = K^-1 - alpha alpha^T summed by key.
+Whole-cycle inputs have about n keys; fractional ones, where nearly every
+pair is distinct, about n^2/2, so a step's temporaries are then O(P n^2/2)
+for P kernel parameters, the order of the n x n arrays it holds anyway.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .kernels import (
     PairKeys,
     Product,
     is_log_kind,
-    key_blocks,
     natural_values,
     sum_terms,
     unique_pair_keys,
@@ -257,12 +259,12 @@ class GpModel:
         return np.flatnonzero([is_log_kind(k) for k in kinds]), self.kernel.n_params(), len(kinds)
 
     @cached_property
-    def _keys(self) -> tuple[list[tuple[slice, PairKeys]], np.ndarray, np.ndarray]:
-        """The distinct pair keys of the training inputs in blocks of at most
-        KEY_BLOCK keys, each pair's index into them (n x n), and an n x n
-        buffer that every training step gathers its gram into."""
+    def _keys(self) -> tuple[PairKeys, np.ndarray, np.ndarray]:
+        """The distinct pair keys of the training inputs, with their label
+        pairs indexed for the kernel, each pair's index into them (n x n),
+        and an n x n buffer that every training step gathers its gram into."""
         keys, inverse = unique_pair_keys(self.x, self.labels)
-        return key_blocks(with_label_pairs(self.kernel, keys)), inverse, np.empty(inverse.shape)
+        return with_label_pairs(self.kernel, keys), inverse, np.empty(inverse.shape)
 
     def _natural(self, values) -> list[float]:
         """An optimization-space vector in natural space, range-checked."""
@@ -279,16 +281,15 @@ class GpModel:
     @cached_property
     def _factorization(self):
         """The factorization at the model's own parameters, computed on first use."""
-        kraw = self.kernel._raw_values()
-        ks = [self.kernel._evaluate(keys, iter(kraw), False)[0] for _, keys in self._keys[0]]
-        return self._factor(ks, self.noise_variance, self.mean(self.x))
+        k = self.kernel._evaluate(self._keys[0], iter(self.kernel._raw_values()), False)[0]
+        return self._factor(k, self.noise_variance, self.mean(self.x))
 
-    def _factor(self, ks, noise, mean):
+    def _factor(self, k, noise, mean):
         """(Cholesky factor, jitter, residual, alpha), with the gram gathered
-        from the kernel's values ``ks`` on each block of distinct keys."""
+        from the kernel's values ``k`` on the distinct keys."""
         _, inverse, a = self._keys
         # the inverse comes from np.unique, so mode="clip" only skips its range check
-        np.take(ks[0] if len(ks) == 1 else np.concatenate(ks), inverse, out=a, mode="clip")
+        np.take(k, inverse, out=a, mode="clip")
         a.ravel()[:: len(a) + 1] += noise
         # the gram is symmetric, so its transpose is the same matrix in the
         # Fortran order that LAPACK takes without a transposing copy
@@ -302,34 +303,27 @@ class GpModel:
         chol, _, resid, alpha = self._factorization
         return _nlml(chol, resid, alpha)
 
-    def nlml_value_and_gradients(self, theta=None) -> tuple[float, np.ndarray]:
+    def nlml_value_and_gradients(self, theta) -> tuple[float, np.ndarray]:
         """NLML and its gradient in optimization space (kernel, noise, mean).
 
-        Evaluated at the optimization-space vector ``theta`` when given,
-        else at the model's own parameters, without building a new model:
-        the pair keys and the parameter layout are computed on first use and
-        kept.  The gradient is eq. 5.9 of Rasmussen & Williams (2006),
+        Evaluated at the optimization-space vector ``theta`` (the model's own
+        is ``opt_vector()``) without building a new model: the pair keys and
+        the parameter layout are computed on first use and kept.  The
+        gradient is eq. 5.9 of Rasmussen & Williams (2006),
         1/2 tr((K^-1 - alpha alpha^T) dK).
 
-        The kernel is evaluated on the model's distinct pair keys, block by
-        block, and its gradients are contracted with W summed by key.  W needs
-        the factorized gram, so every block but the last is evaluated twice,
-        for the gram and then for its gradients; the last block's gradients
-        are kept across the factorization.  Whole-cycle inputs have a single
-        block, so their kernel is evaluated once per step.
+        The kernel and its gradients are evaluated once, on all the model's
+        distinct pair keys; the values are gathered into the gram and each
+        gradient is contracted with W summed by key, one dot product each.
         """
-        if theta is None:
-            raw = [*self.kernel._raw_values(), self.noise_variance, *self.mean._raw_values()]
-        else:
-            raw = self._natural(theta)
+        raw = self._natural(theta)
         nk = self._layout[1]
         kraw, noise = raw[:nk], raw[nk]
         mean, mean_grads = self.mean._evaluate(self.x, raw[nk + 1 :])
-        blocks, inverse, _ = self._keys
-        ks = [self.kernel._evaluate(keys, iter(kraw), False)[0] for _, keys in blocks[:-1]]
-        k_last, dks_last = self.kernel._evaluate(blocks[-1][1], iter(kraw), True)
-        chol, _, resid, alpha = self._factor(ks + [k_last], noise, mean)
-        del ks, k_last
+        keys, inverse, _ = self._keys
+        k, dks = self.kernel._evaluate(keys, iter(kraw), True)
+        chol, _, resid, alpha = self._factor(k, noise, mean)
+        del k
         value = _nlml(chol, resid, alpha)
         # dpotri leaves the lower triangle Z of K^-1 (the upper stays zero) and
         # dsyr takes alpha alpha^T off that triangle in place.  Every dK is
@@ -346,11 +340,7 @@ class GpModel:
         w[:: len(z) + 1] *= 0.5
         noise_grad = noise * float(w[:: len(z) + 1].sum())
         weights = np.bincount(inverse.ravel(), weights=w)
-        del chol, z, w
-        grads = np.zeros(nk)
-        for block, keys in blocks[:-1]:  # one block's gradients at a time
-            grads += [blas.ddot(weights[block], dk) for dk in self.kernel._evaluate(keys, iter(kraw), True)[1]]
-        grads += [blas.ddot(weights[blocks[-1][0]], dk) for dk in dks_last]
+        grads = [blas.ddot(weights, dk) for dk in dks]
         return value, np.concatenate([grads, [noise_grad], -(mean_grads.T @ alpha)])
 
     def _require_labels(self, x_new, labels):

@@ -14,6 +14,9 @@ asked, its gradients.  Cross-covariances and prior variances evaluate it on
 every pair's key; a square gram evaluates it once per distinct key and
 gathers.  Battery cycles are integers, so the n^2 pairs of a capacity history
 share about n distinct distances (124 keys for the 15,376 pairs of cell A1).
+A model's training step evaluates the kernel and its gradients once on all
+of its :class:`PairKeys`; fractional inputs make nearly every pair distinct,
+about n^2/2 keys, and every array of that evaluation then has that length.
 
 Each leaf, and each mean function in :mod:`gpprog.meanfn`, declares its
 parameters once, as a ``_params`` tuple of (field, kind) pairs in
@@ -141,18 +144,6 @@ def unique_pair_keys(x, labels) -> tuple[PairKeys, np.ndarray]:
     codes, inverse = np.unique((inverse.reshape(n, n) * span + lo) * span + hi, return_inverse=True)
     keys = PairKeys(d[codes // span**2], codes // span % span + base, codes % span + base)
     return keys, inverse.reshape(n, n)
-
-
-# a training evaluation walks the keys in blocks of this many, so that its
-# temporaries (the value and every gradient at each key of a block) stay a
-# few hundred kilobytes even when fractional inputs make every pair distinct
-KEY_BLOCK = 2048
-
-
-def key_blocks(keys: PairKeys) -> list[tuple[slice, PairKeys]]:
-    """Consecutive slices of at most KEY_BLOCK keys, with the keys in each."""
-    blocks = [slice(start, start + KEY_BLOCK) for start in range(0, len(keys.d), KEY_BLOCK)]
-    return [(b, PairKeys(*(None if a is None else a[b] for a in keys))) for b in blocks]
 
 
 def label_pairs(keys: PairKeys, m: int) -> np.ndarray:

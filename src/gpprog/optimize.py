@@ -51,8 +51,8 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class RestartRecord:
-    """One L-BFGS-B run; ``evaluations`` is its nfev, of which ``penalties``
-    failed numerically and were penalized."""
+    """One L-BFGS-B run; ``evaluations`` counts its NLML evaluations (its
+    nfev), of which ``penalties`` failed numerically and were penalized."""
 
     start_nlml: float
     final_nlml: float
@@ -136,22 +136,38 @@ def default_lhs_bounds(model: GpModel) -> np.ndarray:
     return np.array(bounds)
 
 
-def _objective(model: GpModel):
-    """NLML and gradient at an optimization-space vector, penalized where
-    evaluation fails numerically.  It leaves numpy's floating-point warnings
-    as the caller set them; :func:`train` ignores them for all its runs."""
-    dim = len(model.opt_vector())
+class _Callbacks:
+    """L-BFGS-B's value and gradient callbacks for one restart.
 
-    def fun(theta):
+    Each NLML evaluation is penalized where it fails numerically, and its
+    value is kept in ``values``.  L-BFGS-B asks for the gradient right after
+    the value at the same point, so ``gradient`` reuses that evaluation and
+    evaluates again only at a point ``value`` did not just see.  Neither
+    touches numpy's floating-point warnings; :func:`train` ignores them for
+    all its runs.
+    """
+
+    def __init__(self, model: GpModel):
+        self.model = model
+        self.values: list[float] = []
+        self._theta = self._grads = None
+
+    def value(self, theta) -> float:
         try:
-            value, grads = model.nlml_value_and_gradients(theta)
+            value, grads = self.model.nlml_value_and_gradients(theta)
+            failed = not (math.isfinite(value) and np.isfinite(grads).all())
         except (NumericalError, FloatingPointError, OverflowError, np.linalg.LinAlgError):
-            return _PENALTY, np.zeros(dim)
-        if not (math.isfinite(value) and np.isfinite(grads).all()):
-            return _PENALTY, np.zeros(dim)
-        return value, grads
+            failed = True
+        if failed:
+            value, grads = _PENALTY, np.zeros(len(theta))
+        self.values.append(value)
+        self._theta, self._grads = np.array(theta), grads
+        return value
 
-    return fun
+    def gradient(self, theta) -> np.ndarray:
+        if not np.array_equal(theta, self._theta):
+            self.value(theta)
+        return self._grads
 
 
 def train(model: GpModel, config: TrainConfig = TrainConfig(), warm=None) -> TrainResult:
@@ -176,35 +192,29 @@ def train(model: GpModel, config: TrainConfig = TrainConfig(), warm=None) -> Tra
     bounds = default_lhs_bounds(model)
     extra = np.clip(extra, bounds[:, 0], bounds[:, 1])
     starts = [*_lhs_design(config.seed, config.n_restarts, bounds), *extra]
-    fun = _objective(model)
     records = []
     best_value = math.inf
     best_theta = None
-    # an extreme step overflows the kernel or the mean; the objective
-    # penalizes what that breaks, so the warnings would only be noise
+    # an extreme step overflows the kernel or the mean; the callbacks
+    # penalize what that breaks, so the warnings would only be noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in starts:
-            values = []
-
-            def recorded(theta):
-                value, grads = fun(theta)
-                values.append(value)
-                return value, grads
-
+            calls = _Callbacks(model)
             result = minimize(
-                recorded,
+                calls.value,
                 start,
-                jac=True,
+                jac=calls.gradient,
                 method="L-BFGS-B",
                 bounds=list(map(tuple, bounds)),
                 options={"maxiter": config.max_iterations, "gtol": 1e-6},
             )
+            values = calls.values
             f0, value, theta = values[0], float(result.fun), result.x
             if f0 < value:  # never accept a step that lost ground on its start
                 value, theta = f0, start
             message = str(result.message)
             records.append(
-                RestartRecord(float(f0), value, message, int(result.nfev), values.count(_PENALTY))
+                RestartRecord(float(f0), value, message, len(values), values.count(_PENALTY))
             )
             if value < best_value:
                 best_value, best_theta = value, theta

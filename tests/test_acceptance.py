@@ -125,7 +125,7 @@ def test_criterion_2_gradients_match_finite_differences(report):
     worst = 0.0
     for _ in range(20):
         model, _ = random_problem(rng)
-        _, grads = model.nlml_value_and_gradients()
+        _, grads = model.nlml_value_and_gradients(model.opt_vector())
         fd = central_difference_gradients(model, step=1e-6)
         worst = max(worst, np.max(np.abs(grads - fd) / np.maximum(1.0, np.abs(fd))))
     elapsed = time.perf_counter() - t0

@@ -68,7 +68,7 @@ class TestGradients:
         rng = np.random.default_rng(99)
         for _ in range(15):
             model, _ = random_problem(rng)
-            value, grads = model.nlml_value_and_gradients()
+            value, grads = model.nlml_value_and_gradients(model.opt_vector())
             assert value == pytest.approx(model.nlml(), rel=1e-12)
             fd = central_difference_gradients(model)
             assert np.allclose(grads, fd, rtol=2e-4, atol=1e-6)
@@ -92,14 +92,15 @@ class TestGradients:
             "mean.a2",
             "mean.a3",
         )
-        _, grads = model.nlml_value_and_gradients()
+        _, grads = model.nlml_value_and_gradients(model.opt_vector())
         fd = central_difference_gradients(model)
         assert np.allclose(grads, fd, rtol=1e-4, atol=1e-6)
 
     @pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
-    def test_gradients_across_key_blocks_match_the_dense_trace(self, labeled):
-        # fractional inputs give several blocks of distinct keys; the summed
-        # gradients must equal 1/2 tr((A^-1 - alpha alpha^T) dK) on the dense gram
+    def test_gradients_on_fractional_inputs_match_the_dense_trace(self, labeled):
+        # fractional inputs make nearly every pair a distinct key (4,006 keys
+        # unlabeled, 4,007 labeled); the gradients summed by key must equal
+        # 1/2 tr((A^-1 - alpha alpha^T) dK) on the dense gram
         rng = np.random.default_rng(11)
         n = 90
         x = np.sort(rng.uniform(0.0, 60.0, n))
@@ -111,7 +112,7 @@ class TestGradients:
             inputs = [LabeledInput(float(a), int(b)) for a, b in zip(x, labels)]
         model = GpModel(kernel, x, np.sin(x / 5.0) + 0.1 * rng.standard_normal(n),
                         Constant(0.2), noise_variance=0.05, labels=labels)
-        value, grads = model.nlml_value_and_gradients()
+        value, grads = model.nlml_value_and_gradients(model.opt_vector())
         k, dks = kernel.gram_with_gradients(x if inputs is None else inputs)
         a = k + model.noise_variance * np.eye(n)
         a_inv = np.linalg.inv(a)
@@ -124,8 +125,9 @@ class TestGradients:
 
     def test_repeated_evaluations_reuse_their_work_arrays(self):
         # after the first evaluation the Cholesky factor is the only new n x n
-        # array; allocating every gram, gradient and temporary afresh costs page
-        # faults on each optimizer step
+        # array; allocating every gram and temporary afresh costs page faults on
+        # each optimizer step.  The kernel's value and gradients are new arrays
+        # over the distinct keys, nearly n^2/2 of them on these fractional inputs
         rng = np.random.default_rng(5)
         n = 200
         x = np.sort(rng.uniform(0.0, 100.0, n))
@@ -149,8 +151,31 @@ class TestGradients:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * n * n * 8
+        n_keys = len(model._keys[0].d)
+        assert peak < 3 * n * n * 8 + (model.kernel.n_params() + 4) * n_keys * 8
         assert again[0] == first[0] and np.array_equal(again[1], first[1])
+
+    def test_one_step_on_fractional_inputs_holds_a_few_arrays_per_key(self):
+        # 300 fractional inputs give 44,851 distinct keys, and a step evaluates
+        # the kernel and its 4 gradients on all of them at once; its peak,
+        # while the two Matern terms are summed, is 8 arrays of that length
+        # (2.87 MB), and later the n x n factor with 5 of them stays below that
+        rng = np.random.default_rng(0)
+        n = 300
+        x = np.sort(rng.uniform(0.0, 200.0, n))
+        y = 1.0 - 0.001 * x + 0.01 * np.sin(x / 7.0) + 0.002 * rng.standard_normal(n)
+        model = model_for_series((x, y), "MA5+MA3")
+        theta = model.opt_vector()
+        model.nlml_value_and_gradients(theta)  # computes the keys
+        n_keys = len(model._keys[0].d)
+        tracemalloc.start()
+        try:
+            model.nlml_value_and_gradients(theta + 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_keys == n * (n - 1) // 2 + 1
+        assert peak < 9 * n_keys * 8
 
 
 class TestConditioningLimits:
@@ -365,11 +390,11 @@ class TestValidationAndPlumbing:
         kernel = Product(LabelCovariance(2, (0.6,)), Matern(2.5))
         bad = GpModel(kernel, x, np.sin(x), labels=[1, 2, 3, 1, 2, 1])
         with pytest.raises(BoundsError, match=r"labels \[3\] outside 1..2"):
-            bad.nlml_value_and_gradients()
+            bad.nlml_value_and_gradients(bad.opt_vector())
         with pytest.raises(BoundsError, match=r"labels \[3\] outside 1..2"):
             bad.nlml()
         good = GpModel(kernel, x, np.sin(x), labels=[1, 2, 2, 1, 2, 1])
-        assert all(keys.pairs is not None for _, keys in good._keys[0])
+        assert good._keys[0].pairs is not None
         good.posterior([1.0, 2.5], [2, 1])
         with pytest.raises(BoundsError, match=r"labels \[0\] outside 1..2"):
             good.posterior([1.0, 2.5], [1, 0])
@@ -460,7 +485,8 @@ class TestValidationAndPlumbing:
         a, b = trained.posterior(grid), fresh.posterior(grid)
         for field in ("mean", "variance_latent", "variance_noisy"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
-        assert trained.nlml_value_and_gradients()[0] == fresh.nlml_value_and_gradients()[0]
+        own = trained.opt_vector()
+        assert trained.nlml_value_and_gradients(own)[0] == fresh.nlml_value_and_gradients(own)[0]
         # the parent still factorizes correctly after sharing its scratch buffer
         assert model.nlml() == GpModel(model.kernel, x, y, mean=model.mean).nlml()
 

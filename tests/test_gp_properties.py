@@ -148,15 +148,6 @@ def test_gradient_matches_central_differences(problem):
     assert np.allclose(grads, fd, rtol=2e-4, atol=2e-6)
 
 
-@given(problems())
-def test_own_parameters_are_the_default(problem):
-    model, _ = problem
-    value, grads = model.nlml_value_and_gradients()
-    value_at, grads_at = model.nlml_value_and_gradients(model.opt_vector())
-    assert value == pytest.approx(value_at, rel=1e-10, abs=1e-10)
-    assert np.allclose(grads, grads_at, rtol=1e-8, atol=1e-10)
-
-
 @given(predictions())
 def test_diagonal_equals_gram_diagonal(prediction):
     model, x_new, labels = prediction

@@ -27,11 +27,9 @@ from gpprog import (
     with_data_scales,
 )
 from gpprog.kernels import (
-    KEY_BLOCK,
     LOG_WIGGLE,
     coerce_inputs,
     is_log_kind,
-    key_blocks,
     unique_pair_keys,
     with_label_pairs,
 )
@@ -200,24 +198,6 @@ class TestPairKeys:
         assert np.array_equal(keys.l2[inverse], hi)
         triples = set(zip(keys.d.tolist(), keys.l1.tolist(), keys.l2.tolist()))
         assert len(triples) == len(keys.d)
-
-    @pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
-    def test_key_blocks_cover_the_keys_in_order(self, labeled):
-        rng = np.random.default_rng(8)
-        x = rng.uniform(0.0, 50.0, 90)  # fractional: nearly every pair is distinct
-        labels = rng.integers(1, 3, len(x)) if labeled else None
-        keys, _ = unique_pair_keys(x, labels)
-        blocks = key_blocks(keys)
-        assert len(blocks) == -(-len(keys.d) // KEY_BLOCK) > 1
-        starts = [block.start for block, _ in blocks]
-        assert starts == list(range(0, len(keys.d), KEY_BLOCK))
-        for field in keys._fields:
-            parts = [getattr(part, field) for _, part in blocks]
-            if getattr(keys, field) is None:
-                assert all(p is None for p in parts)
-            else:
-                assert all(len(p) <= KEY_BLOCK for p in parts)
-                assert np.array_equal(np.concatenate(parts), getattr(keys, field))
 
     def test_label_pairs_are_checked_and_indexed_once(self):
         # keys indexed for the kernel's label covariance evaluate to the same

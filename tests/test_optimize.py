@@ -215,20 +215,31 @@ class TestTrain:
         calls = []
         real_nlml = GpModel.nlml_value_and_gradients
 
-        def counting(self, theta=None):
+        def counting(self, theta):
             calls.append(theta)
             return real_nlml(self, theta)
 
+        nfevs = []
+        real_minimize = optimize.minimize
+
+        def recording_minimize(*args, **kwargs):
+            result = real_minimize(*args, **kwargs)
+            nfevs.append(result.nfev)
+            return result
+
         monkeypatch.setattr(GpModel, "nlml_value_and_gradients", counting)
+        monkeypatch.setattr(optimize, "minimize", recording_minimize)
         result = train(model, TrainConfig(n_restarts=3, seed=0))
-        assert sum(r.evaluations for r in result.restarts) == len(calls)
+        # one NLML call per L-BFGS-B evaluation: the gradient reuses the value's
+        assert [r.evaluations for r in result.restarts] == nfevs
+        assert sum(nfevs) == len(calls)
         assert all(r.evaluations >= 1 and 0 <= r.penalties <= r.evaluations for r in result.restarts)
 
         # a start that fails numerically is penalized, and the penalty has no
         # gradient, so that run ends where it started
         start = model.opt_vector()
 
-        def failing_at_start(self, theta=None):
+        def failing_at_start(self, theta):
             if np.array_equal(theta, start):
                 raise NumericalError("exp overflow")
             return real_nlml(self, theta)
@@ -248,9 +259,11 @@ class TestTrain:
     def test_all_restarts_failing_raises_with_diagnostics(self, monkeypatch):
         x, y = se_sample_series(seed=1, n=20)
         model = model_for_series((x, y), "SE")
-        monkeypatch.setattr(optimize, "_objective", lambda m: lambda theta: (
-            optimize._PENALTY, np.zeros(len(theta))
-        ))
+
+        def failing(self, theta):
+            raise NumericalError("exp overflow")
+
+        monkeypatch.setattr(GpModel, "nlml_value_and_gradients", failing)
         with pytest.raises(TrainingError, match="all restarts failed") as info:
             train(model, TrainConfig(n_restarts=2, seed=0))
         assert len(info.value.diagnostics) == 3  # two LHS draws and the model's own start
@@ -260,23 +273,62 @@ class TestTrain:
             assert evaluations >= 1 and penalized == evaluations
 
 
-class TestObjective:
+class TestCallbacks:
     def test_penalizes_nonfinite_regions(self):
         x = np.linspace(0, 10, 8)
         model = GpModel(SquaredExponential(), x, np.sin(x))
-        fun = optimize._objective(model)
-        value, grads = fun(np.array([800.0, 0.0, 0.0]))  # exp overflow
-        assert value == optimize._PENALTY
-        assert np.array_equal(grads, np.zeros(3))
+        calls = optimize._Callbacks(model)
+        theta = np.array([800.0, 0.0, 0.0])  # exp overflow
+        assert calls.value(theta) == optimize._PENALTY
+        assert np.array_equal(calls.gradient(theta), np.zeros(3))
+        assert calls.values == [optimize._PENALTY]
 
     def test_clean_region_returns_true_value(self):
         x = np.linspace(0, 10, 8)
         model = GpModel(SquaredExponential(), x, np.sin(x))
-        fun = optimize._objective(model)
+        calls = optimize._Callbacks(model)
         theta = model.opt_vector()
-        value, grads = fun(theta)
-        assert value == pytest.approx(model.nlml(), rel=1e-12)
-        assert np.all(np.isfinite(grads))
+        assert calls.value(theta) == pytest.approx(model.nlml(), rel=1e-12)
+        assert np.all(np.isfinite(calls.gradient(theta)))
+
+    @staticmethod
+    def counting_nlml(monkeypatch):
+        """The points at which GpModel.nlml_value_and_gradients is called."""
+        evaluated = []
+        real_nlml = GpModel.nlml_value_and_gradients
+
+        def counting(self, theta):
+            evaluated.append(np.array(theta))
+            return real_nlml(self, theta)
+
+        monkeypatch.setattr(GpModel, "nlml_value_and_gradients", counting)
+        return evaluated
+
+    def test_gradient_at_the_value_point_reuses_its_evaluation(self, monkeypatch):
+        x = np.linspace(0, 10, 8)
+        model = GpModel(SquaredExponential(), x, np.sin(x))
+        theta = model.opt_vector()
+        expected = model.nlml_value_and_gradients(theta)
+        evaluated = self.counting_nlml(monkeypatch)
+        calls = optimize._Callbacks(model)
+        assert calls.value(theta) == expected[0]
+        # an equal copy, as scipy passes each callback its own
+        assert np.array_equal(calls.gradient(theta.copy()), expected[1])
+        assert len(evaluated) == 1 and calls.values == [expected[0]]
+
+    def test_gradient_at_an_unseen_point_evaluates_it(self, monkeypatch):
+        x = np.linspace(0, 10, 8)
+        model = GpModel(SquaredExponential(), x, np.sin(x))
+        seen = model.opt_vector()
+        unseen = seen + np.array([0.1, -0.2, 0.3])
+        expected = model.nlml_value_and_gradients(unseen)
+        evaluated = self.counting_nlml(monkeypatch)
+        calls = optimize._Callbacks(model)
+        calls.value(seen)
+        assert np.array_equal(calls.gradient(unseen), expected[1])
+        # one more recorded evaluation, at the unseen point
+        assert len(evaluated) == 2 and np.array_equal(evaluated[-1], unseen)
+        assert calls.values[-1] == expected[0] and len(calls.values) == 2
 
     @pytest.mark.parametrize(
         "mean, index, bad",
@@ -292,9 +344,9 @@ class TestObjective:
         model = GpModel(SquaredExponential(), x, np.sin(x), mean=mean)
         theta = model.opt_vector()
         theta[index] = bad
-        value, grads = optimize._objective(model)(theta)
-        assert value == optimize._PENALTY
-        assert np.array_equal(grads, np.zeros(len(theta)))
+        calls = optimize._Callbacks(model)
+        assert calls.value(theta) == optimize._PENALTY
+        assert np.array_equal(calls.gradient(theta), np.zeros(len(theta)))
 
     def test_duplicate_inputs_take_the_jitter_ladder_unpenalized(self, monkeypatch):
         x = np.array([0.0, 1.0, 1.0, 2.0, 3.0])
@@ -308,7 +360,9 @@ class TestObjective:
             return chol, jitter
 
         monkeypatch.setattr(gp_module, "jittered_cholesky", recording)
-        value, grads = optimize._objective(model)(model.opt_vector())
+        calls = optimize._Callbacks(model)
+        value = calls.value(model.opt_vector())
+        grads = calls.gradient(model.opt_vector())
         assert jitters and jitters[-1] > 0.0
         assert value < optimize._PENALTY / 2 and math.isfinite(value)
         assert np.all(np.isfinite(grads))
@@ -320,7 +374,7 @@ class TestObjective:
         evaluated = []
         real_nlml = GpModel.nlml_value_and_gradients
 
-        def counting(self, theta=None):
+        def counting(self, theta):
             evaluated.append(np.array(theta, dtype=float))
             return real_nlml(self, theta)
 
