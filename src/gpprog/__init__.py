@@ -90,78 +90,3 @@ from .prognostics import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundsError",
-    "CapacitySeries",
-    "ConfigError",
-    "Constant",
-    "ContractError",
-    "DataError",
-    "DegenerateInputError",
-    "EolForecast",
-    "EvaluationReport",
-    "ExpDegradation",
-    "Fleet",
-    "GpForecaster",
-    "GpModel",
-    "GpprogError",
-    "Hyperparameters",
-    "Kernel",
-    "KernelSearchResult",
-    "LabelCovariance",
-    "LabeledInput",
-    "LookaheadResult",
-    "LookaheadRow",
-    "Matern",
-    "MeanFunction",
-    "NumericalError",
-    "OriginRecord",
-    "Periodic",
-    "Posterior",
-    "PosteriorComponent",
-    "Product",
-    "RestartRecord",
-    "SchemaError",
-    "SearchEntry",
-    "SplitSpec",
-    "SquaredExponential",
-    "Sum",
-    "TrainConfig",
-    "TrainResult",
-    "TrainingError",
-    "UndefinedMetricError",
-    "UsageError",
-    "WhiteNoise",
-    "Zero",
-    "ar_baseline",
-    "ar_lookahead",
-    "base_kernel",
-    "candidate_pairs",
-    "default_lhs_bounds",
-    "evaluate",
-    "evaluate_mogp",
-    "find_eol",
-    "forecast_eol",
-    "forecast_grid",
-    "format_kernel",
-    "jittered_cholesky",
-    "kernel_search",
-    "label_covariance",
-    "load_csv",
-    "lookahead",
-    "mean_from_token",
-    "mean_params",
-    "model_for_series",
-    "mogp_gram",
-    "parse_kernel",
-    "rmse_eol",
-    "rmse_q",
-    "rolling_origins",
-    "save_csv",
-    "split",
-    "sum_terms",
-    "train",
-    "true_end_of_life",
-    "with_data_scales",
-]

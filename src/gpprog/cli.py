@@ -17,9 +17,11 @@ This is the one module that knows the output formats.  The library returns
 plain records (:class:`~gpprog.prognostics.OriginRecord`,
 :class:`~gpprog.prognostics.LookaheadRow`,
 :class:`~gpprog.optimize.SearchEntry`, ...); a JSON payload is
-``dataclasses.asdict`` of a record plus a few derived keys, and every CSV
-goes through :func:`_write_csv` and its one cell rule, so a field added to
-a record reaches the JSON files with no change here.
+``dataclasses.asdict`` of a record plus a few derived keys, so a field added
+to a record reaches the JSON files with no change here.  Every CSV goes
+through :func:`_write_csv`, whose ``csv.writer`` writes floats by ``repr``
+(which round-trips them), ints by ``str`` and None as an empty cell; a row
+hands it those types and nothing else.
 """
 
 from __future__ import annotations
@@ -157,27 +159,11 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _cell(value) -> str:
-    """One CSV cell: None empty, booleans 0/1, strings as they are, dicts as
-    sorted JSON, numbers by ``repr`` (which round-trips a float)."""
-    if type(value) is float:  # nearly every cell; checked first to keep the float path cheap
-        return repr(value)
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, dict):
-        return json.dumps(value, sort_keys=True)
-    return repr(value)
-
-
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([_cell(v) for v in row] for row in rows)
+        writer.writerows(rows)
 
 
 # report.csv flattens each record's EolForecast into its three estimates
@@ -192,7 +178,7 @@ def _report_row(record) -> tuple:
     estimates = (None,) * 3 if eol is None else (eol.eol_mean, eol.eol_lower, eol.eol_upper)
     return (
         record.c, record.current_x, record.rmse_q, *estimates, record.eol_estimate,
-        record.clamped, record.failed,
+        int(record.clamped), int(record.failed),
     )
 
 
@@ -292,7 +278,7 @@ def _cmd_kernel_search(config: argparse.Namespace, series, outdir: Path) -> None
     _write_csv(
         outdir / "search.csv",
         ("kernel", "lml", "hyperparameters"),
-        ((e.kernel, e.lml, e.hyperparameters) for e in result.entries),
+        ((e.kernel, e.lml, json.dumps(e.hyperparameters, sort_keys=True)) for e in result.entries),
     )
 
 

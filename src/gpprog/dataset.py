@@ -38,14 +38,12 @@ class CapacitySeries:
     ``cycles`` must be strictly increasing and non-negative; ``capacities``
     must be positive.  Construction does not rescale anything: use
     :meth:`from_raw` (or :func:`load_csv`) to normalize raw amp-hour values
-    against the first observation.  ``raw_initial_capacity`` keeps the
-    divisor so absolute capacities can be recovered.
+    against the first observation.
     """
 
     cell_id: str
     cycles: np.ndarray
     capacities: np.ndarray
-    raw_initial_capacity: float = 1.0
 
     def __post_init__(self):
         cycles = _readonly(self.cycles)
@@ -73,8 +71,6 @@ class CapacitySeries:
             raise DataError(f"cell {self.cell_id!r}: cycles not increasing")
         if np.any(capacities <= 0):
             raise DataError(f"cell {self.cell_id!r}: non-positive capacity")
-        if not (self.raw_initial_capacity > 0 and math.isfinite(self.raw_initial_capacity)):
-            raise DataError(f"cell {self.cell_id!r}: bad raw initial capacity")
 
     @classmethod
     def from_raw(cls, cell_id: str, cycles, capacities) -> "CapacitySeries":
@@ -96,7 +92,7 @@ class CapacitySeries:
         if np.any(capacities <= 0):
             raise DataError(f"cell {cell_id!r}: non-positive capacity")
         first = capacities[0]
-        return cls(cell_id, cycles, capacities / first, raw_initial_capacity=float(first))
+        return cls(cell_id, cycles, capacities / first)
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -177,13 +173,11 @@ def split(series: CapacitySeries, spec: SplitSpec) -> tuple[CapacitySeries, Capa
         series.cell_id,
         series.cycles[:c],
         series.capacities[:c],
-        raw_initial_capacity=series.raw_initial_capacity,
     )
     test = CapacitySeries(
         series.cell_id,
         series.cycles[c:],
         series.capacities[c:],
-        raw_initial_capacity=series.raw_initial_capacity,
     )
     return train, test
 

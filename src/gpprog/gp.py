@@ -134,7 +134,7 @@ class Posterior:
     """Posterior at a set of test inputs.
 
     ``variance_latent`` excludes observation noise; ``variance_noisy`` adds
-    it back and is what the default credible bounds use.
+    it back and is what the credible bounds use.
     """
 
     x: np.ndarray
@@ -152,10 +152,10 @@ class Posterior:
     def sigma_noisy(self) -> np.ndarray:
         return np.sqrt(self.variance_noisy)
 
-    def bounds(self, n_sigma: float = 2.0, include_noise: bool = True):
-        """(lower, upper) credible curves at mean +/- n_sigma standard deviations."""
-        sd = self.sigma_noisy if include_noise else self.sigma_latent
-        return self.mean - n_sigma * sd, self.mean + n_sigma * sd
+    def bounds(self):
+        """(lower, upper) credible curves at mean +/- 2 noisy standard deviations."""
+        sd = self.sigma_noisy
+        return self.mean - 2.0 * sd, self.mean + 2.0 * sd
 
 
 def _nlml(chol: np.ndarray, resid: np.ndarray, alpha: np.ndarray) -> float:

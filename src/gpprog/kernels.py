@@ -259,8 +259,6 @@ class Kernel(Parametrized, ABC):
 
     def with_hyperparameters(self, values) -> "Kernel":
         """New kernel with parameters replaced (optimization-space vector)."""
-        if isinstance(values, Hyperparameters):
-            values = values.values
         values = np.asarray(values, dtype=float)
         if len(values) != self.n_params():
             raise ConfigError(
@@ -497,10 +495,7 @@ class LabelCovariance(Kernel):
                 f"label covariance for m={self.m} needs {expected} angles, "
                 f"got {len(self.angles)}"
             )
-        _check_positive("shared_scale", self.shared_scale)
-
-    def matrix(self) -> np.ndarray:
-        return label_covariance(np.array(self.angles), self.shared_scale, self.m)
+        super().__post_init__()
 
     def _evaluate(self, keys, raw, grads):
         angles = [next(raw) for _ in self.angles]

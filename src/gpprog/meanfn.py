@@ -32,10 +32,6 @@ class MeanFunction(Parametrized, ABC):
     def __call__(self, x) -> np.ndarray:
         return self._evaluate(np.asarray(x, dtype=float), self._raw_values())[0]
 
-    def gradients(self, x) -> np.ndarray:
-        """Partial derivatives w.r.t. trainable parameters, shape (n, p)."""
-        return self._evaluate(np.asarray(x, dtype=float), self._raw_values())[1]
-
     @abstractmethod
     def _evaluate(self, x: np.ndarray, values) -> tuple[np.ndarray, np.ndarray]:
         """m(x) and its (n, p) gradient with the trainable parameters set to ``values``."""

@@ -32,6 +32,7 @@ import numpy as np
 
 from .dataset import CapacitySeries, Fleet, SplitSpec, rolling_origins, split
 from .errors import (
+    BoundsError,
     ConfigError,
     DegenerateInputError,
     NumericalError,
@@ -155,26 +156,28 @@ def forecast_eol(
     model: GpModel,
     spec: SplitSpec,
     horizon_x: float,
-    current_x: float | None = None,
     label: int | None = None,
 ) -> EolForecast:
     """Extrapolate the posterior on a forecast grid and read off the crossings.
 
-    The grid runs from ``current_x`` (by default the last training input of
-    the target) to ``horizon_x`` (see :func:`forecast_grid`);
-    :func:`eol_crossings` reads the estimates.
+    The grid runs from the last training input of the target, the output
+    ``label`` of a multi-output model, to ``horizon_x`` (see
+    :func:`forecast_grid`); :func:`eol_crossings` reads the estimates.  A
+    single-output model takes no label.
     """
-    if current_x is None:
-        if label is not None and model.labels is not None:
-            current_x = float(model.x[model.labels == label].max())
-        else:
-            current_x = float(model.x.max())
-    grid = forecast_grid(current_x, horizon_x, model.x)
-    labels = None
-    if model.labels is not None:
+    if model.labels is None:
+        if label is not None:
+            raise ConfigError(f"single-output model takes no target label, got {label}")
+        target_x = model.x
+    else:
         if label is None:
             raise ConfigError("multi-output model needs a target label")
-        labels = np.full(len(grid), label, dtype=int)
+        target_x = model.x[model.labels == label]
+        if target_x.size == 0:
+            raise BoundsError(f"no training inputs with target label {label}")
+    current_x = float(target_x.max())
+    grid = forecast_grid(current_x, horizon_x, model.x)
+    labels = None if model.labels is None else np.full(len(grid), label, dtype=int)
     return eol_crossings(model.posterior(grid, labels=labels), spec, current_x)
 
 
@@ -185,7 +188,7 @@ def eol_crossings(post: Posterior, spec: SplitSpec, current_x: float) -> EolFore
     comes from the mean +/- 2 sigma curves (noise included).
     """
     grid = post.x
-    lower_curve, upper_curve = post.bounds(2.0, include_noise=True)
+    lower_curve, upper_curve = post.bounds()
     eol_mean = find_eol(grid, post.mean, spec.eol_threshold, current_x)
     # a band curve already below the threshold at the origin snaps to the
     # first grid step, which can land past the mean's interpolated crossing;
@@ -258,8 +261,7 @@ class GpForecaster:
         model = self.fit(train_series)
         labels = None if self.label is None else np.full(len(test_x), self.label, dtype=int)
         predicted = model.posterior(test_x, labels=labels).mean
-        current_x = float(train_series.cycles[-1])
-        forecast = forecast_eol(model, spec, horizon_x, current_x=current_x, label=self.label)
+        forecast = forecast_eol(model, spec, horizon_x, label=self.label)
         return predicted, forecast
 
 

@@ -33,7 +33,6 @@ class TestCapacitySeries:
         s = make_series(5)
         assert len(s) == 5
         assert s.cell_id == "A1"
-        assert s.raw_initial_capacity == 1.0
 
     def test_arrays_are_readonly_copies(self):
         cycles = np.arange(4, dtype=float)
@@ -76,7 +75,6 @@ class TestCapacitySeries:
         s = CapacitySeries.from_raw("c", [10.0, 0.0, 5.0], [1.8, 2.0, 1.9])
         assert np.array_equal(s.cycles, [0.0, 5.0, 10.0])
         assert np.allclose(s.capacities, [1.0, 0.95, 0.9])
-        assert s.raw_initial_capacity == 2.0
 
     def test_from_raw_duplicate_cycle_rejected(self):
         with pytest.raises(DataError, match="duplicate cycle"):
@@ -129,7 +127,6 @@ class TestSplit:
         assert len(test) == 7
         assert np.array_equal(train.cycles, [0.0, 1.0, 2.0])
         assert np.array_equal(test.cycles, np.arange(3.0, 10.0))
-        assert train.raw_initial_capacity == s.raw_initial_capacity
 
     def test_split_out_of_range(self):
         s = make_series(5)

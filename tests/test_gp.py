@@ -550,7 +550,4 @@ class TestPosteriorContainer:
         post = model.posterior(np.array([5.0]))
         lower, upper = post.bounds()
         assert upper[0] - lower[0] == pytest.approx(4 * post.sigma_noisy[0])
-        lo_latent, up_latent = post.bounds(include_noise=False)
-        assert up_latent[0] - lo_latent[0] == pytest.approx(4 * post.sigma_latent[0])
-        lo3, up3 = post.bounds(n_sigma=3.0)
-        assert up3[0] > upper[0]
+        assert post.sigma_noisy[0] > post.sigma_latent[0]

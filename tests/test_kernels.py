@@ -248,6 +248,11 @@ class TestLabelCovariance:
         with pytest.raises(ConfigError):
             label_covariance([0.1, 0.2], 1.0, 3)
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf])
+    def test_nonfinite_angle_rejected(self, angle):
+        with pytest.raises(ConfigError, match="phi_1 must be finite"):
+            LabelCovariance(2, (angle,))
+
     def test_matrix_structure_random_angles(self):
         rng = np.random.default_rng(5)
         for m in (2, 3, 4, 5):
@@ -351,7 +356,11 @@ class TestHyperparameterPlumbing:
         hp = k.hyperparameters()
         assert hp.kinds == ("angle", "log_tau")
         rebuilt = k.with_hyperparameters(hp.values)
-        assert np.allclose(rebuilt.matrix(), k.matrix(), rtol=1e-14)
+        assert np.allclose(
+            label_covariance(rebuilt.angles, rebuilt.shared_scale, 2),
+            label_covariance(k.angles, k.shared_scale, 2),
+            rtol=1e-14,
+        )
 
 
 class TestGrammar:

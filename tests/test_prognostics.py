@@ -251,14 +251,27 @@ class TestForecastEol:
         assert forecast.eol_lower <= forecast.eol_mean <= forecast.eol_upper
         assert forecast.eol_mean == pytest.approx(1885.0, abs=25.0)
 
-    def test_multi_output_model_requires_label(self):
+    def make_two_cell_model(self):
         cells = tuple(
             CapacitySeries(cid, np.arange(0.0, 10.0), np.linspace(1.0, 0.9, 10))
             for cid in ("a", "b")
         )
-        model = model_for_series(Fleet(cells), "MA5")
+        return model_for_series(Fleet(cells), "MA5")
+
+    def test_multi_output_model_requires_label(self):
+        model = self.make_two_cell_model()
         with pytest.raises(ConfigError, match="target label"):
             forecast_eol(model, SplitSpec(c=10), horizon_x=50.0)
+
+    def test_single_output_model_rejects_label(self):
+        model = self.make_decaying_model()
+        with pytest.raises(ConfigError, match="target label"):
+            forecast_eol(model, SplitSpec(c=60), horizon_x=400.0, label=1)
+
+    def test_label_without_training_inputs_is_out_of_bounds(self):
+        model = self.make_two_cell_model()
+        with pytest.raises(BoundsError, match="target label 3"):
+            forecast_eol(model, SplitSpec(c=10), horizon_x=50.0, label=3)
 
 
 def linearish_series(n=32, slope=-0.012, noise=0.0, seed=0, cell_id="L"):
