@@ -6,22 +6,22 @@ lookahead horizons, and evaluate end-of-life forecasts at rolling origins
 for one cell or within its fleet.  :data:`OPTIONS` declares each option once,
 with an argparse type that checks it through the library's own validators;
 :data:`COMMANDS` lists each subcommand once, with its implementation and the
-options it reads.  A run loads the CSV and picks the cell (for
-mogp-evaluate, the fleet) before it writes ``manifest.json`` (the options
-read, and library versions).  Any other option, a bad value, a missing
-required one, an unknown, repeated or missing cell id, or a --start that
-leaves nothing to forecast is a :class:`UsageError` (exit 2) before anything
-is written.  With --jobs 1 a rerun reproduces every output file byte for byte.
+options it reads.  A run loads the CSV, picks the cell (for mogp-evaluate,
+the fleet) and computes its results before it writes ``manifest.json`` (the
+options read, and library versions) and them, so a failed run writes nothing.
+Any other option, a bad value, a missing required one or a missing cell id is
+a :class:`UsageError`; it and the library's input errors exit 2, any other
+failure 1.  With --jobs 1 a rerun reproduces every output file byte for byte.
 
 This is the one module that knows the output formats.  The library returns
 plain records (:class:`~gpprog.prognostics.OriginRecord`,
 :class:`~gpprog.prognostics.LookaheadRow`,
 :class:`~gpprog.optimize.SearchEntry`, ...); a JSON payload is
 ``dataclasses.asdict`` of a record plus a few derived keys, so a field added
-to a record reaches the JSON files with no change here.  Every CSV goes
-through :func:`_write_csv`, whose ``csv.writer`` writes floats by ``repr``
-(which round-trips them), ints by ``str`` and None as an empty cell; a row
-hands it those types and nothing else.
+to a record reaches the JSON files with no change here.  A subcommand returns
+its files as ``{name: payload}`` for :func:`_write`, whose ``csv.writer``
+writes floats by ``repr`` (which round-trips them), ints by ``str`` and None
+as an empty cell; a row hands it those types and nothing else.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import platform
 import sys
@@ -40,8 +39,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dataset import SplitSpec, _resolve_schema, load_csv, split
-from .errors import GpprogError, UndefinedMetricError, UsageError
+from .dataset import _resolve_schema, load_csv, rolling_origins, split
+from .errors import BoundsError, ConfigError, DegenerateInputError, GpprogError
+from .errors import UndefinedMetricError, UsageError
 from .kernels import parse_kernel
 from .meanfn import MEAN_TOKENS, mean_params
 from .optimize import DEFAULT_BASES, TrainConfig, candidate_pairs, kernel_search
@@ -153,17 +153,16 @@ OPTIONS = {
 # --- output helpers -----------------------------------------------------------
 
 
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=True)
-        fh.write("\n")
-
-
-def _write_csv(path: Path, header, rows) -> None:
+def _write(path: Path, payload) -> None:
+    """A ``.json`` file of ``payload``, or a CSV of ``payload = (header, rows)``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        if path.suffix == ".json":
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=True)
+            fh.write("\n")
+        else:
+            writer = csv.writer(fh)
+            writer.writerow(payload[0])
+            writer.writerows(payload[1])
 
 
 # report.csv flattens each record's EolForecast into its three estimates
@@ -182,12 +181,10 @@ def _report_row(record) -> tuple:
     )
 
 
-def _write_report(outdir: Path, report) -> None:
-    payload = asdict(report)
-    payload["n_records"] = len(report.records)
-    payload["n_failed"] = report.n_failed
-    _write_json(outdir / "report.json", payload)
-    _write_csv(outdir / "report.csv", _REPORT_HEADER, map(_report_row, report.records))
+def _report_files(report) -> dict:
+    payload = {**asdict(report), "n_records": len(report.records), "n_failed": report.n_failed}
+    rows = map(_report_row, report.records)
+    return {"report.json": payload, "report.csv": (_REPORT_HEADER, rows)}
 
 
 def _manifest(config: argparse.Namespace) -> dict:
@@ -203,43 +200,13 @@ def _manifest(config: argparse.Namespace) -> dict:
 
 
 def _select(config: argparse.Namespace, fleet):
-    """The cell the subcommand reads (for mogp-evaluate, the fleet); a cell id
-    that is unknown, repeated or missing is a UsageError."""
+    """The cell the subcommand reads (for mogp-evaluate, the fleet); a file of
+    several cells without --target is a UsageError."""
     if config.target is None:  # mogp-evaluate requires --target
         if fleet.m == 1:
             return fleet.series[0]
         raise UsageError(f"data contains cells {list(fleet.cell_ids)}; choose one with --target")
-    named = [*getattr(config, "train_cells", ()), config.target]
-    unknown = [c for c in named if c not in fleet.cell_ids]
-    if unknown:
-        raise UsageError(f"cells {unknown} not present in {config.data}")
-    repeated = sorted({c for c in named if named.count(c) > 1})
-    if repeated:
-        raise UsageError(f"cells {repeated} named more than once in --target and --train-cells")
     return fleet if config.command == "mogp-evaluate" else fleet.get(config.target)
-
-
-def _first_split(config: argparse.Namespace, data) -> int:
-    """The first split of --start in the forecast cell (for mogp-evaluate, the
-    target); a UsageError unless it leaves something to forecast: data after
-    it, two points before it for forecast, an origin before the observed end
-    of life for evaluate and mogp-evaluate, and a target within the smallest
-    horizon for lookahead."""
-    series = data.get(config.target) if config.command == "mogp-evaluate" else data
-    c, n = max(1, math.ceil(config.start * len(series))), len(series)
-    least = 2 if config.command == "forecast" else 1
-    where = f"--start {config.start} splits {series.cell_id!r} at {c} of {n} points"
-    if not least <= c < n:
-        raise UsageError(f"{where}; {config.command} needs at least {least} before it and 1 after")
-    if config.command == "lookahead" and c + min(config.horizons) > n:
-        raise UsageError(f"{where}, so even the smallest horizon, {min(config.horizons)}, "
-                         "lies past the last point")
-    if config.command in ("evaluate", "mogp-evaluate"):
-        eol = true_end_of_life(series, config.eol)
-        if series.cycles[c] > eol:  # the filter prognostics.evaluate applies to origins
-            raise UsageError(f"{where}, and every origin lies past its observed end of life "
-                             f"at cycle {eol:.6g} (--eol {config.eol})")
-    return c
 
 
 def _model_summary(config: argparse.Namespace, result) -> dict:
@@ -263,27 +230,24 @@ def _train_config(config: argparse.Namespace) -> TrainConfig:
     return TrainConfig(n_restarts=config.restarts, seed=config.seed)
 
 
-def _cmd_fit(config: argparse.Namespace, series, outdir: Path) -> None:
+def _cmd_fit(config: argparse.Namespace, series) -> dict:
     result = train(model_for_series(series, config.kernel, config.mean), _train_config(config))
-    _write_json(outdir / "model.json", _model_summary(config, result))
+    return {"model.json": _model_summary(config, result)}
 
 
-def _cmd_kernel_search(config: argparse.Namespace, series, outdir: Path) -> None:
+def _cmd_kernel_search(config: argparse.Namespace, series) -> dict:
     result = kernel_search(series, config.bases, _train_config(config), config.mean, config.jobs)
     payload = {
         "ranking": [{**asdict(e), "lml": e.lml} for e in result.entries],
         "failures": [{"kernel": k, "error": msg} for k, msg in result.failures],
     }
-    _write_json(outdir / "search.json", payload)
-    _write_csv(
-        outdir / "search.csv",
-        ("kernel", "lml", "hyperparameters"),
-        ((e.kernel, e.lml, json.dumps(e.hyperparameters, sort_keys=True)) for e in result.entries),
-    )
+    rows = [(e.kernel, e.lml, json.dumps(e.hyperparameters, sort_keys=True))
+            for e in result.entries]
+    return {"search.json": payload, "search.csv": (("kernel", "lml", "hyperparameters"), rows)}
 
 
-def _cmd_forecast(config: argparse.Namespace, series, outdir: Path) -> None:
-    spec = SplitSpec(_first_split(config, series), config.eol)
+def _cmd_forecast(config: argparse.Namespace, series) -> dict:
+    spec = rolling_origins(series, config.start, config.eol)[0]
     prefix, _ = split(series, spec)
     result = train(model_for_series(prefix, config.kernel, config.mean), _train_config(config))
     current_x = float(prefix.cycles[-1])
@@ -292,32 +256,32 @@ def _cmd_forecast(config: argparse.Namespace, series, outdir: Path) -> None:
     post = result.model.decompose_posterior(grid)  # grammar kernels are sums, never products
     lower, upper = post.bounds()
     columns = (grid, post.mean, post.sigma_latent, post.sigma_noisy, lower, upper)
-    _write_csv(
-        outdir / "posterior.csv",
-        ("x", "mean", "sigma_latent", "sigma_noisy", "lower_2sigma", "upper_2sigma"),
-        zip(*(c.tolist() for c in columns)),
-    )
-    _write_csv(
-        outdir / "components.csv",
-        ("component", "x", "mean", "sigma"),
-        (
-            (comp.name, x, mean, sigma)
-            for comp in post.components
-            for x, mean, sigma in zip(
-                grid.tolist(), comp.mean.tolist(), np.sqrt(comp.variance).tolist()
-            )
-        ),
-    )
     forecast = eol_crossings(post, spec, current_x)
     try:
         observed = true_end_of_life(series, config.eol)
     except UndefinedMetricError:
         observed = None
-    _write_json(outdir / "eol.json", {**asdict(forecast), "observed_eol": observed})
-    _write_json(outdir / "model.json", _model_summary(config, result))
+    return {
+        "posterior.csv": (
+            ("x", "mean", "sigma_latent", "sigma_noisy", "lower_2sigma", "upper_2sigma"),
+            zip(*(c.tolist() for c in columns)),
+        ),
+        "components.csv": (
+            ("component", "x", "mean", "sigma"),
+            (
+                (comp.name, x, mean, sigma)
+                for comp in post.components
+                for x, mean, sigma in zip(
+                    grid.tolist(), comp.mean.tolist(), np.sqrt(comp.variance).tolist()
+                )
+            ),
+        ),
+        "eol.json": {**asdict(forecast), "observed_eol": observed},
+        "model.json": _model_summary(config, result),
+    }
 
 
-def _cmd_lookahead(config: argparse.Namespace, series, outdir: Path) -> None:
+def _cmd_lookahead(config: argparse.Namespace, series) -> dict:
     result = lookahead(
         series, kernel_expr=config.kernel, mean_expr=config.mean, horizons=config.horizons,
         start_fraction=config.start, config=_train_config(config), warm_start=config.warm_start,
@@ -329,12 +293,10 @@ def _cmd_lookahead(config: argparse.Namespace, series, outdir: Path) -> None:
         "failures": [{"c": c, "error": msg} for c, msg in result.failures],
         "n_rows": len(result.rows),
     }
-    _write_json(outdir / "lookahead.json", payload)
-    _write_csv(
-        outdir / "lookahead.csv",
-        [f.name for f in fields(LookaheadRow)],
-        map(astuple, result.rows),
-    )
+    return {
+        "lookahead.json": payload,
+        "lookahead.csv": ([f.name for f in fields(LookaheadRow)], map(astuple, result.rows)),
+    }
 
 
 def _rolling(config: argparse.Namespace) -> dict:
@@ -344,13 +306,13 @@ def _rolling(config: argparse.Namespace) -> dict:
                 warm_start=config.warm_start, jobs=config.jobs)
 
 
-def _cmd_evaluate(config: argparse.Namespace, series, outdir: Path) -> None:
-    _write_report(outdir, evaluate(series, **_rolling(config)))
+def _cmd_evaluate(config: argparse.Namespace, series) -> dict:
+    return _report_files(evaluate(series, **_rolling(config)))
 
 
-def _cmd_mogp_evaluate(config: argparse.Namespace, fleet, outdir: Path) -> None:
+def _cmd_mogp_evaluate(config: argparse.Namespace, fleet) -> dict:
     report = evaluate_mogp(fleet, config.target, config.train_cells, **_rolling(config))
-    _write_report(outdir, report)
+    return _report_files(report)
 
 
 _COMMON = "--data --schema --target --mean --restarts --seed --jobs --out".split()
@@ -389,20 +351,17 @@ def parse_args(argv=None) -> argparse.Namespace:
     args, unread = parser.parse_known_args(argv)
     if unread:
         parser.error(f"{args.command} does not read {' '.join(unread)}")
-    if args.jobs > 1 and getattr(args, "warm_start", False):
-        parser.error("--warm-start chains fits sequentially; drop it or use --jobs 1")
     args.out = args.out or os.environ.get("GPPROG_OUT") or "gpprog-out"
     return args
 
 
 def run(config: argparse.Namespace) -> None:
     data = _select(config, load_csv(config.data, config.schema))
-    if "start" in config:  # checked before anything is written
-        _first_split(config, data)
+    files = COMMANDS[config.command][0](config, data)
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(outdir / "manifest.json", _manifest(config))
-    COMMANDS[config.command][0](config, data, outdir)
+    for name, payload in {"manifest.json": _manifest(config), **files}.items():
+        _write(outdir / name, payload)
 
 
 def main(argv=None) -> int:
@@ -410,7 +369,8 @@ def main(argv=None) -> int:
         run(parse_args(argv))
     except GpprogError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, UsageError) else 1
+        usage = isinstance(exc, (UsageError, ConfigError, BoundsError, DegenerateInputError))
+        return 2 if usage else 1
     return 0
 
 

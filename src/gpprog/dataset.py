@@ -192,7 +192,8 @@ def rolling_origins(
     first = max(1, math.ceil(start_fraction * n))
     if first >= n:
         raise DegenerateInputError(
-            f"series of length {n} has no rolling origins from fraction {start_fraction}"
+            f"cell {series.cell_id!r} of {n} points has no rolling origins from start "
+            f"fraction {start_fraction}"
         )
     return [SplitSpec(c, eol_threshold) for c in range(first, n)]
 

@@ -184,7 +184,7 @@ def train(model: GpModel, config: TrainConfig = TrainConfig(), warm=None) -> Tra
     evaluates first.
     """
     if len(model.x) < 2:
-        raise DegenerateInputError("training requires at least two points")
+        raise DegenerateInputError(f"training requires at least two points, got {len(model.x)}")
     own = model.opt_vector()
     extra = [own] if warm is None else [own, np.asarray(warm, dtype=float)]
     if extra[-1].shape != own.shape or not np.all(np.isfinite(extra[-1])):

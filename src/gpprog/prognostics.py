@@ -11,11 +11,12 @@ processes), and records an origin that fails with one of
 :data:`ORIGIN_ERRORS` instead of aborting the sweep.  ``lookahead`` and
 ``ar_lookahead`` share one fixed-horizon sweep and differ only in their
 predict step; ``evaluate`` and ``evaluate_mogp`` share one end-of-life
-backtest, which forecasts out to :data:`HORIZON_FACTOR` times the last
-observed position.  The GP steps fit through :class:`GpForecaster`, which
-hands the prefix, or the fleet of companions plus prefix, to
-:func:`optimize.model_for_series` and warm-starts each fit from the previous
-optimum.
+backtest, :func:`_backtest`, which forecasts out to :data:`HORIZON_FACTOR`
+times the last observed position.  A sweep whose start fraction leaves it
+no origin to score raises :class:`DegenerateInputError` before any fit.
+The GP steps fit through :class:`GpForecaster`, which hands the prefix, or
+the fleet of companions plus prefix, to :func:`optimize.model_for_series`
+and warm-starts each fit from the previous optimum.
 
 Results are plain frozen dataclasses (:class:`OriginRecord`,
 :class:`LookaheadRow`, :class:`EolForecast` and their containers) with no
@@ -310,6 +311,10 @@ def _horizon_sweep(series, horizons, start_fraction, predict) -> LookaheadResult
     horizons = _check_horizons(horizons)
     specs = rolling_origins(series, start_fraction)
     last = len(series) - 1
+    if specs[0].c - 1 + min(horizons) > last:  # every origin would be skipped
+        raise DegenerateInputError(f"cell {series.cell_id!r} splits at {specs[0].c} of {last + 1} "
+                                   f"points from start fraction {start_fraction}, so even the "
+                                   f"smallest horizon, {min(horizons)}, lies past the last point")
 
     def step(spec):
         steps = np.array([n for n in horizons if spec.c - 1 + n <= last])
@@ -358,7 +363,9 @@ def lookahead(
 
     Horizons are counted in observation positions: at split c the horizon-n
     target is the (c+n)-th observation.  Targets beyond the series end are
-    skipped.  Per-origin failures are recorded, never raised.
+    skipped.  Per-origin failures are recorded, never raised; a start
+    fraction that leaves no target within the smallest horizon raises
+    :class:`DegenerateInputError`.
     """
     forecaster = GpForecaster(kernel_expr, mean_expr, config, warm_start)
 
@@ -474,32 +481,12 @@ def _origin_record(forecaster, series, horizon_x, true_eol, spec) -> OriginRecor
     return OriginRecord(spec.c, float(train_series.cycles[-1]), q, forecast, estimate, clamped)
 
 
-def evaluate(
-    series: CapacitySeries,
-    kernel_expr: str = "MA5+MA3",
-    mean_expr: str = "CONST",
-    start_fraction: float = 0.2,
-    eol_threshold: float = 0.7,
-    config: TrainConfig = TrainConfig(),
-    warm_start: bool = True,
-    forecaster=None,
-    jobs: int = 1,
-) -> EvaluationReport:
-    """Rolling evaluation of capacity RMSE and end-of-life accuracy.
-
-    Origins run from ``start_fraction`` of the data until the observed end
-    of life; infinite point forecasts are clamped to the horizon
-    (:data:`HORIZON_FACTOR` times the final observed position) and flagged.
-    ``forecaster(train_series, test_x, spec, horizon_x)`` returns the
-    predicted capacities at ``test_x`` and an :class:`EolForecast`; it
-    defaults to a :class:`GpForecaster`.  With ``jobs`` > 1 origins run in
-    separate processes, which requires ``warm_start=False`` since warm
-    starting chains origins sequentially.
-    """
-    if jobs > 1 and warm_start:
-        raise ConfigError("parallel origins cannot warm start; pass warm_start=False")
-    if forecaster is None:
-        forecaster = GpForecaster(kernel_expr, mean_expr, config, warm_start)
+def _backtest(series, forecaster, start_fraction, eol_threshold, jobs) -> EvaluationReport:
+    """:func:`evaluate` of ``series`` through ``forecaster``, called as in
+    :func:`_origin_record`; its ``warm_start`` flag says whether fits chain."""
+    if jobs > 1 and forecaster.warm_start:
+        raise ConfigError(f"origins of {series.cell_id!r} cannot run in {jobs} jobs with a warm "
+                          "start, which chains each fit to the one before")
     true_eol = true_end_of_life(series, eol_threshold)
     horizon_x = HORIZON_FACTOR * float(series.cycles[-1])
     # origins past the observed end of life have empty test windows
@@ -508,6 +495,10 @@ def evaluate(
         for spec in rolling_origins(series, start_fraction, eol_threshold)
         if series.cycles[spec.c] <= true_eol
     ]
+    if not specs:
+        raise DegenerateInputError(f"cell {series.cell_id!r} has no origin from start fraction "
+                                   f"{start_fraction} before its observed end of life at cycle "
+                                   f"{true_eol:.6g} (threshold {eol_threshold})")
     step = partial(_origin_record, forecaster, series, horizon_x, true_eol)
     records = [
         record
@@ -528,6 +519,30 @@ def evaluate(
     )
 
 
+def evaluate(
+    series: CapacitySeries,
+    kernel_expr: str = "MA5+MA3",
+    mean_expr: str = "CONST",
+    start_fraction: float = 0.2,
+    eol_threshold: float = 0.7,
+    config: TrainConfig = TrainConfig(),
+    warm_start: bool = True,
+    jobs: int = 1,
+) -> EvaluationReport:
+    """Rolling evaluation of capacity RMSE and end-of-life accuracy.
+
+    Origins run from ``start_fraction`` of the data until the observed end
+    of life; a start fraction that leaves none raises
+    :class:`DegenerateInputError`.  Each origin retrains a
+    :class:`GpForecaster`; infinite point forecasts are clamped to the horizon
+    (:data:`HORIZON_FACTOR` times the final observed position) and flagged.
+    With ``jobs`` > 1 origins run in separate processes, which requires
+    ``warm_start=False`` since warm starting chains origins sequentially.
+    """
+    forecaster = GpForecaster(kernel_expr, mean_expr, config, warm_start)
+    return _backtest(series, forecaster, start_fraction, eol_threshold, jobs)
+
+
 def evaluate_mogp(
     fleet: Fleet,
     target: str,
@@ -544,22 +559,18 @@ def evaluate_mogp(
 
     Companion cells contribute their full histories at every origin; the
     target contributes data up to the split only.  The target takes the
-    last output label.
+    last output label.  A repeated or unknown cell, the target among the
+    training cells, or a start fraction :func:`evaluate` rejects raises.
     """
     train_cells = list(train_cells)
     if target in train_cells:
         raise ConfigError(f"target {target!r} also listed as a training cell")
     if not train_cells:
         raise ConfigError("multi-output evaluation needs at least one training cell")
+    if len(set(train_cells)) < len(train_cells):
+        raise ConfigError(f"training cells {train_cells} name a cell more than once")
     sub = fleet.subfleet(train_cells + [target])
     forecaster = GpForecaster(
         kernel_expr, mean_expr, config, warm_start, companions=sub.series[:-1]
     )
-    return evaluate(
-        sub.series[-1],
-        start_fraction=start_fraction,
-        eol_threshold=eol_threshold,
-        warm_start=warm_start,
-        forecaster=forecaster,
-        jobs=jobs,
-    )
+    return _backtest(sub.series[-1], forecaster, start_fraction, eol_threshold, jobs)

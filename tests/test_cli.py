@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpprog import EolForecast, EvaluationReport, OriginRecord, TrainConfig, UsageError
+from gpprog import EolForecast, EvaluationReport, OriginRecord, TrainConfig, TrainingError
+from gpprog import UsageError
 from gpprog import __version__, find_eol, load_csv, model_for_series, train
 from gpprog import cli
 from gpprog.cli import COMMANDS, main, parse_args
@@ -225,8 +226,6 @@ class TestParseArgs:
             ("evaluate", ["--restarts", "0"], "--restarts"),
             ("evaluate", ["--seed", "-1"], "--seed"),
             ("evaluate", ["--jobs", "0"], "--jobs"),
-            ("evaluate", ["--jobs", "2", "--warm-start"], "--warm-start"),
-            ("mogp-evaluate", ["--jobs", "2", "--warm-start"], "--warm-start"),
             ("kernel-search", ["--bases", "WAT"], "--bases"),
             ("kernel-search", ["--bases", "SE,se"], "--bases"),
             ("mogp-evaluate", ["--train-cells", " , "], "--train-cells"),
@@ -345,36 +344,41 @@ class TestMainExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, words",
         [
-            ["forecast", "--data", str(DATA / "a1.csv"), "--start", "0.999"],
-            ["forecast", "--data", str(DATA / "a1.csv"), "--start", "0.005"],
-            ["lookahead", "--data", str(DATA / "b1.csv"), "--start", "0.999"],
-            ["mogp-evaluate", "--data", str(DATA / "c.csv"), "--target", "C3",
-             "--train-cells", "C1", "--start", "0.99"],
+            (["forecast", "--data", str(DATA / "a1.csv"), "--start", "0.999"],
+             ["'A1'", "start fraction 0.999"]),
+            (["forecast", "--data", str(DATA / "a1.csv"), "--start", "0.005"],
+             ["two points, got 1"]),
+            (["lookahead", "--data", str(DATA / "b1.csv"), "--start", "0.999"],
+             ["'B1'", "start fraction 0.999"]),
+            (["mogp-evaluate", "--data", str(DATA / "c.csv"), "--target", "C3",
+              "--train-cells", "C1", "--start", "0.99"],
+             ["'C3'", "start fraction 0.99"]),
         ],
         ids=["forecast-no-future", "forecast-one-point", "lookahead", "mogp-evaluate"],
     )
-    def test_start_without_room_exits_two_before_writing(self, argv, tmp_path, capsys):
-        # the first split of the forecast cell is checked before anything is written
+    def test_start_without_room_exits_two_before_writing(self, argv, words, tmp_path, capsys):
+        # the library rejects the first split of the forecast cell before any result exists
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == 2
-        assert "--start" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(word in err for word in words), err
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, words",
         [
             (["evaluate", "--data", str(DATA / "b1.csv"), "--eol", "0.8", "--start", "0.95"],
-             ["'B1'", "--start 0.95", "end of life at cycle 107.006"]),
+             ["'B1'", "start fraction 0.95", "end of life at cycle 107.006"]),
             (["mogp-evaluate", "--data", str(DATA / "c.csv"), "--target", "C3",
               "--train-cells", "C1", "--start", "0.97"],
-             ["'C3'", "--start 0.97", "end of life at cycle 130.662"]),
+             ["'C3'", "start fraction 0.97", "end of life at cycle 130.662"]),
             (["lookahead", "--data", str(DATA / "b1.csv"), "--start", "0.99"],
-             ["'B1'", "--start 0.99", "smallest horizon, 5,"]),
+             ["'B1'", "start fraction 0.99", "smallest horizon, 5,"]),
             (["lookahead", "--data", str(DATA / "b1.csv"), "--start", "0.9",
               "--horizons", "20,40"],
-             ["'B1'", "--start 0.9", "smallest horizon, 20,"]),
+             ["'B1'", "start fraction 0.9", "smallest horizon, 20,"]),
         ],
         ids=["evaluate", "mogp-evaluate", "lookahead", "lookahead-horizons"],
     )
@@ -386,6 +390,31 @@ class TestMainExitCodes:
         assert main(argv + ["--restarts", "1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert all(word in err for word in words), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "mogp-evaluate"])
+    def test_parallel_warm_start_exits_two_before_writing(self, command, tmp_path, capsys):
+        # the backtest rejects warm-started parallel origins before any fit
+        out = tmp_path / "o"
+        assert main(base_argv(command) + ["--jobs", "2", "--warm-start", "--out", str(out)]) == 2
+        assert "warm start" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_runtime_failure_returns_one_before_writing(self, tmp_path, monkeypatch, capsys):
+        def failing_train(model, config, warm=None):
+            raise TrainingError("every restart failed")
+
+        monkeypatch.setattr(cli, "train", failing_train)
+        out = tmp_path / "o"
+        assert main(["fit", "--data", str(DATA / "a1.csv"), "--out", str(out)]) == 1
+        assert "every restart failed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_point_cell_exits_two_before_writing(self, tmp_path, capsys):
+        data = write_cell_csv(tmp_path / "one.csv", {"P1": ([1.0], [1.9])})
+        out = tmp_path / "o"
+        assert main(["fit", "--data", str(data), "--out", str(out)]) == 2
+        assert "two points, got 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_start_with_one_origin_runs(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from gpprog import (
     find_eol,
     forecast_eol,
     forecast_grid,
+    load_csv,
     lookahead,
     model_for_series,
     rmse_eol,
@@ -37,9 +39,12 @@ from gpprog import (
     rolling_origins,
     true_end_of_life,
 )
+from gpprog.prognostics import _backtest
 from gpprog.synthetic import cell_b_like
 
 from helpers import brute_force_eol, monotone_benchmark
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 class TestRmseQ:
@@ -369,6 +374,13 @@ class TestLookahead:
         with pytest.raises(ConfigError, match="at least one"):
             lookahead(series, horizons=())
 
+    @pytest.mark.parametrize("sweep", [lookahead, ar_lookahead])
+    def test_start_without_targets_raises(self, sweep):
+        # B1's first split from 0.99 is 119 of 120: no horizon-5 target is left
+        b1 = load_csv(DATA / "b1.csv").get("B1")
+        with pytest.raises(DegenerateInputError, match=r"'B1'.* 0\.99, .*smallest horizon, 5,"):
+            sweep(b1, start_fraction=0.99)
+
     def test_result_holds_one_row_per_scored_target(self):
         series = linearish_series(n=20)
         config = TrainConfig(n_restarts=1, seed=0, max_iterations=40)
@@ -410,6 +422,8 @@ def test_one_point_prefix_is_a_recorded_failure(sweep):
 class OracleForecaster:
     """Forecaster that reads the future directly; for harness tests."""
 
+    warm_start = False
+
     def __init__(self, series, true_eol, eol_shift=0.0, fail_at=(), infinite_at=()):
         self.cycles = series.cycles
         self.capacities = series.capacities
@@ -440,10 +454,9 @@ class TestEvaluate:
     def test_oracle_forecaster_scores_zero(self, fading_series):
         series = fading_series
         true_eol = true_end_of_life(series, 0.7)
-        report = evaluate(
-            series,
-            start_fraction=0.3,
-            forecaster=OracleForecaster(series, true_eol),
+        report = _backtest(
+            series, OracleForecaster(series, true_eol),
+            start_fraction=0.3, eol_threshold=0.7, jobs=1,
         )
         assert report.cell_id == "F"
         assert report.true_eol == pytest.approx(true_eol)
@@ -456,9 +469,9 @@ class TestEvaluate:
     def test_origins_stop_at_observed_end_of_life(self, fading_series):
         series = fading_series
         true_eol = true_end_of_life(series, 0.7)
-        report = evaluate(
-            series, start_fraction=0.3,
-            forecaster=OracleForecaster(series, true_eol),
+        report = _backtest(
+            series, OracleForecaster(series, true_eol),
+            start_fraction=0.3, eol_threshold=0.7, jobs=1,
         )
         all_specs = rolling_origins(series, 0.3, 0.7)
         expected = [
@@ -470,9 +483,9 @@ class TestEvaluate:
     def test_constant_bias_shows_up_in_rmse(self, fading_series):
         series = fading_series
         true_eol = true_end_of_life(series, 0.7)
-        report = evaluate(
-            series, start_fraction=0.3,
-            forecaster=OracleForecaster(series, true_eol, eol_shift=4.0),
+        report = _backtest(
+            series, OracleForecaster(series, true_eol, eol_shift=4.0),
+            start_fraction=0.3, eol_threshold=0.7, jobs=1,
         )
         assert report.rmse_eol == pytest.approx(4.0, abs=1e-9)
 
@@ -480,9 +493,9 @@ class TestEvaluate:
         series = fading_series
         true_eol = true_end_of_life(series, 0.7)
         fail_c = 14
-        report = evaluate(
-            series, start_fraction=0.3,
-            forecaster=OracleForecaster(series, true_eol, fail_at={fail_c}),
+        report = _backtest(
+            series, OracleForecaster(series, true_eol, fail_at={fail_c}),
+            start_fraction=0.3, eol_threshold=0.7, jobs=1,
         )
         failed = [r for r in report.records if r.failed]
         assert [r.c for r in failed] == [fail_c]
@@ -495,9 +508,9 @@ class TestEvaluate:
         series = fading_series
         true_eol = true_end_of_life(series, 0.7)
         inf_c = 15
-        report = evaluate(
-            series, start_fraction=0.3,
-            forecaster=OracleForecaster(series, true_eol, infinite_at={inf_c}),
+        report = _backtest(
+            series, OracleForecaster(series, true_eol, infinite_at={inf_c}),
+            start_fraction=0.3, eol_threshold=0.7, jobs=1,
         )
         clamped = [r for r in report.records if r.clamped]
         assert [r.c for r in clamped] == [inf_c]
@@ -507,16 +520,23 @@ class TestEvaluate:
     def test_jobs_parity_with_picklable_forecaster(self, fading_series):
         series = fading_series
         true_eol = true_end_of_life(series, 0.7)
-        kwargs = dict(start_fraction=0.4, warm_start=False)
-        seq = evaluate(series, forecaster=OracleForecaster(series, true_eol, eol_shift=2.0), **kwargs)
-        par = evaluate(series, forecaster=OracleForecaster(series, true_eol, eol_shift=2.0),
-                       jobs=2, **kwargs)
+        seq, par = (
+            _backtest(series, OracleForecaster(series, true_eol, eol_shift=2.0),
+                      start_fraction=0.4, eol_threshold=0.7, jobs=jobs)
+            for jobs in (1, 2)
+        )
         assert [r.c for r in seq.records] == [r.c for r in par.records]
         assert seq.rmse_eol == par.rmse_eol
 
     def test_parallel_warm_start_rejected(self, fading_series):
         with pytest.raises(ConfigError, match="warm start"):
             evaluate(fading_series, jobs=2, warm_start=True)
+
+    def test_start_without_origins_raises(self):
+        # every origin of B1 from 0.95 lies past its observed end of life at 0.8
+        b1 = load_csv(DATA / "b1.csv").get("B1")
+        with pytest.raises(DegenerateInputError, match=r"'B1'.* 0\.95 .*107\.006 .*0\.8"):
+            evaluate(b1, start_fraction=0.95, eol_threshold=0.8)
 
     def test_gp_forecaster_end_to_end_smoke(self):
         series = linearish_series(n=16, slope=-0.022, noise=0.0005, seed=3)
@@ -533,8 +553,8 @@ class TestEvaluate:
     def test_report_describes_its_cell_and_origins(self, fading_series):
         series = fading_series
         true_eol = true_end_of_life(series, 0.7)
-        report = evaluate(series, start_fraction=0.4,
-                          forecaster=OracleForecaster(series, true_eol))
+        report = _backtest(series, OracleForecaster(series, true_eol),
+                           start_fraction=0.4, eol_threshold=0.7, jobs=1)
         assert report.cell_id == "F" and report.threshold == 0.7
         assert report.true_eol == true_eol and report.n_failed == 0
         assert [r.c for r in report.records] == list(range(16, 16 + len(report.records)))
@@ -574,6 +594,15 @@ class TestEvaluateMogp:
             evaluate_mogp(tiny_fleet, target="zz", train_cells=["c1"])
         with pytest.raises(ConfigError, match="warm start"):
             evaluate_mogp(tiny_fleet, target="c1", train_cells=["c2"], jobs=2)
+
+    def test_target_without_origins_raises(self):
+        fleet = load_csv(DATA / "c.csv")
+        with pytest.raises(DegenerateInputError, match=r"'C3'.* 0\.97 .*130\.662"):
+            evaluate_mogp(fleet, "C3", ["C1"], start_fraction=0.97)
+
+    def test_repeated_training_cell_rejected(self):
+        with pytest.raises(ConfigError, match=r"\['C1', 'C1'\]"):
+            evaluate_mogp(load_csv(DATA / "c.csv"), "C3", ["C1", "C1"])
 
     def test_companions_inform_target(self, tiny_fleet):
         config = TrainConfig(n_restarts=1, seed=0, max_iterations=40)
