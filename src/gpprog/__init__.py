@@ -10,7 +10,6 @@ evaluations for single cells or fleets of related cells.
 from .dataset import (
     CapacitySeries,
     Fleet,
-    SplitSpec,
     load_csv,
     rolling_origins,
     save_csv,
@@ -23,6 +22,7 @@ from .errors import (
     DataError,
     DegenerateInputError,
     GpprogError,
+    InputError,
     NumericalError,
     SchemaError,
     TrainingError,

@@ -10,8 +10,8 @@ options it reads.  A run loads the CSV, picks the cell (for mogp-evaluate,
 the fleet) and computes its results before it writes ``manifest.json`` (the
 options read, and library versions) and them, so a failed run writes nothing.
 Any other option, a bad value, a missing required one or a missing cell id is
-a :class:`UsageError`; it and the library's input errors exit 2, any other
-failure 1.  With --jobs 1 a rerun reproduces every output file byte for byte.
+a :class:`UsageError`; it and every other :class:`InputError` exit 2, any
+other failure 1.  With --jobs 1 a rerun reproduces every output file byte for byte.
 
 This is the one module that knows the output formats.  The library returns
 plain records (:class:`~gpprog.prognostics.OriginRecord`,
@@ -40,8 +40,7 @@ import scipy
 
 from . import __version__
 from .dataset import _resolve_schema, load_csv, rolling_origins, split
-from .errors import BoundsError, ConfigError, DegenerateInputError, GpprogError
-from .errors import UndefinedMetricError, UsageError
+from .errors import GpprogError, InputError, UndefinedMetricError, UsageError
 from .kernels import parse_kernel
 from .meanfn import MEAN_TOKENS, mean_params
 from .optimize import DEFAULT_BASES, TrainConfig, candidate_pairs, kernel_search
@@ -247,8 +246,8 @@ def _cmd_kernel_search(config: argparse.Namespace, series) -> dict:
 
 
 def _cmd_forecast(config: argparse.Namespace, series) -> dict:
-    spec = rolling_origins(series, config.start, config.eol)[0]
-    prefix, _ = split(series, spec)
+    c = rolling_origins(series, config.start)[0]
+    prefix, _ = split(series, c)
     result = train(model_for_series(prefix, config.kernel, config.mean), _train_config(config))
     current_x = float(prefix.cycles[-1])
     horizon_x = HORIZON_FACTOR * float(series.cycles[-1])
@@ -256,7 +255,7 @@ def _cmd_forecast(config: argparse.Namespace, series) -> dict:
     post = result.model.decompose_posterior(grid)  # grammar kernels are sums, never products
     lower, upper = post.bounds()
     columns = (grid, post.mean, post.sigma_latent, post.sigma_noisy, lower, upper)
-    forecast = eol_crossings(post, spec, current_x)
+    forecast = eol_crossings(post, c, config.eol, current_x)
     try:
         observed = true_end_of_life(series, config.eol)
     except UndefinedMetricError:
@@ -369,8 +368,7 @@ def main(argv=None) -> int:
         run(parse_args(argv))
     except GpprogError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        usage = isinstance(exc, (UsageError, ConfigError, BoundsError, DegenerateInputError))
-        return 2 if usage else 1
+        return 2 if isinstance(exc, InputError) else 1
     return 0
 
 

@@ -143,32 +143,12 @@ class Fleet:
         return xs, ys, labels
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """A training cut: the first ``c`` observations are available.
-
-    ``eol_threshold`` is the normalized capacity considered end of life.
-    """
-
-    c: int
-    eol_threshold: float = 0.7
-
-    def __post_init__(self):
-        if not isinstance(self.c, (int, np.integer)) or self.c < 1:
-            raise BoundsError(f"split position must be a positive integer, got {self.c!r}")
-        if not (0.0 < self.eol_threshold < 1.0):
-            raise ConfigError(
-                f"EoL threshold must lie in (0, 1), got {self.eol_threshold}"
-            )
-
-
-def split(series: CapacitySeries, spec: SplitSpec) -> tuple[CapacitySeries, CapacitySeries]:
-    """Split into (train, test); train gets the first ``spec.c`` points."""
-    if spec.c >= len(series):
+def split(series: CapacitySeries, c: int) -> tuple[CapacitySeries, CapacitySeries]:
+    """Split into (train, test); train gets the first ``c`` points, 1 <= c < len(series)."""
+    if not isinstance(c, (int, np.integer)) or not 1 <= c < len(series):
         raise BoundsError(
-            f"split position {spec.c} out of range for series of length {len(series)}"
+            f"split position {c!r} out of range for series of length {len(series)}"
         )
-    c = int(spec.c)
     train = CapacitySeries(
         series.cell_id,
         series.cycles[:c],
@@ -182,10 +162,8 @@ def split(series: CapacitySeries, spec: SplitSpec) -> tuple[CapacitySeries, Capa
     return train, test
 
 
-def rolling_origins(
-    series: CapacitySeries, start_fraction: float, eol_threshold: float = 0.7
-) -> list[SplitSpec]:
-    """Every split from ceil(start_fraction * n) through n - 1."""
+def rolling_origins(series: CapacitySeries, start_fraction: float) -> range:
+    """Every split position from ceil(start_fraction * n) through n - 1."""
     if not (0.0 < start_fraction < 1.0):
         raise ConfigError(f"start fraction must lie in (0, 1), got {start_fraction}")
     n = len(series)
@@ -195,7 +173,7 @@ def rolling_origins(
             f"cell {series.cell_id!r} of {n} points has no rolling origins from start "
             f"fraction {start_fraction}"
         )
-    return [SplitSpec(c, eol_threshold) for c in range(first, n)]
+    return range(first, n)
 
 
 def _resolve_schema(schema: dict | None) -> dict:

@@ -9,19 +9,23 @@ class GpprogError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class SchemaError(GpprogError):
+class InputError(GpprogError):
+    """The caller's input is invalid: a data file, an option or an argument."""
+
+
+class SchemaError(InputError):
     """A data file does not have the expected column layout."""
 
 
-class DataError(GpprogError):
+class DataError(InputError):
     """Row-level data is invalid (duplicates, non-positive capacity, ...)."""
 
 
-class BoundsError(GpprogError):
+class BoundsError(InputError):
     """An index, label, or split position is out of range."""
 
 
-class ConfigError(GpprogError):
+class ConfigError(InputError):
     """A configuration value or expression is invalid."""
 
 
@@ -29,7 +33,7 @@ class ContractError(GpprogError):
     """An operation was called on an object that cannot support it."""
 
 
-class DegenerateInputError(GpprogError):
+class DegenerateInputError(InputError):
     """Too little data for the requested operation."""
 
 
@@ -52,5 +56,5 @@ class TrainingError(GpprogError):
         self.diagnostics = list(diagnostics) if diagnostics is not None else []
 
 
-class UsageError(GpprogError):
+class UsageError(InputError):
     """Command line arguments are structurally invalid."""

@@ -4,10 +4,10 @@ Two headline metrics: capacity RMSE over a held-out window, and RMSE of
 predicted end of life (the cycle where capacity first drops below the
 threshold) against the observed crossing.
 
-Every rolling evaluation runs through one origin engine, :func:`_run_origins`:
-it applies a per-origin step at each split position from a starting fraction
-of the data onward, through :func:`optimize.pool_map` (in order or in worker
-processes), and records an origin that fails with one of
+Every rolling evaluation applies a per-origin step at each split position
+from a starting fraction of the data onward, through
+:func:`optimize.pool_map` (in order or in worker processes), and
+:func:`_attempt` records an origin that fails with one of
 :data:`ORIGIN_ERRORS` instead of aborting the sweep.  ``lookahead`` and
 ``ar_lookahead`` share one fixed-horizon sweep and differ only in their
 predict step; ``evaluate`` and ``evaluate_mogp`` share one end-of-life
@@ -31,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .dataset import CapacitySeries, Fleet, SplitSpec, rolling_origins, split
+from .dataset import CapacitySeries, Fleet, rolling_origins, split
 from .errors import (
     BoundsError,
     ConfigError,
@@ -89,7 +89,10 @@ def find_eol(xs, values, threshold: float, start_x: float) -> float:
     The curve is the linear interpolant of (xs, values).  If the first
     point past ``start_x`` is already below the threshold the answer snaps
     to that grid point.  Returns +inf when the curve never drops below.
+    ``threshold`` must lie in (0, 1).
     """
+    if not 0.0 < threshold < 1.0:
+        raise ConfigError(f"EoL threshold must lie in (0, 1), got {threshold}")
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     if xs.shape != values.shape or xs.ndim != 1:
@@ -155,11 +158,12 @@ def forecast_grid(current_x: float, horizon_x: float, train_x) -> np.ndarray:
 
 def forecast_eol(
     model: GpModel,
-    spec: SplitSpec,
+    threshold: float,
     horizon_x: float,
     label: int | None = None,
 ) -> EolForecast:
-    """Extrapolate the posterior on a forecast grid and read off the crossings.
+    """Extrapolate the posterior on a forecast grid and read off the crossings
+    of ``threshold``, stamped with the target's number of training inputs as ``c``.
 
     The grid runs from the last training input of the target, the output
     ``label`` of a multi-output model, to ``horizon_x`` (see
@@ -179,27 +183,28 @@ def forecast_eol(
     current_x = float(target_x.max())
     grid = forecast_grid(current_x, horizon_x, model.x)
     labels = None if model.labels is None else np.full(len(grid), label, dtype=int)
-    return eol_crossings(model.posterior(grid, labels=labels), spec, current_x)
+    return eol_crossings(model.posterior(grid, labels=labels), len(target_x), threshold, current_x)
 
 
-def eol_crossings(post: Posterior, spec: SplitSpec, current_x: float) -> EolForecast:
-    """End-of-life estimates from a posterior on a forecast grid.
+def eol_crossings(post: Posterior, c: int, threshold: float, current_x: float) -> EolForecast:
+    """End-of-life estimates at ``threshold`` from a posterior on a forecast grid
+    that starts at ``current_x``, the last of the ``c`` training inputs.
 
     The point estimate comes from the posterior mean curve; the interval
     comes from the mean +/- 2 sigma curves (noise included).
     """
     grid = post.x
     lower_curve, upper_curve = post.bounds()
-    eol_mean = find_eol(grid, post.mean, spec.eol_threshold, current_x)
+    eol_mean = find_eol(grid, post.mean, threshold, current_x)
     # a band curve already below the threshold at the origin snaps to the
     # first grid step, which can land past the mean's interpolated crossing;
     # coerce such boundary cases back into a coherent interval
-    eol_lower = min(find_eol(grid, lower_curve, spec.eol_threshold, current_x), eol_mean)
-    eol_upper = max(find_eol(grid, upper_curve, spec.eol_threshold, current_x), eol_mean)
+    eol_lower = min(find_eol(grid, lower_curve, threshold, current_x), eol_mean)
+    eol_upper = max(find_eol(grid, upper_curve, threshold, current_x), eol_mean)
     return EolForecast(
-        c=spec.c,
+        c=c,
         current_x=current_x,
-        threshold=spec.eol_threshold,
+        threshold=threshold,
         eol_mean=eol_mean,
         eol_lower=eol_lower,
         eol_upper=eol_upper,
@@ -213,21 +218,11 @@ def eol_crossings(post: Posterior, spec: SplitSpec, current_x: float) -> EolFore
 ORIGIN_ERRORS = (DegenerateInputError, NumericalError, TrainingError, UndefinedMetricError)
 
 
-def _attempt(step, spec):
+def _attempt(step, origin):
     try:
-        return step(spec), None
+        return step(origin), None
     except ORIGIN_ERRORS as exc:
         return None, str(exc)
-
-
-def _run_origins(step, specs, jobs: int = 1) -> list[tuple[object, str | None]]:
-    """``(step(spec), None)`` for every origin, or ``(None, message)`` where
-    the step failed with one of :data:`ORIGIN_ERRORS`.
-
-    Steps run through :func:`pool_map`, so with ``jobs`` > 1 ``step`` must
-    pickle and each worker holds its own copy of it.
-    """
-    return pool_map(partial(_attempt, step), specs, jobs)
 
 
 class GpForecaster:
@@ -258,11 +253,11 @@ class GpForecaster:
             self._warm = trained.opt_vector()
         return trained
 
-    def __call__(self, train_series, test_x, spec, horizon_x):
+    def __call__(self, train_series, test_x, threshold, horizon_x):
         model = self.fit(train_series)
         labels = None if self.label is None else np.full(len(test_x), self.label, dtype=int)
         predicted = model.posterior(test_x, labels=labels).mean
-        forecast = forecast_eol(model, spec, horizon_x, label=self.label)
+        forecast = forecast_eol(model, threshold, horizon_x, label=self.label)
         return predicted, forecast
 
 
@@ -309,21 +304,21 @@ def _horizon_sweep(series, horizons, start_fraction, predict) -> LookaheadResult
     skipped without a call; a failed origin skips its targets.
     """
     horizons = _check_horizons(horizons)
-    specs = rolling_origins(series, start_fraction)
+    origins = rolling_origins(series, start_fraction)
     last = len(series) - 1
-    if specs[0].c - 1 + min(horizons) > last:  # every origin would be skipped
-        raise DegenerateInputError(f"cell {series.cell_id!r} splits at {specs[0].c} of {last + 1} "
+    if origins[0] - 1 + min(horizons) > last:  # every origin would be skipped
+        raise DegenerateInputError(f"cell {series.cell_id!r} splits at {origins[0]} of {last + 1} "
                                    f"points from start fraction {start_fraction}, so even the "
                                    f"smallest horizon, {min(horizons)}, lies past the last point")
 
-    def step(spec):
-        steps = np.array([n for n in horizons if spec.c - 1 + n <= last])
-        idx = spec.c - 1 + steps
-        prefix, _ = split(series, spec)
+    def step(c):
+        steps = np.array([n for n in horizons if c - 1 + n <= last])
+        idx = c - 1 + steps
+        prefix, _ = split(series, c)
         means, sds = predict(prefix, steps, series.cycles[idx])
         return [
             LookaheadRow(
-                c=spec.c,
+                c=c,
                 horizon=int(n),
                 target_x=float(series.cycles[i]),
                 predicted=float(mean),
@@ -333,19 +328,19 @@ def _horizon_sweep(series, horizons, start_fraction, predict) -> LookaheadResult
             for n, i, mean, sd in zip(steps, idx, means, sds)
         ]
 
-    active = [spec for spec in specs if spec.c - 1 + min(horizons) <= last]
+    active = [c for c in origins if c - 1 + min(horizons) <= last]
     rows: list[LookaheadRow] = []
     failures = []
-    for spec, (made, error) in zip(active, _run_origins(step, active)):
+    for c, (made, error) in zip(active, pool_map(partial(_attempt, step), active, 1)):
         if error is None:
             rows.extend(made)
         else:
-            failures.append((spec.c, error))
+            failures.append((c, error))
     errors = {n: [(r.predicted - r.actual) ** 2 for r in rows if r.horizon == n] for n in horizons}
     return LookaheadResult(
         rows=tuple(rows),
         rmse={n: float(np.sqrt(np.mean(errs))) for n, errs in errors.items() if errs},
-        skipped={n: len(specs) - len(errs) for n, errs in errors.items()},
+        skipped={n: len(origins) - len(errs) for n, errs in errors.items()},
         failures=tuple(failures),
     )
 
@@ -471,14 +466,14 @@ def true_end_of_life(series: CapacitySeries, threshold: float) -> float:
     return eol
 
 
-def _origin_record(forecaster, series, horizon_x, true_eol, spec) -> OriginRecord:
-    train_series, test_series = split(series, spec)
+def _origin_record(forecaster, series, threshold, horizon_x, true_eol, c) -> OriginRecord:
+    train_series, test_series = split(series, c)
     mask = test_series.cycles <= true_eol
-    predicted, forecast = forecaster(train_series, test_series.cycles[mask], spec, horizon_x)
+    predicted, forecast = forecaster(train_series, test_series.cycles[mask], threshold, horizon_x)
     q = rmse_q(predicted, test_series.capacities[mask])
     clamped = not math.isfinite(forecast.eol_mean)
     estimate = horizon_x if clamped else forecast.eol_mean
-    return OriginRecord(spec.c, float(train_series.cycles[-1]), q, forecast, estimate, clamped)
+    return OriginRecord(c, float(train_series.cycles[-1]), q, forecast, estimate, clamped)
 
 
 def _backtest(series, forecaster, start_fraction, eol_threshold, jobs) -> EvaluationReport:
@@ -490,23 +485,19 @@ def _backtest(series, forecaster, start_fraction, eol_threshold, jobs) -> Evalua
     true_eol = true_end_of_life(series, eol_threshold)
     horizon_x = HORIZON_FACTOR * float(series.cycles[-1])
     # origins past the observed end of life have empty test windows
-    specs = [
-        spec
-        for spec in rolling_origins(series, start_fraction, eol_threshold)
-        if series.cycles[spec.c] <= true_eol
-    ]
-    if not specs:
+    origins = [c for c in rolling_origins(series, start_fraction) if series.cycles[c] <= true_eol]
+    if not origins:
         raise DegenerateInputError(f"cell {series.cell_id!r} has no origin from start fraction "
                                    f"{start_fraction} before its observed end of life at cycle "
                                    f"{true_eol:.6g} (threshold {eol_threshold})")
-    step = partial(_origin_record, forecaster, series, horizon_x, true_eol)
+    step = partial(_origin_record, forecaster, series, eol_threshold, horizon_x, true_eol)
     records = [
         record
         if error is None
         else OriginRecord(
-            spec.c, float(series.cycles[spec.c - 1]), None, None, None, failed=True, error=error
+            c, float(series.cycles[c - 1]), None, None, None, failed=True, error=error
         )
-        for spec, (record, error) in zip(specs, _run_origins(step, specs, jobs))
+        for c, (record, error) in zip(origins, pool_map(partial(_attempt, step), origins, jobs))
     ]
     estimates = [r.eol_estimate for r in records if not r.failed]
     return EvaluationReport(

@@ -18,7 +18,6 @@ from gpprog import (
     SquaredExponential,
     Sum,
     LabeledInput,
-    SplitSpec,
     TrainConfig,
     ar_lookahead,
     evaluate,
@@ -85,7 +84,7 @@ def fleet_c():
 def a1_model_55(a1_series):
     """MA5+MA3 model trained on the first 55% of cell A1."""
     c = math.ceil(0.55 * len(a1_series))
-    train_s, test_s = split(a1_series, SplitSpec(c))
+    train_s, test_s = split(a1_series, c)
     result = train(
         model_for_series(train_s, "MA5+MA3", "CONST"),
         TrainConfig(n_restarts=3, seed=0),

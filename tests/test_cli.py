@@ -429,12 +429,23 @@ class TestMainExitCodes:
         config = parse_args(["fit", "--data", str(DATA / "c.csv"), "--target", "C2"])
         assert cli._select(config, cli.load_csv(config.data)).cell_id == "C2"
 
-    def test_malformed_row_returns_one_before_writing(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, words",
+        [
+            ("battery,k,q\nA,1,1.0\nA,2,0.9\n", "missing columns"),
+            ("cell_id,cycle,capacity\nA,1,1.0\nA,two,0.9\n", "unparseable row"),
+            ("cell_id,cycle,capacity\nA,1,1.0\nA,1,0.9\n", "duplicate cycle"),
+        ],
+        ids=["header", "malformed-row", "repeated-cycle"],
+    )
+    def test_malformed_row_returns_two_before_writing(self, text, words, tmp_path, capsys):
+        # a mistake in any row of the data file, its header included, is an input
+        # error like a mistake in an option
         data = tmp_path / "bad.csv"
-        data.write_text("cell_id,cycle,capacity\nA,1,1.0\nA,two,0.9\n")
+        data.write_text(text)
         out = tmp_path / "o"
-        assert main(["fit", "--data", str(data), "--out", str(out)]) == 1
-        assert "unparseable row" in capsys.readouterr().err
+        assert main(["fit", "--data", str(data), "--out", str(out)]) == 2
+        assert words in capsys.readouterr().err
         assert not out.exists()
 
     def test_domain_error_returns_one(self, tmp_path, capsys):

@@ -13,7 +13,6 @@ from gpprog import (
     DegenerateInputError,
     Fleet,
     SchemaError,
-    SplitSpec,
     load_csv,
     rolling_origins,
     save_csv,
@@ -122,7 +121,7 @@ class TestFleet:
 class TestSplit:
     def test_split_counts(self):
         s = make_series(10)
-        train, test = split(s, SplitSpec(c=3))
+        train, test = split(s, 3)
         assert len(train) == 3
         assert len(test) == 7
         assert np.array_equal(train.cycles, [0.0, 1.0, 2.0])
@@ -131,26 +130,20 @@ class TestSplit:
     def test_split_out_of_range(self):
         s = make_series(5)
         with pytest.raises(BoundsError, match="out of range"):
-            split(s, SplitSpec(c=5))
+            split(s, 5)
 
-    def test_spec_validation(self):
+    @pytest.mark.parametrize("c", [0, 10, 2.5])
+    def test_split_position_validation(self, c):
         with pytest.raises(BoundsError):
-            SplitSpec(c=0)
-        with pytest.raises(ConfigError):
-            SplitSpec(c=1, eol_threshold=1.0)
-        with pytest.raises(ConfigError):
-            SplitSpec(c=1, eol_threshold=0.0)
+            split(make_series(10), c)
 
     def test_rolling_origins_cover_ceil_to_last(self):
         s = make_series(10)
-        specs = rolling_origins(s, 0.25)
-        assert [sp.c for sp in specs] == list(range(3, 10))
-        assert all(sp.eol_threshold == 0.7 for sp in specs)
+        assert list(rolling_origins(s, 0.25)) == list(range(3, 10))
 
     def test_rolling_origins_fractional_ceil(self):
         s = make_series(7)
-        specs = rolling_origins(s, 0.3)  # ceil(2.1) = 3
-        assert specs[0].c == 3
+        assert rolling_origins(s, 0.3)[0] == 3  # ceil(2.1) = 3
 
     def test_rolling_origins_too_short(self):
         s = make_series(2)

@@ -18,7 +18,6 @@ from gpprog import (
     Fleet,
     GpModel,
     Matern,
-    SplitSpec,
     SquaredExponential,
     TrainConfig,
     TrainingError,
@@ -39,6 +38,7 @@ from gpprog import (
     rolling_origins,
     true_end_of_life,
 )
+from gpprog import prognostics
 from gpprog.prognostics import _backtest
 from gpprog.synthetic import cell_b_like
 
@@ -142,6 +142,11 @@ class TestFindEol:
         with pytest.raises(ConfigError, match="equal-length"):
             find_eol([0.0, 1.0], [1.0], 0.7, 0.0)
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, math.nan])
+    def test_threshold_validation(self, threshold):
+        with pytest.raises(ConfigError, match="threshold"):
+            find_eol([0.0, 1.0], [1.0, 0.5], threshold, 0.0)
+
     def test_random_curves_against_brute_force(self):
         rng = np.random.default_rng(31)
         threshold = 0.7
@@ -212,7 +217,7 @@ class TestForecastEol:
 
     def test_interval_brackets_mean(self):
         model = self.make_decaying_model()
-        forecast = forecast_eol(model, SplitSpec(c=60, eol_threshold=0.7), horizon_x=400.0)
+        forecast = forecast_eol(model, 0.7, horizon_x=400.0)
         assert forecast.eol_lower <= forecast.eol_mean <= forecast.eol_upper
         assert forecast.current_x == 59.0
         # mean curve tracks the decaying prior mean; crossing is where
@@ -230,7 +235,7 @@ class TestForecastEol:
             mean=type(self.make_decaying_model().mean)(0.95, 0.0, -0.001),
             noise_variance=1e-8,
         )
-        forecast = forecast_eol(model, SplitSpec(c=30, eol_threshold=0.7), horizon_x=100.0)
+        forecast = forecast_eol(model, 0.7, horizon_x=100.0)
         assert math.isinf(forecast.eol_mean)
         assert math.isinf(forecast.eol_upper)
 
@@ -245,7 +250,7 @@ class TestForecastEol:
         horizon_x = x[-1] + 20_000.0
         tracemalloc.start()
         try:
-            forecast = forecast_eol(model, SplitSpec(c=len(x), eol_threshold=0.7), horizon_x)
+            forecast = forecast_eol(model, 0.7, horizon_x)
             post = model.decompose_posterior(forecast_grid(x[-1], horizon_x, x))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -266,17 +271,26 @@ class TestForecastEol:
     def test_multi_output_model_requires_label(self):
         model = self.make_two_cell_model()
         with pytest.raises(ConfigError, match="target label"):
-            forecast_eol(model, SplitSpec(c=10), horizon_x=50.0)
+            forecast_eol(model, 0.7, horizon_x=50.0)
 
     def test_single_output_model_rejects_label(self):
         model = self.make_decaying_model()
         with pytest.raises(ConfigError, match="target label"):
-            forecast_eol(model, SplitSpec(c=60), horizon_x=400.0, label=1)
+            forecast_eol(model, 0.7, horizon_x=400.0, label=1)
 
     def test_label_without_training_inputs_is_out_of_bounds(self):
         model = self.make_two_cell_model()
         with pytest.raises(BoundsError, match="target label 3"):
-            forecast_eol(model, SplitSpec(c=10), horizon_x=50.0, label=3)
+            forecast_eol(model, 0.7, horizon_x=50.0, label=3)
+
+    def test_fleet_target_stamps_its_training_count(self):
+        cells = tuple(
+            CapacitySeries(cid, np.arange(0.0, n), np.linspace(1.0, 0.9, n))
+            for cid, n in (("a", 10), ("b", 7))
+        )
+        model = model_for_series(Fleet(cells), "MA5")
+        forecasts = [forecast_eol(model, 0.7, horizon_x=50.0, label=label) for label in (1, 2)]
+        assert [(f.c, f.current_x) for f in forecasts] == [(10, 9.0), (7, 6.0)]
 
 
 def linearish_series(n=32, slope=-0.012, noise=0.0, seed=0, cell_id="L"):
@@ -432,14 +446,15 @@ class OracleForecaster:
         self.fail_at = set(fail_at)
         self.infinite_at = set(infinite_at)
 
-    def __call__(self, train_series, test_x, spec, horizon_x):
-        if spec.c in self.fail_at:
+    def __call__(self, train_series, test_x, threshold, horizon_x):
+        c = len(train_series)
+        if c in self.fail_at:
             raise TrainingError("synthetic failure")
         predicted = np.interp(test_x, self.cycles, self.capacities)
-        eol = math.inf if spec.c in self.infinite_at else self.true_eol + self.eol_shift
+        eol = math.inf if c in self.infinite_at else self.true_eol + self.eol_shift
         current = float(train_series.cycles[-1])
         forecast = EolForecast(
-            c=spec.c, current_x=current, threshold=spec.eol_threshold,
+            c=c, current_x=current, threshold=threshold,
             eol_mean=eol, eol_lower=min(eol, horizon_x), eol_upper=math.inf,
         )
         return predicted, forecast
@@ -473,12 +488,12 @@ class TestEvaluate:
             series, OracleForecaster(series, true_eol),
             start_fraction=0.3, eol_threshold=0.7, jobs=1,
         )
-        all_specs = rolling_origins(series, 0.3, 0.7)
+        all_origins = rolling_origins(series, 0.3)
         expected = [
-            s.c for s in all_specs if np.any(series.cycles[s.c:] <= true_eol)
+            c for c in all_origins if np.any(series.cycles[c:] <= true_eol)
         ]
         assert [r.c for r in report.records] == expected
-        assert len(expected) < len(all_specs)  # some origins lie past EoL
+        assert len(expected) < len(all_origins)  # some origins lie past EoL
 
     def test_constant_bias_shows_up_in_rmse(self, fading_series):
         series = fading_series
@@ -531,6 +546,15 @@ class TestEvaluate:
     def test_parallel_warm_start_rejected(self, fading_series):
         with pytest.raises(ConfigError, match="warm start"):
             evaluate(fading_series, jobs=2, warm_start=True)
+
+    def test_threshold_outside_unit_interval_raises_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the threshold was checked")
+
+        monkeypatch.setattr(prognostics, "train", no_fit)
+        b1 = load_csv(DATA / "b1.csv").get("B1")
+        with pytest.raises(ConfigError, match=r"threshold .*got 0\.0"):
+            evaluate(b1, eol_threshold=0.0)
 
     def test_start_without_origins_raises(self):
         # every origin of B1 from 0.95 lies past its observed end of life at 0.8
