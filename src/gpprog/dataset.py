@@ -196,6 +196,7 @@ def load_csv(path, schema: dict | None = None) -> Fleet:
     """
     cols = _resolve_schema(schema)
     per_cell: dict[str, tuple[list, list]] = {}
+    first_lines: dict[tuple[str, float], int] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -212,6 +213,11 @@ def load_csv(path, schema: dict | None = None) -> Fleet:
                 cap = float(row[cols["capacity"]])
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: unparseable row {row}") from exc
+            first = first_lines.setdefault((cid, cyc), lineno)
+            if first != lineno:
+                raise DataError(
+                    f"{path}:{lineno}: cell {cid!r}: duplicate cycle {cyc} (first on line {first})"
+                )
             per_cell.setdefault(cid, ([], []))
             per_cell[cid][0].append(cyc)
             per_cell[cid][1].append(cap)

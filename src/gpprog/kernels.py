@@ -2,7 +2,7 @@
 
 The kernel algebra is a small immutable expression tree: four stationary
 bases (squared exponential, Matern 3/2 and 5/2, periodic), a white-noise
-leaf, Sum and Product nodes, and a label covariance that turns any input
+leaf, Sum and Product nodes, and a label correlation that turns any input
 kernel into a multi-output one via
 
     k((x, l), (x', l')) = K_label[l, l'] * k_input(x, x').
@@ -24,11 +24,11 @@ optimization order; their :class:`Parametrized` base reads them out and
 rebuilds the object from new values.  Only the label covariance (its angles
 are one tuple field) and the Sum and Product nodes override that.
 
-Positive hyperparameters are optimized in log space; gradients returned by
-``gram_with_gradients`` are taken with respect to that parametrization.  Label
-covariances are built from hypersphere angles, which keeps the implied
-correlation matrix positive semi-definite with unit diagonal for any angle
-values.
+Positive hyperparameters are optimized in log space; the gradients returned by
+``_evaluate`` are taken with respect to that parametrization.  The label
+correlation is built from hypersphere angles, which keeps it positive
+semi-definite with unit diagonal for any angle values, so the input kernel's
+output scales carry all of the variance.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ LOG_LENGTH_SCALE = "log_length_scale"
 LOG_WIGGLE = "log_wiggle"
 LOG_PERIOD = "log_period"
 LOG_NOISE_SCALE = "log_noise_scale"
-LOG_TAU = "log_tau"
 ANGLE = "angle"
 
 def is_log_kind(kind: str) -> bool:
@@ -460,30 +459,31 @@ def _spherical_factor_grads(angles, m: int) -> list[np.ndarray]:
     return grads
 
 
-def label_covariance(angles, shared_scale: float, m: int) -> np.ndarray:
-    """m x m output covariance shared_scale * S^T S from hypersphere angles."""
+def label_covariance(angles, scale: float, m: int) -> np.ndarray:
+    """m x m output covariance scale * S^T S from hypersphere angles;
+    ``LabelCovariance(m, angles)`` is the one with ``scale`` 1."""
     angles = np.asarray(angles, dtype=float)
     expected = m * (m - 1) // 2
     if angles.shape != (expected,):
         raise ConfigError(
             f"label covariance for m={m} needs {expected} angles, got {angles.shape}"
         )
-    _check_positive("shared_scale", shared_scale)
+    _check_positive("scale", scale)
     s = _spherical_factor(angles, m)
-    return shared_scale * (s.T @ s)
+    return scale * (s.T @ s)
 
 
 @dataclass(frozen=True)
 class LabelCovariance(Kernel):
-    """Covariance between integer output labels, tau * S^T S.
+    """Correlation between integer output labels, S^T S, which is
+    ``label_covariance(angles, 1.0, m)``.
 
-    ``angles`` holds m(m-1)/2 hypersphere angles; ``shared_scale`` is the
-    single variance multiplier shared by all outputs.
+    ``angles`` holds m(m-1)/2 hypersphere angles.  A common scale would only
+    trade off against the input kernel's output scales, so there is none.
     """
 
     m: int
     angles: tuple[float, ...] = ()
-    shared_scale: float = 1.0
 
     def __post_init__(self):
         if self.m < 1:
@@ -499,31 +499,23 @@ class LabelCovariance(Kernel):
 
     def _evaluate(self, keys, raw, grads):
         angles = [next(raw) for _ in self.angles]
-        tau = next(raw)
         flat = label_pairs(keys, self.m) if keys.pairs is None else keys.pairs
         s = _spherical_factor(angles, self.m)
-        kl = tau * (s.T @ s)
-        mats = [kl]
+        mats = [s.T @ s]
         if grads:
-            # each angle's gradient tau (dS^T S + S^T dS), where S^T dS is the
-            # transpose of dS^T S, then d/d log tau (equal to the matrix)
+            # each angle's gradient dS^T S + S^T dS; S^T dS is dS^T S transposed
             products = [ds.T @ s for ds in _spherical_factor_grads(angles, self.m)]
-            mats += [*(tau * (p + p.T) for p in products), kl]
+            mats += [p + p.T for p in products]
         # gathered by label pair through flat m x m indices; the labels are
         # checked, so mode="clip" only skips a second range check
         k, *dks = [np.take(mat.ravel(), flat, mode="clip") for mat in mats]
         return k, dks
 
     def _param_specs(self):
-        specs = [
-            (f"phi_{i + 1}", ANGLE, a) for i, a in enumerate(self.angles)
-        ]
-        specs.append(("shared_scale", LOG_TAU, self.shared_scale))
-        return specs
+        return [(f"phi_{i + 1}", ANGLE, a) for i, a in enumerate(self.angles)]
 
     def _with_raw(self, values):
-        angles = tuple(next(values) for _ in self.angles)
-        return replace(self, angles=angles, shared_scale=next(values))
+        return replace(self, angles=tuple(next(values) for _ in self.angles))
 
     def _token(self):
         return "LABEL"

@@ -29,6 +29,7 @@ from .errors import ConfigError, DegenerateInputError, NumericalError, TrainingE
 from .gp import LOG_NOISE_VARIANCE, GpModel, _pin_blas_threads
 
 _PENALTY = 1e25
+_MAX_ITERATIONS = 200
 DEFAULT_BASES = ("SE", "MA3", "MA5", "PER")
 
 
@@ -37,14 +38,11 @@ class TrainConfig:
     """Training budget and seed; ``n_restarts`` counts the Latin hypercube starts."""
 
     n_restarts: int = 10
-    max_iterations: int = 200
     seed: int = 0
 
     def __post_init__(self):
         if self.n_restarts < 1:
             raise ConfigError(f"n_restarts must be >= 1, got {self.n_restarts}")
-        if self.max_iterations < 1:
-            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -119,8 +117,6 @@ def default_lhs_bounds(model: GpModel) -> np.ndarray:
             bounds.append((2.0 * math.log(1e-4 * y_std), 2.0 * math.log(0.5 * y_std)))
         elif kind == kx.ANGLE:
             bounds.append((0.01, math.pi - 0.01))
-        elif kind == kx.LOG_TAU:
-            bounds.append((math.log(0.1), math.log(10.0)))
         elif kind == mx.MEAN_OFFSET:
             # early prefixes have tiny spread; the offset must still be able
             # to sit a whole amplitude away from the observed window
@@ -206,7 +202,7 @@ def train(model: GpModel, config: TrainConfig = TrainConfig(), warm=None) -> Tra
                 jac=calls.gradient,
                 method="L-BFGS-B",
                 bounds=list(map(tuple, bounds)),
-                options={"maxiter": config.max_iterations, "gtol": 1e-6},
+                options={"maxiter": _MAX_ITERATIONS, "gtol": 1e-6},
             )
             values = calls.values
             f0, value, theta = values[0], float(result.fun), result.x

@@ -434,7 +434,7 @@ class TestMainExitCodes:
         [
             ("battery,k,q\nA,1,1.0\nA,2,0.9\n", "missing columns"),
             ("cell_id,cycle,capacity\nA,1,1.0\nA,two,0.9\n", "unparseable row"),
-            ("cell_id,cycle,capacity\nA,1,1.0\nA,1,0.9\n", "duplicate cycle"),
+            ("cell_id,cycle,capacity\nA,1,1.0\nA,1,0.9\n", "bad.csv:3: cell 'A': duplicate cycle"),
         ],
         ids=["header", "malformed-row", "repeated-cycle"],
     )

@@ -1,5 +1,6 @@
 """Data container construction, normalization, splitting, and CSV I/O."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,14 @@ class TestCsv:
         path = tmp_path / "x.csv"
         path.write_text("cell_id,cycle,capacity\nA,0,not-a-number\n")
         with pytest.raises(DataError, match="unparseable"):
+            load_csv(path)
+
+    def test_repeated_cycle_names_both_lines(self, tmp_path):
+        # "1" and "1.0" are one cycle; the same cycle in another cell is not a repeat
+        path = tmp_path / "x.csv"
+        path.write_text("cell_id,cycle,capacity\nA,1,2.0\nB,1,1.5\nA,1.0,1.9\n")
+        message = f"{path}:4: cell 'A': duplicate cycle 1.0 (first on line 2)"
+        with pytest.raises(DataError, match=re.escape(message)):
             load_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):

@@ -107,7 +107,7 @@ class TestGradients:
         kernel = Sum(Product(Matern(2.5, 0.9, 12.0), Periodic(0.7, 1.2, 9.0)), WhiteNoise(0.2))
         labels = inputs = None
         if labeled:
-            kernel = Product(LabelCovariance(2, (0.8,), 1.1), kernel)
+            kernel = Product(LabelCovariance(2, (0.8,)), kernel)
             labels = rng.integers(1, 3, n)
             inputs = [LabeledInput(float(a), int(b)) for a, b in zip(x, labels)]
         model = GpModel(kernel, x, np.sin(x / 5.0) + 0.1 * rng.standard_normal(n),
@@ -255,7 +255,7 @@ class TestDecomposition:
         smooth = Matern(2.5, 0.8, 6.0)
         labels = grid_labels = None
         if labeled:
-            smooth = Product(LabelCovariance(2, (0.7,), 1.3), smooth)
+            smooth = Product(LabelCovariance(2, (0.7,)), smooth)
             labels = np.repeat([1, 2], 12)
             grid_labels = rng.integers(1, 3, len(grid))
         kernel = Sum(smooth, Sum(Periodic(0.3, 1.0, 4.0), WhiteNoise(0.2)))

@@ -91,7 +91,7 @@ def problems(draw):
     if m:
         n_angles = m * (m - 1) // 2
         angles = draw(st.lists(st.floats(0.2, math.pi - 0.2), min_size=n_angles, max_size=n_angles))
-        kernel = Product(LabelCovariance(m, tuple(angles), draw(st.floats(0.5, 2.0))), kernel)
+        kernel = Product(LabelCovariance(m, tuple(angles)), kernel)
         labels = np.array(draw(st.lists(st.integers(1, m), min_size=n, max_size=n)))
     mean = draw(st.sampled_from(["ZERO", "CONST", "EXPDEG"]))
     if mean == "ZERO":

@@ -161,7 +161,7 @@ class TestGradients:
             assert np.allclose(a, n, rtol=1e-6, atol=1e-8)
 
     def test_label_covariance_gradients_match_finite_differences(self):
-        kernel = LabelCovariance(m=3, angles=(0.4, 1.1, 2.0), shared_scale=1.7)
+        kernel = LabelCovariance(m=3, angles=(0.4, 1.1, 2.0))
         pts = [LabeledInput(float(i), 1 + i % 3) for i in range(6)]
         _, analytic = kernel.gram_with_gradients(pts)
         numeric = fd_gram_gradients(kernel, pts)
@@ -204,7 +204,7 @@ class TestPairKeys:
         # bits as keys that each evaluation checks and indexes itself
         x = np.array([0.0, 1.0, 1.0, 2.0, 0.0])
         keys, _ = unique_pair_keys(x, np.array([1, 2, 3, 1, 3]))
-        kernel = Product(LabelCovariance(3, (0.4, 0.9, 1.7), 1.3), Matern(1.5, 0.8, 2.0))
+        kernel = Product(LabelCovariance(3, (0.4, 0.9, 1.7)), Matern(1.5, 0.8, 2.0))
         indexed = with_label_pairs(kernel, keys)
         assert np.array_equal(indexed.pairs, (keys.l1 - 1) * 3 + keys.l2 - 1)
         raw = kernel._raw_values()
@@ -212,7 +212,7 @@ class TestPairKeys:
             k, dks = kernel._evaluate(keys, iter(raw), grads)
             k_indexed, dks_indexed = kernel._evaluate(indexed, iter(raw), grads)
             assert np.array_equal(k, k_indexed)
-            assert len(dks) == len(dks_indexed) == (6 if grads else 0)
+            assert len(dks) == len(dks_indexed) == (5 if grads else 0)
             assert all(np.array_equal(a, b) for a, b in zip(dks, dks_indexed))
         # no label covariance, or two of different sizes: nothing to index once
         assert with_label_pairs(Matern(1.5), keys) is keys
@@ -265,6 +265,18 @@ class TestLabelCovariance:
                 corr = cov / tau
                 assert np.all(np.abs(corr) <= 1 + 1e-12)
                 assert np.linalg.eigvalsh(cov).min() > -1e-10
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_parameters_are_the_angles_alone(self, m):
+        # a correlation: m(m-1)/2 angles and no scale, which the input kernel's
+        # output scales already set; its gram is label_covariance(angles, 1.0, m)
+        angles = tuple(np.linspace(0.3, 2.8, m * (m - 1) // 2))
+        k = LabelCovariance(m, angles)
+        hp = k.hyperparameters()
+        assert k.n_params() == len(hp.values) == m * (m - 1) // 2
+        assert hp.kinds == ("angle",) * (m * (m - 1) // 2)
+        pts = [LabeledInput(0.0, lab) for lab in range(1, m + 1)]
+        assert np.array_equal(k.gram(pts), label_covariance(angles, 1.0, m))
 
     def test_gram_requires_labels(self):
         k = LabelCovariance(m=2, angles=(0.5,))
@@ -352,13 +364,13 @@ class TestHyperparameterPlumbing:
             Hyperparameters(("a",), ("angle",), np.array([np.nan]))
 
     def test_label_covariance_raw_round_trip(self):
-        k = LabelCovariance(m=2, angles=(0.8,), shared_scale=1.5)
+        k = LabelCovariance(m=2, angles=(0.8,))
         hp = k.hyperparameters()
-        assert hp.kinds == ("angle", "log_tau")
+        assert hp.kinds == ("angle",)
         rebuilt = k.with_hyperparameters(hp.values)
         assert np.allclose(
-            label_covariance(rebuilt.angles, rebuilt.shared_scale, 2),
-            label_covariance(k.angles, k.shared_scale, 2),
+            label_covariance(rebuilt.angles, 1.0, 2),
+            label_covariance(k.angles, 1.0, 2),
             rtol=1e-14,
         )
 

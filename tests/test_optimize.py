@@ -71,8 +71,6 @@ class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(n_restarts=0)
-        with pytest.raises(ConfigError):
-            TrainConfig(max_iterations=0)
         with pytest.raises(ConfigError, match="seed"):
             TrainConfig(seed=-1)
         assert TrainConfig(seed=0).seed == 0
@@ -189,7 +187,7 @@ class TestTrain:
         # the model's own start and the warm start both lie outside the box
         model = GpModel(SquaredExponential(output_scale=1e3, length_scale=1e4), x, y)
         warm = np.full(len(model.opt_vector()), -50.0)
-        config = TrainConfig(n_restarts=3, seed=7, max_iterations=5)
+        config = TrainConfig(n_restarts=3, seed=7)
         x0s = []
         real_minimize = optimize.minimize
 
@@ -448,13 +446,13 @@ class TestModelForSeries:
         fleet = load_csv(Path(__file__).resolve().parents[1] / "data" / "c.csv")
         hp = model_for_series(fleet, "MA5+MA3+PER+NOISE", "EXPDEG").hyperparameters()
         assert hp.names == (
-            "label.phi_1", "label.phi_2", "label.phi_3", "label.shared_scale",
+            "label.phi_1", "label.phi_2", "label.phi_3",
             "ma5.output_scale", "ma5.length_scale", "ma3.output_scale", "ma3.length_scale",
             "per.output_scale", "per.length_scale", "per.period", "noise.scale",
             "noise.variance", "mean.a1", "mean.a2", "mean.a3",
         )
         assert hp.kinds == (
-            "angle", "angle", "angle", "log_tau",
+            "angle", "angle", "angle",
             "log_output_scale", "log_length_scale", "log_output_scale", "log_length_scale",
             "log_output_scale", "log_wiggle", "log_period", "log_noise_scale",
             "log_noise_variance", "mean_offset", "mean_amplitude", "mean_rate",
@@ -482,7 +480,7 @@ class TestModelForSeries:
         by_hand = GpModel(kernel, x, y, mean=mean_from_token(mean_expr, x, y), labels=labels)
         assert model.hyperparameters().names == by_hand.hyperparameters().names
         assert model.hyperparameters().names[:4] == (
-            "label.phi_1", "label.phi_2", "label.phi_3", "label.shared_scale"
+            "label.phi_1", "label.phi_2", "label.phi_3", "ma5.output_scale"
         )
         assert np.array_equal(model.labels, labels)
         assert model.nlml() == by_hand.nlml()
@@ -526,7 +524,7 @@ def series():
 
 class TestKernelSearch:
     def test_ranks_all_candidates(self, series):
-        config = TrainConfig(n_restarts=1, seed=0, max_iterations=40)
+        config = TrainConfig(n_restarts=1, seed=0)
         result = kernel_search(series, bases=("SE", "MA3"), config=config)
         assert len(result.entries) == 3
         assert result.failures == ()
@@ -536,7 +534,7 @@ class TestKernelSearch:
         assert set(e.kernel for e in result.entries) == {"SE+SE", "SE+MA3", "MA3+MA3"}
 
     def test_deterministic_and_jobs_invariant(self, series):
-        config = TrainConfig(n_restarts=1, seed=3, max_iterations=40)
+        config = TrainConfig(n_restarts=1, seed=3)
         sequential = kernel_search(series, bases=("SE", "MA3"), config=config)
         parallel = kernel_search(series, bases=("SE", "MA3"), config=config, jobs=2)
         assert [e.kernel for e in sequential.entries] == [e.kernel for e in parallel.entries]
@@ -551,7 +549,7 @@ class TestKernelSearch:
             return real_train(model, config, warm)
 
         monkeypatch.setattr(optimize, "train", flaky_train)
-        config = TrainConfig(n_restarts=1, seed=0, max_iterations=30)
+        config = TrainConfig(n_restarts=1, seed=0)
         result = kernel_search(series, bases=("SE", "PER"), config=config)
         assert [e.kernel for e in result.entries] == ["SE+SE"]
         assert len(result.failures) == 2
@@ -573,7 +571,7 @@ class TestKernelSearch:
             result.best
 
     def test_single_base_gives_one_entry(self, series):
-        config = TrainConfig(n_restarts=1, seed=0, max_iterations=30)
+        config = TrainConfig(n_restarts=1, seed=0)
         result = kernel_search(series, bases=("SE",), config=config)
         assert [e.kernel for e in result.entries] == ["SE+SE"] and result.failures == ()
         best = result.best

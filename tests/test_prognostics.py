@@ -351,7 +351,7 @@ class TestArBaseline:
 class TestLookahead:
     def test_rows_align_with_future_observations(self):
         series = linearish_series(n=26, noise=0.0005, seed=2)
-        config = TrainConfig(n_restarts=1, seed=0, max_iterations=60)
+        config = TrainConfig(n_restarts=1, seed=0)
         result = lookahead(
             series, kernel_expr="MA5", horizons=(1, 4), start_fraction=0.5,
             config=config,
@@ -372,7 +372,7 @@ class TestLookahead:
 
     def test_longer_horizons_are_harder(self):
         series = monotone_benchmark(n_points=40)
-        config = TrainConfig(n_restarts=1, seed=0, max_iterations=60)
+        config = TrainConfig(n_restarts=1, seed=0)
         result = lookahead(
             series, kernel_expr="MA5", horizons=(1, 10), start_fraction=0.5,
             config=config,
@@ -397,7 +397,7 @@ class TestLookahead:
 
     def test_result_holds_one_row_per_scored_target(self):
         series = linearish_series(n=20)
-        config = TrainConfig(n_restarts=1, seed=0, max_iterations=40)
+        config = TrainConfig(n_restarts=1, seed=0)
         result = lookahead(series, kernel_expr="MA5", horizons=(2,), start_fraction=0.6,
                            config=config)
         assert result.rows and all(r.horizon == 2 for r in result.rows)
@@ -426,7 +426,7 @@ def test_one_point_prefix_is_a_recorded_failure(sweep):
     # the first origin of a 16-point series at fraction 0.05 holds one point:
     # every sweep records it as a failed origin and goes on to the next
     series = linearish_series(n=16, slope=-0.022, noise=0.0005, seed=3)
-    config = TrainConfig(n_restarts=1, seed=0, max_iterations=30)
+    config = TrainConfig(n_restarts=1, seed=0)
     failures = ONE_POINT_PREFIX_SWEEPS[sweep](series, config)
     assert failures and failures[0][0] == 1
     assert all(c < 4 and msg for c, msg in failures)  # later origins succeed
@@ -564,7 +564,7 @@ class TestEvaluate:
 
     def test_gp_forecaster_end_to_end_smoke(self):
         series = linearish_series(n=16, slope=-0.022, noise=0.0005, seed=3)
-        config = TrainConfig(n_restarts=1, seed=0, max_iterations=50)
+        config = TrainConfig(n_restarts=1, seed=0)
         report = evaluate(series, kernel_expr="MA5", start_fraction=0.55, config=config)
         assert len(report.records) >= 4
         assert math.isfinite(report.rmse_eol)
@@ -629,7 +629,7 @@ class TestEvaluateMogp:
             evaluate_mogp(load_csv(DATA / "c.csv"), "C3", ["C1", "C1"])
 
     def test_companions_inform_target(self, tiny_fleet):
-        config = TrainConfig(n_restarts=1, seed=0, max_iterations=40)
+        config = TrainConfig(n_restarts=1, seed=0)
         report = evaluate_mogp(
             tiny_fleet, target="c2", train_cells=["c1", "c3"],
             start_fraction=0.6, config=config,
@@ -641,7 +641,7 @@ class TestEvaluateMogp:
 
     def test_jobs_parity(self, tiny_fleet):
         # fleet models are built and trained inside the pool's workers here
-        config = TrainConfig(n_restarts=1, seed=0, max_iterations=40)
+        config = TrainConfig(n_restarts=1, seed=0)
         reports = [
             evaluate_mogp(
                 tiny_fleet, target="c2", train_cells=["c1", "c3"],
@@ -669,6 +669,6 @@ class TestEvaluateMogp:
         monkeypatch.setattr(prognostics, "train", recording_train)
         evaluate_mogp(
             tiny_fleet, target="c2", train_cells=["c1"], mean_expr=token,
-            start_fraction=0.6, config=TrainConfig(n_restarts=1, max_iterations=5),
+            start_fraction=0.6, config=TrainConfig(n_restarts=1),
         )
         assert means and all(type(m) is expected for m in means)
