@@ -40,7 +40,7 @@ import scipy
 
 from . import __version__
 from .dataset import _resolve_schema, load_csv, rolling_origins, split
-from .errors import GpprogError, InputError, UndefinedMetricError, UsageError
+from .errors import DegenerateInputError, GpprogError, InputError, UndefinedMetricError, UsageError
 from .kernels import parse_kernel
 from .meanfn import MEAN_TOKENS, mean_params
 from .optimize import DEFAULT_BASES, TrainConfig, candidate_pairs, kernel_search
@@ -247,6 +247,11 @@ def _cmd_kernel_search(config: argparse.Namespace, series) -> dict:
 
 def _cmd_forecast(config: argparse.Namespace, series) -> dict:
     c = rolling_origins(series, config.start)[0]
+    if c < 2:
+        raise DegenerateInputError(
+            f"cell {series.cell_id!r} of {len(series)} points has its first split at {c} point "
+            f"from start fraction {config.start}; a forecast trains on at least two points"
+        )
     prefix, _ = split(series, c)
     result = train(model_for_series(prefix, config.kernel, config.mean), _train_config(config))
     current_x = float(prefix.cycles[-1])

@@ -17,9 +17,14 @@ the trained instance once via ``with_opt_vector``.
 Per model, the first evaluation keeps what theta does not change: the
 distinct pair keys of the inputs, each pair's index into them, an n x n
 gram buffer and the positions of the log parameters.  A training step
-computes the rest: exp of those parameters, the mean, one evaluation of the
-kernel and its gradients on all the keys, the gathered gram, LAPACK's
-dpotrf, dpotrs and dpotri, and W = K^-1 - alpha alpha^T summed by key.
+computes the rest: exp of those parameters, the mean's offset and basis,
+one evaluation of the kernel and its gradients on all the keys, the
+gathered gram, LAPACK's dpotrf, one dpotrs on [y - offset | basis], the
+mean's linear coefficients by generalised least squares (a q x q solve,
+Rasmussen & Williams 2006, §2.7; q = 2 for EXPDEG, 0 otherwise), dpotri, and
+W = K^-1 - alpha alpha^T summed by key.  The coefficients minimise the NLML,
+so its gradient in them is zero and the step's gradient holds for the
+profiled NLML too; the trained model carries them in its mean.
 Whole-cycle inputs have about n keys; fractional ones, where nearly every
 pair is distinct, about n^2/2, so a step's temporaries are then O(P n^2/2)
 for P kernel parameters, the order of the n x n arrays it holds anyway.
@@ -60,6 +65,13 @@ LOG_NOISE_VARIANCE = "log_noise_variance"
 POSTERIOR_BLOCK = 128
 
 _LOG2PI = math.log(2.0 * math.pi)
+
+# eigenvalues of H^T K^-1 H, scaled to a unit diagonal, below this fraction of
+# the largest count as zero: with all inputs equal the basis has rank one and
+# rounding leaves its second eigenvalue near cond(K) eps, while on B1's rolling
+# fits (MA3 or NOISE with EXPDEG) it was never below 0.02
+_RANK_TOL = 1e-8
+_TINY = np.finfo(float).tiny
 
 
 @cache
@@ -164,6 +176,28 @@ def _nlml(chol: np.ndarray, resid: np.ndarray, alpha: np.ndarray) -> float:
     return float(0.5 * resid @ alpha + half_log_det + 0.5 * len(resid) * _LOG2PI)
 
 
+def _gls_coefficients(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """The minimum-norm solution of the GLS normal equations a beta = b, with
+    a = H^T K^-1 H and b = H^T K^-1 r for a basis H of at most two columns;
+    where H is rank deficient, every solution gives the same NLML.
+
+    Scaled to a unit diagonal, a is [[1, c], [c, 1]] with eigenvalues
+    1 +- |c|, so the rank test is blind to the columns' scales; a zero column
+    gets a zero coefficient.  Plain floats: a numpy call costs more here.
+    """
+    scales = [1.0 / math.sqrt(max(v, _TINY)) for v in a.diagonal().tolist()]
+    r = [v * s for v, s in zip(b.tolist(), scales)]
+    if len(r) == 2:
+        c = float(a[0, 1]) * scales[0] * scales[1]
+        if 1.0 - abs(c) > _RANK_TOL * (1.0 + abs(c)):
+            r = [(r[0] - c * r[1]) / (1.0 - c * c), (r[1] - c * r[0]) / (1.0 - c * c)]
+        else:  # rank one: project onto the eigenvector (1, sign c) / sqrt 2
+            sign = math.copysign(1.0, c)
+            t = (r[0] + sign * r[1]) / (2.0 * (1.0 + abs(c)))
+            r = [t, sign * t]
+    return [v * s for v, s in zip(r, scales)]
+
+
 def _checked_variance(var: np.ndarray, scale: float) -> np.ndarray:
     """Clamp tiny negative variances from rounding; fail loudly otherwise."""
     floor = -1e-10 * max(1.0, scale)
@@ -212,7 +246,8 @@ class GpModel:
     # --- parameter plumbing ---------------------------------------------------
 
     def hyperparameters(self) -> Hyperparameters:
-        """Kernel parameters, then log noise variance, then mean parameters."""
+        """Kernel parameters, then log noise variance, then the mean's searched
+        parameters; its linear coefficients are solved, so they are not here."""
         kh = self.kernel.hyperparameters()
         names = list(kh.names) + ["noise.variance"]
         kinds = list(kh.kinds) + [LOG_NOISE_VARIANCE]
@@ -230,25 +265,35 @@ class GpModel:
         return self.hyperparameters().kinds
 
     def with_opt_vector(self, values) -> "GpModel":
-        """The same model at an optimization-space vector.
+        """The same model at an optimization-space vector, its mean's linear
+        coefficients solved there.
 
-        The inputs, labels and parameter kinds do not change, so the new
-        model takes over whichever of the pair keys and the layout this one
-        has computed; the n x n buffer in the keys is only scratch inside
-        ``_factor``, so the two models can share it.
+        The new model keeps the solve's Cholesky factor for its posteriors,
+        with alpha solved from its own mean, so that it conditions exactly as
+        a model built from scratch.  It also takes over the pair keys and the
+        layout, which the vector does not change; the n x n buffer in the
+        keys is only scratch inside ``_factor``, so the two models share it.
         """
-        raw = iter(self._natural(values))
-        kernel = self.kernel._with_raw(raw)
-        noise_variance = next(raw)
+        raw = self._natural(values)
+        nk = self._layout[1]
+        kernel = self.kernel._with_raw(iter(raw[:nk]))
+        mean = self.mean._with_raw(iter(raw[nk + 1 :]))
+        k = kernel._evaluate(self._keys[0], iter(raw[:nk]), False)[0]
+        columns, _ = mean._evaluate(self.x, raw[nk + 1 :])
+        chol, jitter, _, _, beta = self._factor(k, raw[nk], columns)
         model = GpModel(
             kernel,
             self.x,
             self.y,
-            mean=self.mean._with_raw(raw),
-            noise_variance=noise_variance,
+            mean=mean._with_coefficients(beta),
+            noise_variance=raw[nk],
             labels=self.labels,
         )
-        model.__dict__.update({k: v for k, v in vars(self).items() if k in ("_keys", "_layout")})
+        resid = model.y - model.mean(model.x)
+        alpha, _ = lapack.dpotrs(chol, resid, lower=1)
+        model.__dict__.update(
+            _keys=self._keys, _layout=self._layout, _factorization=(chol, jitter, resid, alpha)
+        )
         return model
 
     @cached_property
@@ -280,13 +325,16 @@ class GpModel:
 
     @cached_property
     def _factorization(self):
-        """The factorization at the model's own parameters, computed on first use."""
+        """(Cholesky factor, jitter, residual, alpha) at the model's own
+        parameters, its mean taken as it is; computed on first use."""
         k = self.kernel._evaluate(self._keys[0], iter(self.kernel._raw_values()), False)[0]
-        return self._factor(k, self.noise_variance, self.mean(self.x))
+        return self._factor(k, self.noise_variance, self.mean(self.x)[:, None])[:4]
 
-    def _factor(self, k, noise, mean):
-        """(Cholesky factor, jitter, residual, alpha), with the gram gathered
-        from the kernel's values ``k`` on the distinct keys."""
+    def _factor(self, k, noise, columns):
+        """(Cholesky factor, jitter, residual, alpha, beta), with the gram
+        gathered from the kernel's values ``k`` on the distinct keys and the
+        mean offset + H beta from ``columns`` = [offset | H], which this
+        overwrites, with beta solved by generalised least squares."""
         _, inverse, a = self._keys
         # the inverse comes from np.unique, so mode="clip" only skips its range check
         np.take(k, inverse, out=a, mode="clip")
@@ -294,9 +342,13 @@ class GpModel:
         # the gram is symmetric, so its transpose is the same matrix in the
         # Fortran order that LAPACK takes without a transposing copy
         chol, jitter = jittered_cholesky(a.T)
-        resid = self.y - mean
-        alpha, _ = lapack.dpotrs(chol, resid, lower=1)
-        return chol, jitter, resid, alpha
+        np.subtract(self.y, columns[:, 0], out=columns[:, 0])  # [y - offset | H]
+        solved, _ = lapack.dpotrs(chol, columns, lower=1)
+        normal = columns[:, 1:].T @ solved  # [H^T K^-1 r | H^T K^-1 H]
+        beta = _gls_coefficients(normal[:, 1:], normal[:, 0])
+        # with an empty basis, both are the first column times exactly 1
+        weights = np.array([1.0] + [-v for v in beta])
+        return chol, jitter, columns @ weights, solved @ weights, beta
 
     def nlml(self) -> float:
         """Negative log marginal likelihood of the training data."""
@@ -304,7 +356,8 @@ class GpModel:
         return _nlml(chol, resid, alpha)
 
     def nlml_value_and_gradients(self, theta) -> tuple[float, np.ndarray]:
-        """NLML and its gradient in optimization space (kernel, noise, mean).
+        """NLML and its gradient in optimization space (kernel, noise, mean),
+        with the mean's linear coefficients solved at ``theta``.
 
         Evaluated at the optimization-space vector ``theta`` (the model's own
         is ``opt_vector()``) without building a new model: the pair keys and
@@ -315,14 +368,16 @@ class GpModel:
         The kernel and its gradients are evaluated once, on all the model's
         distinct pair keys; the values are gathered into the gram and each
         gradient is contracted with W summed by key, one dot product each.
+        A mean parameter's entry is -(dH/dp beta)^T alpha: the NLML's gradient
+        in the solved coefficients beta is zero.
         """
         raw = self._natural(theta)
         nk = self._layout[1]
         kraw, noise = raw[:nk], raw[nk]
-        mean, mean_grads = self.mean._evaluate(self.x, raw[nk + 1 :])
+        columns, basis_grads = self.mean._evaluate(self.x, raw[nk + 1 :])
         keys, inverse, _ = self._keys
         k, dks = self.kernel._evaluate(keys, iter(kraw), True)
-        chol, _, resid, alpha = self._factor(k, noise, mean)
+        chol, _, resid, alpha, beta = self._factor(k, noise, columns)
         del k
         value = _nlml(chol, resid, alpha)
         # dpotri leaves the lower triangle Z of K^-1 (the upper stays zero) and
@@ -341,7 +396,7 @@ class GpModel:
         noise_grad = noise * float(w[:: len(z) + 1].sum())
         weights = np.bincount(inverse.ravel(), weights=w)
         grads = [blas.ddot(weights, dk) for dk in dks]
-        return value, np.concatenate([grads, [noise_grad], -(mean_grads.T @ alpha)])
+        return value, np.concatenate([grads, [noise_grad], -(basis_grads @ beta @ alpha)])
 
     def _require_labels(self, x_new, labels):
         x_new = np.asarray(x_new, dtype=float)

@@ -84,9 +84,9 @@ def _lhs_design(seed: int, n: int, bounds: np.ndarray) -> np.ndarray:
 def default_lhs_bounds(model: GpModel) -> np.ndarray:
     """Starting bounds scaled to the training data, per parameter kind.
 
-    Length scales and periods scale with the input range, output scales and
-    noise with the target standard deviation, mean-function coefficients
-    with the observed target spread.
+    Length scales, periods and the mean's rate scale with the input range,
+    output scales and noise with the target standard deviation.  The mean's
+    linear coefficients are solved, not searched, so they have none.
     """
     x, y = model.x, model.y
     x_range = float(x.max() - x.min()) if len(x) > 1 else 1.0
@@ -98,9 +98,6 @@ def default_lhs_bounds(model: GpModel) -> np.ndarray:
     y_std = float(np.std(y))
     if y_std <= 0 or not math.isfinite(y_std):
         y_std = max(0.05 * abs(float(np.mean(y))), 1e-3)
-    y_spread = float(y.max() - y.min())
-    y_spread = max(y_spread, 0.05)
-    y_mean = float(np.mean(y))
     bounds = []
     for kind in model.param_kinds():
         if kind == kx.LOG_LENGTH_SCALE:
@@ -117,14 +114,6 @@ def default_lhs_bounds(model: GpModel) -> np.ndarray:
             bounds.append((2.0 * math.log(1e-4 * y_std), 2.0 * math.log(0.5 * y_std)))
         elif kind == kx.ANGLE:
             bounds.append((0.01, math.pi - 0.01))
-        elif kind == mx.MEAN_OFFSET:
-            # early prefixes have tiny spread; the offset must still be able
-            # to sit a whole amplitude away from the observed window
-            half = max(2.0 * y_spread, 0.5 * max(abs(y_mean), 1e-3))
-            bounds.append((y_mean - half, y_mean + half))
-        elif kind == mx.MEAN_AMPLITUDE:
-            amp = max(2.0 * y_spread, max(abs(y_mean), 1e-3))
-            bounds.append((-amp, amp))
         elif kind == mx.MEAN_RATE:
             bounds.append((-3.0 / x_range, 3.0 / x_range))
         else:

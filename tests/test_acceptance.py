@@ -1,9 +1,9 @@
 """Release acceptance gate.
 
 Ten numbered criteria, each printing one PASS/FAIL verdict line through
-the terminal reporter so the outcome is visible in any pytest run
-regardless of capture settings.  A FAIL line is always followed by the
-test failing.
+the terminal reporter, with pytest's output capture suspended while it
+writes, so the outcome is visible in any pytest run regardless of capture
+settings.  A FAIL line is always followed by the test failing.
 """
 
 import math
@@ -49,15 +49,17 @@ DATA = Path(__file__).resolve().parents[1] / "data"
 @pytest.fixture(scope="module")
 def report(request):
     reporter = request.config.pluginmanager.get_plugin("terminalreporter")
+    capture = request.config.pluginmanager.get_plugin("capturemanager")
 
     def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
         verdict = "PASS" if ok else "FAIL"
         line = f"{verdict} criterion {num}: {description}"
         if detail:
             line += f" [{detail}]"
-        if reporter is not None:
-            reporter.ensure_newline()
-            reporter.write_line(line)
+        if reporter is not None and capture is not None:
+            with capture.global_and_fixture_disabled():
+                reporter.ensure_newline()
+                reporter.write_line(line)
         else:
             print(line, flush=True)
         assert ok, line

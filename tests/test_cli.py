@@ -349,7 +349,7 @@ class TestMainExitCodes:
             (["forecast", "--data", str(DATA / "a1.csv"), "--start", "0.999"],
              ["'A1'", "start fraction 0.999"]),
             (["forecast", "--data", str(DATA / "a1.csv"), "--start", "0.005"],
-             ["two points, got 1"]),
+             ["'A1'", "start fraction 0.005", "first split at 1 point", "at least two points"]),
             (["lookahead", "--data", str(DATA / "b1.csv"), "--start", "0.999"],
              ["'B1'", "start fraction 0.999"]),
             (["mogp-evaluate", "--data", str(DATA / "c.csv"), "--target", "C3",

@@ -80,7 +80,7 @@ class TestGradients:
             Matern(1.5, 0.2, 5.0),
             x,
             y,
-            mean=ExpDegradation(0.9, 0.1, -0.05),
+            mean=ExpDegradation(1.0, -0.005, -0.05),
             noise_variance=1e-3,
         )
         names = model.hyperparameters().names
@@ -88,13 +88,43 @@ class TestGradients:
             "ma3.output_scale",
             "ma3.length_scale",
             "noise.variance",
-            "mean.a1",
-            "mean.a2",
             "mean.a3",
         )
         _, grads = model.nlml_value_and_gradients(model.opt_vector())
         fd = central_difference_gradients(model)
         assert np.allclose(grads, fd, rtol=1e-4, atol=1e-6)
+
+    @pytest.mark.parametrize("a3", [0.0, 1e-9, -1e-9, -1.0 / 40.0])
+    def test_gradients_with_solved_coefficients_match_central_differences(self, a3):
+        # criterion 2's check on the reduced vector: the mean's a1 and a2 are
+        # solved at every point, so the differences are of the profiled NLML;
+        # a3 = 0 and +-1e-9 take the basis's series branch, -1/40 is -1/x_range
+        x = np.arange(1.0, 41.0)
+        y = 1.0 - 0.002 * x - 5e-5 * x**2 + 0.002 * np.sin(x)
+        model = model_for_series((x, y), "MA5+MA3", "EXPDEG")
+        theta = model.opt_vector()
+        theta[-1] = a3
+        value, grads = model.nlml_value_and_gradients(theta)
+        solved = model.with_opt_vector(theta)
+        assert value == pytest.approx(dense_oracle(solved, x[:1])[0], rel=1e-10)
+        fd = central_difference_gradients(solved)
+        assert np.allclose(grads, fd, rtol=1e-5, atol=1e-6)
+        assert abs(grads[-1]) > 1e-2  # a3's entry is not zero here by accident
+
+    def test_rank_one_basis_gives_a_finite_nlml_and_gradient(self):
+        # every input equal: the basis [1, g] has rank one, and any solution
+        # with the same mean gives the same NLML, which a3 then does not move
+        x = np.full(6, 3.0)
+        y = np.array([0.9, 1.0, 0.95, 1.05, 0.97, 1.02])
+        model = GpModel(Matern(2.5, 0.5, 2.0), x, y, ExpDegradation(a3=-0.2), 0.01)
+        theta = model.opt_vector()
+        value, grads = model.nlml_value_and_gradients(theta)
+        assert np.isfinite(value) and np.all(np.isfinite(grads))
+        solved = model.with_opt_vector(theta)
+        assert solved.mean(x) == pytest.approx(np.full(6, y.mean()), rel=1e-12)
+        assert value == pytest.approx(dense_oracle(solved, x[:1])[0], rel=1e-10)
+        assert grads[-1] == pytest.approx(0.0, abs=1e-10)
+        assert np.allclose(grads, central_difference_gradients(solved), rtol=1e-5, atol=1e-8)
 
     @pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
     def test_gradients_on_fractional_inputs_match_the_dense_trace(self, labeled):
@@ -427,13 +457,16 @@ class TestValidationAndPlumbing:
             Sum(Matern(2.5, 1.0, 3.0), WhiteNoise(0.2)),
             x,
             np.sin(x),
-            mean=ExpDegradation(0.8, 0.2, -0.01),
+            mean=ExpDegradation(1.0, -0.002, -0.01),
             noise_variance=1e-3,
         )
         theta = model.opt_vector()
         clone = model.with_opt_vector(theta)
-        assert clone.nlml() == pytest.approx(model.nlml(), rel=1e-12)
+        assert np.array_equal(clone.opt_vector(), theta)
         assert clone.noise_variance == pytest.approx(model.noise_variance, rel=1e-12)
+        # the clone's a1 and a2 are solved, so it fits no worse than the model's own
+        assert clone.nlml() <= model.nlml()
+        assert clone.with_opt_vector(theta).nlml() == pytest.approx(clone.nlml(), rel=1e-12)
 
     def test_with_opt_vector_moves_parameters(self):
         x = np.linspace(0, 10, 6)
@@ -460,20 +493,18 @@ class TestValidationAndPlumbing:
 
     def test_param_ordering_kernel_noise_mean(self):
         x = np.linspace(0, 10, 6)
-        model = GpModel(SquaredExponential(), x, np.sin(x), mean=ExpDegradation(0.5, 0.1, -0.1))
+        model = GpModel(SquaredExponential(), x, np.sin(x), mean=ExpDegradation(0.6, -0.01, -0.1))
         assert model.hyperparameters().names == (
             "se.output_scale",
             "se.length_scale",
             "noise.variance",
-            "mean.a1",
-            "mean.a2",
             "mean.a3",
         )
 
     def test_trained_model_shares_pair_keys_and_matches_fresh_build(self):
         x = np.arange(1.0, 31.0)
         y = 1.0 - 0.01 * x + 0.01 * np.sin(x)
-        model = GpModel(parse_kernel("MA5+MA3"), x, y, mean=ExpDegradation(0.8, 0.2, -0.02))
+        model = GpModel(parse_kernel("MA5+MA3"), x, y, mean=ExpDegradation(1.0, -0.004, -0.02))
         theta = model.opt_vector() + 0.1
         model.nlml_value_and_gradients(theta)  # as training does, computing the keys
         trained = model.with_opt_vector(theta)

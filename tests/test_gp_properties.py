@@ -15,6 +15,7 @@ them, so points with different labels coincide in x.
 """
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -162,6 +163,26 @@ def test_posterior_matches_dense_oracle(prediction):
     _, mean_ref, var_ref = dense_oracle(model, x_new, labels)
     assert np.allclose(post.mean, mean_ref, rtol=1e-8, atol=1e-10)
     assert np.allclose(post.variance_latent, var_ref, rtol=1e-8, atol=1e-9)
+
+
+@given(
+    problems().filter(lambda problem: isinstance(problem[0].mean, ExpDegradation)),
+    st.sampled_from([1e-4, 1e-2, 1.0]),
+    st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+)
+def test_solved_coefficients_minimise_the_nlml(problem, scale, direction):
+    # the coefficients with_opt_vector solves are the GLS ones: no other a1
+    # and a2 fit better, near or far.  A model built with the moved
+    # coefficients keeps them (its own factorization solves nothing), and the
+    # dense oracle pins its value
+    model, theta = problem
+    solved = model.with_opt_vector(theta)
+    mean = solved.mean
+    a1, a2 = (b + scale * d * (abs(b) + 1e-3) for b, d in zip((mean.a1, mean.a2), direction))
+    moved = GpModel(solved.kernel, model.x, model.y, replace(mean, a1=a1, a2=a2),
+                    solved.noise_variance, labels=model.labels)
+    assert moved.nlml() == pytest.approx(oracle_nlml(moved), rel=1e-8, abs=1e-8)
+    assert solved.nlml() <= moved.nlml() + 1e-9 * max(1.0, abs(moved.nlml()))
 
 
 def _assert_close(blocked, whole):

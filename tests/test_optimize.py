@@ -115,15 +115,18 @@ class TestDefaultBounds:
 
     def test_mean_bounds_cover_plausible_asymptotes(self):
         x = np.linspace(0, 20, 25)
-        y = 1.0 - 0.001 * x  # early-life prefix: tiny spread
+        y = 0.5 + 0.5 * np.exp(-0.05 * x)  # early-life prefix: the asymptote 0.5 lies far below it
         model = model_for_series((x, y), "MA3", mean_expr="EXPDEG")
         bounds = default_lhs_bounds(model)
-        kinds = model.param_kinds()
-        off = kinds.index("mean_offset")
-        amp = kinds.index("mean_amplitude")
-        # an asymptote well below the observed window must be reachable
-        assert bounds[off][0] < 0.6
-        assert bounds[amp][0] < -0.3 < 0.3 < bounds[amp][1]
+        # only the rate is searched, in a box around 0; a1 and a2 have no box
+        assert model.param_kinds()[-1] == "mean_rate"
+        assert "mean_offset" not in model.param_kinds()
+        assert bounds[-1] == pytest.approx([-3.0 / 20, 3.0 / 20])
+        theta = model.opt_vector()
+        theta[-1] = -0.05
+        mean = model.with_opt_vector(theta).mean
+        # an asymptote well below the observed window comes out of the solve
+        assert mean.a1 - mean.a2 / mean.a3 == pytest.approx(0.5, abs=1e-6)
 
 
 class TestTrain:
@@ -333,7 +336,7 @@ class TestCallbacks:
         [
             (None, 0, -800.0),  # log output scale underflows to zero
             (None, 2, 701.0),  # log noise variance above 700
-            (ExpDegradation(1.0, -0.1, 0.01), 5, 100.0),  # a3 * x = 1000 overflows exp
+            (ExpDegradation(0.9, -0.001, 0.01), 3, 100.0),  # a3 * x = 1000 overflows exp
         ],
         ids=["log-underflow", "log-noise-overflow", "expdeg-overflow"],
     )
@@ -449,13 +452,13 @@ class TestModelForSeries:
             "label.phi_1", "label.phi_2", "label.phi_3",
             "ma5.output_scale", "ma5.length_scale", "ma3.output_scale", "ma3.length_scale",
             "per.output_scale", "per.length_scale", "per.period", "noise.scale",
-            "noise.variance", "mean.a1", "mean.a2", "mean.a3",
+            "noise.variance", "mean.a3",
         )
         assert hp.kinds == (
             "angle", "angle", "angle",
             "log_output_scale", "log_length_scale", "log_output_scale", "log_length_scale",
             "log_output_scale", "log_wiggle", "log_period", "log_noise_scale",
-            "log_noise_variance", "mean_offset", "mean_amplitude", "mean_rate",
+            "log_noise_variance", "mean_rate",
         )
 
     def test_mean_token_applies(self):

@@ -211,7 +211,7 @@ class TestForecastGrid:
 class TestForecastEol:
     def make_decaying_model(self):
         x = np.arange(0.0, 60.0)
-        mean = ExpDegradation(a1=0.55, a2=0.45, a3=-0.01)
+        mean = ExpDegradation(a1=1.0, a2=-0.0045, a3=-0.01)  # 0.55 + 0.45 exp(-0.01 x)
         y = mean(x)
         return GpModel(Matern(2.5, 0.01, 30.0), x, y, mean=mean, noise_variance=1e-6)
 
@@ -245,7 +245,7 @@ class TestForecastEol:
         series = CapacitySeries.from_raw("B1", *cell_b_like(n_cycles=1700))
         x, y = series.cycles[9::10], series.capacities[9::10]
         c = 0.25 / (math.e**1.2 - 1.0)  # the generator's fade curve
-        mean = ExpDegradation(1.0 + c, -c, 1.2 / 1700)
+        mean = ExpDegradation(1.0, -c * 1.2 / 1700, 1.2 / 1700)  # 1 + c - c exp(1.2 x / 1700)
         model = GpModel(Matern(2.5, 0.02, 200.0) + Matern(1.5, 0.01, 40.0), x, y, mean, 1e-4)
         horizon_x = x[-1] + 20_000.0
         tracemalloc.start()
