@@ -14,17 +14,30 @@ O(POSTERIOR_BLOCK n) scratch, whatever N.  Models are immutable;
 training evaluates candidate parameter vectors against one model and builds
 the trained instance once via ``with_opt_vector``.
 
+Training searches optimization coordinates, which differ from the
+hyperparameters (``GpModel.hyperparameters``, log values for positive
+parameters) in two ways.  The mean's rates are searched in units of the
+input range, as rate * x_range.  And when the kernel has exactly one scale
+(one output or noise scale and no sum, so K + sigma^2 I = s (R + lambda I)),
+that scale is not searched: the noise entry is log lambda = log sigma^2 -
+log s, and each step solves s = r^T (R + lambda I)^-1 r / n in closed form,
+the concentrated likelihood of kriging (Rasmussen & Williams 2006, §5.4;
+Jones, Schonlau & Welch 1998).  A kernel with two or more scales keeps them
+all in the search.  ``GpModel.opt_map`` is the linear map from
+hyperparameters to optimization coordinates.
+
 Per model, the first evaluation keeps what theta does not change: the
 distinct pair keys of the inputs, each pair's index into them, an n x n
-gram buffer and the positions of the log parameters.  A training step
-computes the rest: exp of those parameters, the mean's offset and basis,
+gram buffer and the layout of the optimization vectors.  A training step
+computes the rest: exp of the log entries, the mean's offset and basis,
 one evaluation of the kernel and its gradients on all the keys, the
-gathered gram, LAPACK's dpotrf, one dpotrs on [y - offset | basis], the
-mean's linear coefficients by generalised least squares (a q x q solve,
-Rasmussen & Williams 2006, §2.7; q = 2 for EXPDEG, 0 otherwise), dpotri, and
-W = K^-1 - alpha alpha^T summed by key.  The coefficients minimise the NLML,
-so its gradient in them is zero and the step's gradient holds for the
-profiled NLML too; the trained model carries them in its mean.
+gathered gram, LAPACK's dpotrf, one dpotrs on [y - offset | basis] (on
+y - offset alone when the basis is empty), the mean's linear coefficients by
+generalised least squares (a q x q solve, Rasmussen & Williams 2006, §2.7;
+q = 2 for EXPDEG, 0 otherwise), the solved scale when there is one, dpotri,
+and W = K^-1 - alpha alpha^T / s summed by key.  The coefficients and the
+scale minimise the NLML, so its gradient in them is zero and the step's
+gradient holds for the profiled NLML too; the trained model carries them.
 Whole-cycle inputs have about n keys; fractional ones, where nearly every
 pair is distinct, about n^2/2, so a step's temporaries are then O(P n^2/2)
 for P kernel parameters, the order of the n x n arrays it holds anyway.
@@ -38,6 +51,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -45,10 +59,13 @@ from scipy.linalg import blas, lapack, solve_triangular
 
 from .errors import ConfigError, ContractError, NumericalError
 from .kernels import (
+    LOG_NOISE_SCALE,
+    LOG_OUTPUT_SCALE,
     Hyperparameters,
     Kernel,
     PairKeys,
     Product,
+    Sum,
     is_log_kind,
     natural_values,
     sum_terms,
@@ -170,10 +187,48 @@ class Posterior:
         return self.mean - 2.0 * sd, self.mean + 2.0 * sd
 
 
-def _nlml(chol: np.ndarray, resid: np.ndarray, alpha: np.ndarray) -> float:
-    """Negative log marginal likelihood from the Cholesky factor and alpha = K^-1 resid."""
+def _nlml(chol: np.ndarray, resid: np.ndarray, alpha: np.ndarray, scale: float = 1.0) -> float:
+    """Negative log marginal likelihood of the covariance scale * A, from the
+    Cholesky factor of A and alpha = A^-1 resid."""
     half_log_det = np.log(chol.diagonal()).sum()
-    return float(0.5 * resid @ alpha + half_log_det + 0.5 * len(resid) * _LOG2PI)
+    n = len(resid)
+    return float(
+        0.5 * (resid @ alpha) / scale + 0.5 * n * math.log(scale) + half_log_det + 0.5 * n * _LOG2PI
+    )
+
+
+def _solved_scale(resid: np.ndarray, alpha: np.ndarray) -> float:
+    """The scale s that minimises the NLML of the covariance s A:
+    r^T A^-1 r / n, with alpha = A^-1 r."""
+    scale = float(resid @ alpha) / len(resid)
+    if not 0.0 < scale < math.inf:
+        raise NumericalError(f"solved kernel scale {scale} is not positive and finite")
+    return scale
+
+
+def _single_scale(kernel: Kernel) -> int | None:
+    """The index among the kernel's parameters of its one scale, when its gram
+    is that scale squared times a gram free of it: it has one output or noise
+    scale, and no sum, which would add a term the scale does not multiply.
+    None otherwise."""
+    def has_sum(node):
+        if isinstance(node, Product):
+            return has_sum(node.left) or has_sum(node.right)
+        return isinstance(node, Sum)
+
+    kinds = kernel.hyperparameters().kinds
+    scales = [i for i, kind in enumerate(kinds) if kind in (LOG_OUTPUT_SCALE, LOG_NOISE_SCALE)]
+    return scales[0] if len(scales) == 1 and not has_sum(kernel) else None
+
+
+class _Layout(NamedTuple):
+    """How a model's optimization vectors map to its parameters."""
+
+    logs: np.ndarray  # the positions of the log entries
+    noise: int  # the noise entry's index, after the kernel's searched entries
+    dim: int  # the vectors' length
+    scale: int | None  # the kernel's solved scale, as an index among its parameters
+    to_opt: np.ndarray  # the matrix from hyperparameters to optimization coordinates
 
 
 def _gls_coefficients(a: np.ndarray, b: np.ndarray) -> list[float]:
@@ -247,7 +302,8 @@ class GpModel:
 
     def hyperparameters(self) -> Hyperparameters:
         """Kernel parameters, then log noise variance, then the mean's searched
-        parameters; its linear coefficients are solved, so they are not here."""
+        parameters; its linear coefficients are solved, so they are not here.
+        A solved kernel scale is here, as the model holds it."""
         kh = self.kernel.hyperparameters()
         names = list(kh.names) + ["noise.variance"]
         kinds = list(kh.kinds) + [LOG_NOISE_VARIANCE]
@@ -259,49 +315,81 @@ class GpModel:
         return Hyperparameters(tuple(names), tuple(kinds), np.array(values))
 
     def opt_vector(self) -> np.ndarray:
-        return self.hyperparameters().values.copy()
+        """The model's own parameters in optimization coordinates."""
+        return self._layout.to_opt @ self.hyperparameters().values
+
+    def opt_map(self) -> np.ndarray:
+        """The (read-only) matrix that takes hyperparameter vectors, as
+        ``hyperparameters().values``, to optimization coordinates.
+
+        Each row has one entry per hyperparameter except a solved scale: the
+        identity for the kernel's other parameters, x_range for the mean's
+        rates, and for the noise entry log sigma^2 - 2 log(scale) when the
+        scale is solved (kernel scales are standard deviations).
+        """
+        return self._layout.to_opt
 
     def param_kinds(self) -> tuple[str, ...]:
         return self.hyperparameters().kinds
 
     def with_opt_vector(self, values) -> "GpModel":
         """The same model at an optimization-space vector, its mean's linear
-        coefficients solved there.
+        coefficients, and its kernel's scale if it has one, solved there.
 
-        The new model keeps the solve's Cholesky factor for its posteriors,
-        with alpha solved from its own mean, so that it conditions exactly as
-        a model built from scratch.  It also takes over the pair keys and the
+        With the scale searched, the new model keeps the solve's Cholesky
+        factor for its posteriors, with alpha solved from its own mean, so
+        that it conditions exactly as a model built from scratch; with the
+        scale solved, that factor is of K / s, and the model factorizes K
+        itself when first asked.  It also takes over the pair keys and the
         layout, which the vector does not change; the n x n buffer in the
         keys is only scratch inside ``_factor``, so the two models share it.
         """
-        raw = self._natural(values)
-        nk = self._layout[1]
-        kernel = self.kernel._with_raw(iter(raw[:nk]))
-        mean = self.mean._with_raw(iter(raw[nk + 1 :]))
-        k = kernel._evaluate(self._keys[0], iter(raw[:nk]), False)[0]
-        columns, _ = mean._evaluate(self.x, raw[nk + 1 :])
-        chol, jitter, _, _, beta = self._factor(k, raw[nk], columns)
+        kraw, noise, mraw = self._natural(values)
+        scale_index = self._layout.scale
+        mean = self.mean._with_raw(iter(mraw))
+        k = self.kernel._evaluate(self._keys[0], iter(kraw), False)[0]
+        columns, _ = mean._evaluate(self.x, mraw)
+        chol, jitter, resid, alpha, beta = self._factor(k, noise, columns)
+        if scale_index is not None:
+            scale = _solved_scale(resid, alpha)
+            kraw[scale_index] = math.sqrt(scale)
+            noise *= scale
         model = GpModel(
-            kernel,
+            self.kernel._with_raw(iter(kraw)),
             self.x,
             self.y,
             mean=mean._with_coefficients(beta),
-            noise_variance=raw[nk],
+            noise_variance=noise,
             labels=self.labels,
         )
-        resid = model.y - model.mean(model.x)
-        alpha, _ = lapack.dpotrs(chol, resid, lower=1)
-        model.__dict__.update(
-            _keys=self._keys, _layout=self._layout, _factorization=(chol, jitter, resid, alpha)
-        )
+        model.__dict__.update(_keys=self._keys, _layout=self._layout)
+        if scale_index is None:
+            resid = model.y - model.mean(model.x)
+            alpha, _ = lapack.dpotrs(chol, resid, lower=1)
+            model.__dict__["_factorization"] = (chol, jitter, resid, alpha)
         return model
 
     @cached_property
-    def _layout(self) -> tuple[np.ndarray, int, int]:
-        """The positions of the log entries in optimization vectors, the
-        noise entry's index and the vectors' length."""
-        kinds = self.param_kinds()
-        return np.flatnonzero([is_log_kind(k) for k in kinds]), self.kernel.n_params(), len(kinds)
+    def x_range(self) -> float:
+        """The spread of the training inputs, or 1 where they have none."""
+        spread = float(np.ptp(self.x))
+        return spread if spread > 0 else 1.0
+
+    @cached_property
+    def _layout(self) -> _Layout:
+        kinds = list(self.param_kinds())
+        nk = self.kernel.n_params()
+        scale = _single_scale(self.kernel)
+        to_opt = np.eye(len(kinds))
+        to_opt[nk + 1 :] *= self.x_range  # the mean's rates
+        if scale is not None:
+            to_opt[nk, scale] = -2.0
+            to_opt = np.delete(to_opt, scale, axis=0)
+            del kinds[scale]
+            nk -= 1
+        to_opt.flags.writeable = False
+        logs = np.flatnonzero([is_log_kind(k) for k in kinds])
+        return _Layout(logs, nk, len(kinds), scale, to_opt)
 
     @cached_property
     def _keys(self) -> tuple[PairKeys, np.ndarray, np.ndarray]:
@@ -311,15 +399,22 @@ class GpModel:
         keys, inverse = unique_pair_keys(self.x, self.labels)
         return with_label_pairs(self.kernel, keys), inverse, np.empty(inverse.shape)
 
-    def _natural(self, values) -> list[float]:
-        """An optimization-space vector in natural space, range-checked."""
-        log_positions, nk, dim = self._layout
+    def _natural(self, values) -> tuple[list[float], float, list[float]]:
+        """An optimization vector in natural space, range-checked: the
+        kernel's parameters (a solved scale at 1), the noise variance (its
+        ratio lambda to the solved scale, if any) and the mean's parameters."""
+        layout = self._layout
         values = np.asarray(values, dtype=float)
-        if len(values) != dim:
-            raise ConfigError(f"expected {dim} parameter values, got {len(values)}")
-        if values[nk] > 700.0:
-            raise NumericalError(f"log noise variance {values[nk]} leaves the float range")
-        return natural_values(values, log_positions)
+        if len(values) != layout.dim:
+            raise ConfigError(f"expected {layout.dim} parameter values, got {len(values)}")
+        noise = values[layout.noise]
+        if noise > 700.0:
+            raise NumericalError(f"log noise variance {noise} leaves the float range")
+        raw = natural_values(values, layout.logs)
+        kraw = raw[: layout.noise]
+        if layout.scale is not None:
+            kraw.insert(layout.scale, 1.0)
+        return kraw, raw[layout.noise], [v / self.x_range for v in raw[layout.noise + 1 :]]
 
     # --- inference ---------------------------------------------------------
 
@@ -343,10 +438,13 @@ class GpModel:
         # Fortran order that LAPACK takes without a transposing copy
         chol, jitter = jittered_cholesky(a.T)
         np.subtract(self.y, columns[:, 0], out=columns[:, 0])  # [y - offset | H]
+        if columns.shape[1] == 1:  # an empty basis: nothing to solve
+            resid = columns[:, 0]
+            alpha, _ = lapack.dpotrs(chol, resid, lower=1)
+            return chol, jitter, resid, alpha, []
         solved, _ = lapack.dpotrs(chol, columns, lower=1)
         normal = columns[:, 1:].T @ solved  # [H^T K^-1 r | H^T K^-1 H]
         beta = _gls_coefficients(normal[:, 1:], normal[:, 0])
-        # with an empty basis, both are the first column times exactly 1
         weights = np.array([1.0] + [-v for v in beta])
         return chol, jitter, columns @ weights, solved @ weights, beta
 
@@ -357,46 +455,56 @@ class GpModel:
 
     def nlml_value_and_gradients(self, theta) -> tuple[float, np.ndarray]:
         """NLML and its gradient in optimization space (kernel, noise, mean),
-        with the mean's linear coefficients solved at ``theta``.
+        with the mean's linear coefficients, and the kernel's scale if it has
+        one, solved at ``theta``.
 
         Evaluated at the optimization-space vector ``theta`` (the model's own
         is ``opt_vector()``) without building a new model: the pair keys and
         the parameter layout are computed on first use and kept.  The
         gradient is eq. 5.9 of Rasmussen & Williams (2006),
-        1/2 tr((K^-1 - alpha alpha^T) dK).
+        1/2 tr((K^-1 - alpha alpha^T) dK).  With the scale s solved, K is
+        s (R + lambda I), the NLML is n/2 log s + 1/2 log|R + lambda I| +
+        n/2 (1 + log 2 pi), and W = (R + lambda I)^-1 - alpha alpha^T / s with
+        alpha = (R + lambda I)^-1 r.
 
         The kernel and its gradients are evaluated once, on all the model's
         distinct pair keys; the values are gathered into the gram and each
         gradient is contracted with W summed by key, one dot product each.
-        A mean parameter's entry is -(dH/dp beta)^T alpha: the NLML's gradient
-        in the solved coefficients beta is zero.
+        A mean parameter's entry is -(dH/dp beta)^T alpha / s, over x_range
+        for a rate: the NLML's gradient in the solved coefficients beta and
+        scale s is zero.
         """
-        raw = self._natural(theta)
-        nk = self._layout[1]
-        kraw, noise = raw[:nk], raw[nk]
-        columns, basis_grads = self.mean._evaluate(self.x, raw[nk + 1 :])
+        kraw, noise, mraw = self._natural(theta)
+        scale_index = self._layout.scale
+        columns, basis_grads = self.mean._evaluate(self.x, mraw)
         keys, inverse, _ = self._keys
         k, dks = self.kernel._evaluate(keys, iter(kraw), True)
         chol, _, resid, alpha, beta = self._factor(k, noise, columns)
         del k
-        value = _nlml(chol, resid, alpha)
+        scale = 1.0 if scale_index is None else _solved_scale(resid, alpha)
+        value = _nlml(chol, resid, alpha, scale)
         # dpotri leaves the lower triangle Z of K^-1 (the upper stays zero) and
-        # dsyr takes alpha alpha^T off that triangle in place.  Every dK is
-        # symmetric, so 1/2 tr((K^-1 - alpha alpha^T) dK) = <W, dK> with W the
-        # triangle, its diagonal halved.  The products go through scipy's BLAS,
-        # the library that factorized K: numpy links its own OpenBLAS, and with
-        # threads unpinned the two libraries' thread pools stall each other
-        # once n^2 passes 10^4 (100x slower per evaluation).
+        # dsyr takes alpha alpha^T / s off that triangle in place.  Every dK is
+        # symmetric, so 1/2 tr((K^-1 - alpha alpha^T / s) dK) = <W, dK> with W
+        # the triangle, its diagonal halved.  The products go through scipy's
+        # BLAS, the library that factorized K: numpy links its own OpenBLAS,
+        # and with threads unpinned the two libraries' thread pools stall each
+        # other once n^2 passes 10^4 (100x slower per evaluation).
         z, info = lapack.dpotri(chol, lower=1, overwrite_c=1)
         if info:
             raise NumericalError(f"dpotri failed with info {info}")
-        z = blas.dsyr(-1.0, alpha, lower=1, a=z, overwrite_a=1)
+        z = blas.dsyr(-1.0 / scale, alpha, lower=1, a=z, overwrite_a=1)
         w = z.T.ravel()  # W row by row (z.T is C-ordered, so this is a view)
         w[:: len(z) + 1] *= 0.5
         noise_grad = noise * float(w[:: len(z) + 1].sum())
         weights = np.bincount(inverse.ravel(), weights=w)
+        if scale_index is not None:
+            del dks[scale_index]
         grads = [blas.ddot(weights, dk) for dk in dks]
-        return value, np.concatenate([grads, [noise_grad], -(basis_grads @ beta @ alpha)])
+        grads.append(noise_grad)
+        if beta:
+            grads.extend(-(basis_grads @ beta @ alpha) / (scale * self.x_range))
+        return value, np.array(grads)
 
     def _require_labels(self, x_new, labels):
         x_new = np.asarray(x_new, dtype=float)

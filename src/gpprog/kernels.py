@@ -77,9 +77,11 @@ def coerce_inputs(xs) -> tuple[np.ndarray, np.ndarray | None]:
 
 @dataclass(frozen=True)
 class Hyperparameters:
-    """Named view of a parameter vector in optimization space.
+    """Named view of a parameter vector.
 
     Positive-constrained entries hold log values; angles are raw radians.
+    A kernel's are the coordinates its gradients are taken in; a model's
+    map to the ones training searches through ``GpModel.opt_map``.
     """
 
     names: tuple[str, ...]

@@ -9,8 +9,11 @@ through the kernel leaves' base :class:`~gpprog.kernels.Parametrized`);
 for each of them the coefficients that minimise the NLML are the
 generalised least-squares solution (Rasmussen & Williams 2006, §2.7), which
 :class:`~gpprog.gp.GpModel` solves on its Cholesky factor.  The zero and
-constant means have an empty basis and nothing to train; the exponential
-degradation mean's a1 and a2 are solved, and only its rate a3 is searched.
+constant means have an empty basis and nothing to train, and a training step
+skips the solve for them; the exponential degradation mean's a1 and a2 are
+solved, and only its rate a3 is searched.  A searched parameter is a rate
+(kind ``MEAN_RATE``), which training searches in units of the input range,
+as a3 * x_range (see :meth:`~gpprog.gp.GpModel.opt_map`).
 """
 
 from __future__ import annotations

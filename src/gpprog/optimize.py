@@ -5,10 +5,13 @@ triple into an untrained model: a single-output one for one cell, the
 multi-output one for a fleet.  Training minimizes the negative log marginal
 likelihood with a quasi-Newton optimizer (L-BFGS-B, analytic gradients)
 restarted from a Latin hypercube of starting points, the model's own
-parameters and an optional warm start.  Each run is box-constrained to the
-same data-driven bounds that seed the starts; see :func:`train` for the
-rationale.  :func:`pool_map` is the one place that starts worker processes,
-for the kernel search and the rolling evaluations.
+parameters and an optional warm start.  The starts are drawn in data-driven
+bounds on the hyperparameters and mapped into the model's optimization
+coordinates (:meth:`GpModel.opt_map`: the mean's rates in units of the input
+range, and a single-scale kernel's scale solved rather than searched), and
+each run is box-constrained to the image of those bounds; see :func:`train`
+for the rationale.  :func:`pool_map` is the one place that starts worker
+processes, for the kernel search and the rolling evaluations.
 Training and search results are plain records (:class:`RestartRecord`,
 :class:`SearchEntry`); :mod:`gpprog.cli` writes them.
 """
@@ -82,16 +85,15 @@ def _lhs_design(seed: int, n: int, bounds: np.ndarray) -> np.ndarray:
 
 
 def default_lhs_bounds(model: GpModel) -> np.ndarray:
-    """Starting bounds scaled to the training data, per parameter kind.
+    """Starting bounds on the hyperparameters (``model.hyperparameters()``),
+    scaled to the training data, per parameter kind.
 
     Length scales, periods and the mean's rate scale with the input range,
     output scales and noise with the target standard deviation.  The mean's
     linear coefficients are solved, not searched, so they have none.
     """
     x, y = model.x, model.y
-    x_range = float(x.max() - x.min()) if len(x) > 1 else 1.0
-    if x_range <= 0:
-        x_range = 1.0
+    x_range = model.x_range
     # densely sampled inputs make shorter length scales identifiable
     spacing = float(np.median(np.diff(np.unique(x)))) if len(np.unique(x)) > 1 else x_range
     shortest = min(0.1 * x_range, 2.0 * spacing)
@@ -160,23 +162,35 @@ def train(model: GpModel, config: TrainConfig = TrainConfig(), warm=None) -> Tra
 
     Every caller gets the same starts, in this order (``restarts`` keeps it):
     ``config.n_restarts`` Latin hypercube draws, the model's own parameters,
-    and ``warm`` if given (say, a rolling sweep's previous optimum).  The
-    last two are clipped to the bounds, which also box-constrain the search
-    and so keep hyperparameters in the identifiable region they describe (a
-    period longer than the observed window, say, is just an expensive way to
-    mimic a smooth kernel).  The returned model is the best local optimum
-    found; its NLML never exceeds that of any start, which L-BFGS-B
-    evaluates first.
+    and ``warm`` if given (say, a rolling sweep's previous optimum, as its
+    ``hyperparameters().values``).  All are hyperparameter vectors, mapped
+    into the model's optimization coordinates (a warm start travels as
+    hyperparameters because those coordinates depend on the input range).
+    The draws lie in :func:`default_lhs_bounds`, and the image of those
+    bounds box-constrains the search, which keeps hyperparameters in the
+    identifiable region they describe (a period longer than the observed
+    window, say, is just an expensive way to mimic a smooth kernel); the
+    last two starts are clipped to that box.  A solved scale has no box.
+    The returned model is the best local optimum found; its NLML never
+    exceeds that of any start, which L-BFGS-B evaluates first.
     """
     if len(model.x) < 2:
         raise DegenerateInputError(f"training requires at least two points, got {len(model.x)}")
-    own = model.opt_vector()
+    own = model.hyperparameters().values
     extra = [own] if warm is None else [own, np.asarray(warm, dtype=float)]
     if extra[-1].shape != own.shape or not np.all(np.isfinite(extra[-1])):
         raise ConfigError(f"warm start must be {len(own)} finite values, got {extra[-1].tolist()}")
     bounds = default_lhs_bounds(model)
-    extra = np.clip(extra, bounds[:, 0], bounds[:, 1])
-    starts = [*_lhs_design(config.seed, config.n_restarts, bounds), *extra]
+    lo, hi = bounds.T
+    to_opt = model.opt_map()
+    # the image of the bounds under the linear map: each end takes the other
+    # end where a coefficient is negative (log lambda falls as the scale rises)
+    up, down = np.maximum(to_opt, 0.0), np.minimum(to_opt, 0.0)
+    box = np.column_stack([up @ lo + down @ hi, up @ hi + down @ lo])
+    starts = [
+        *_lhs_design(config.seed, config.n_restarts, bounds) @ to_opt.T,
+        *np.clip(np.array(extra) @ to_opt.T, box[:, 0], box[:, 1]),
+    ]
     records = []
     best_value = math.inf
     best_theta = None
@@ -190,7 +204,7 @@ def train(model: GpModel, config: TrainConfig = TrainConfig(), warm=None) -> Tra
                 start,
                 jac=calls.gradient,
                 method="L-BFGS-B",
-                bounds=list(map(tuple, bounds)),
+                bounds=list(map(tuple, box)),
                 options={"maxiter": _MAX_ITERATIONS, "gtol": 1e-6},
             )
             values = calls.values
@@ -221,11 +235,14 @@ def train(model: GpModel, config: TrainConfig = TrainConfig(), warm=None) -> Tra
 
 @dataclass(frozen=True)
 class SearchEntry:
-    """One trained candidate in a kernel search, ranked by NLML."""
+    """One trained candidate in a kernel search, ranked by NLML, with its
+    hyperparameters and its mean's parameters as :func:`meanfn.mean_params`
+    gives them."""
 
     kernel: str
     nlml: float
     hyperparameters: dict[str, float]
+    mean_params: dict[str, float]
 
     @property
     def lml(self) -> float:
@@ -306,7 +323,10 @@ def _search_one(payload) -> SearchEntry | str:
         result = train(model_for_series(series, expr, mean_expr), config)
     except TrainingError as exc:
         return str(exc)
-    return SearchEntry(expr, float(result.nlml), result.model.hyperparameters().raw())
+    model = result.model
+    return SearchEntry(
+        expr, float(result.nlml), model.hyperparameters().raw(), mx.mean_params(model.mean)
+    )
 
 
 def kernel_search(

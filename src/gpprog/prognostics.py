@@ -250,7 +250,7 @@ class GpForecaster:
         model = model_for_series(data, self.kernel_expr, self.mean_expr)
         trained = train(model, self.config, warm=self._warm).model
         if self.warm_start:
-            self._warm = trained.opt_vector()
+            self._warm = trained.hyperparameters().values
         return trained
 
     def __call__(self, train_series, test_x, threshold, horizon_x):

@@ -149,6 +149,7 @@ OUTPUT_SCHEMA = {
                     "se.length_scale", "se.output_scale", "se_2.length_scale",
                     "se_2.output_scale", "noise.variance",
                 ]),
+                "mean_params": {"value": None},
             }],
         },
     },

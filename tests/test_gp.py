@@ -24,11 +24,14 @@ from gpprog import (
     Product,
     SquaredExponential,
     Sum,
+    TrainConfig,
+    TrainingError,
     WhiteNoise,
     jittered_cholesky,
     model_for_series,
     parse_kernel,
     synthetic,
+    train,
 )
 from gpprog import gp as gp_module
 
@@ -63,13 +66,24 @@ class TestAgainstDenseOracle:
         assert np.allclose(post.variance_latent, var_ref, rtol=1e-8, atol=1e-12)
 
 
+# the NLML and gradient of test_two_scale_step_is_unchanged's model
+GOLDEN_VALUE = -97.76525619570089
+GOLDEN_GRADS = [1.1483100531898722, -0.7439540717547453, 25.91305671730248,
+                -24.460784641859494, 5.369304586600928]
+
+
 class TestGradients:
     def test_gradients_match_central_differences(self):
         rng = np.random.default_rng(99)
         for _ in range(15):
             model, _ = random_problem(rng)
-            value, grads = model.nlml_value_and_gradients(model.opt_vector())
-            assert value == pytest.approx(model.nlml(), rel=1e-12)
+            theta = model.opt_vector()
+            value, grads = model.nlml_value_and_gradients(theta)
+            if model._layout.scale is None:
+                assert value == pytest.approx(model.nlml(), rel=1e-12)
+            else:  # the scale is solved at theta, which fits no worse than the model's own
+                assert value == pytest.approx(model.with_opt_vector(theta).nlml(), rel=1e-12)
+                assert value <= model.nlml() + 1e-12
             fd = central_difference_gradients(model)
             assert np.allclose(grads, fd, rtol=2e-4, atol=1e-6)
 
@@ -94,22 +108,44 @@ class TestGradients:
         fd = central_difference_gradients(model)
         assert np.allclose(grads, fd, rtol=1e-4, atol=1e-6)
 
-    @pytest.mark.parametrize("a3", [0.0, 1e-9, -1e-9, -1.0 / 40.0])
-    def test_gradients_with_solved_coefficients_match_central_differences(self, a3):
-        # criterion 2's check on the reduced vector: the mean's a1 and a2 are
-        # solved at every point, so the differences are of the profiled NLML;
-        # a3 = 0 and +-1e-9 take the basis's series branch, -1/40 is -1/x_range
+    @pytest.mark.parametrize("kernel", ["MA5+MA3", "MA3", "NOISE"])
+    @pytest.mark.parametrize("a3", [0.0, 1e-9, -1e-9, -1.0 / 39.0])
+    def test_gradients_with_solved_coefficients_match_central_differences(self, kernel, a3):
+        # criterion 2's check on the reduced vector: the mean's a1 and a2, and
+        # a single kernel's scale, are solved at every point, so the
+        # differences are of the profiled NLML, in the coordinates searched:
+        # the rate as a3 * x_range and, with the scale solved, the noise as
+        # log lambda.  a3 = 0 and +-1e-9 take the basis's series branch,
+        # -1/39 is -1/x_range
         x = np.arange(1.0, 41.0)
         y = 1.0 - 0.002 * x - 5e-5 * x**2 + 0.002 * np.sin(x)
-        model = model_for_series((x, y), "MA5+MA3", "EXPDEG")
+        model = model_for_series((x, y), kernel, "EXPDEG")
+        assert model.x_range == 39.0
         theta = model.opt_vector()
-        theta[-1] = a3
+        theta[-1] = a3 * model.x_range
         value, grads = model.nlml_value_and_gradients(theta)
         solved = model.with_opt_vector(theta)
+        assert solved.mean.a3 == pytest.approx(a3, rel=1e-15, abs=0.0)
         assert value == pytest.approx(dense_oracle(solved, x[:1])[0], rel=1e-10)
         fd = central_difference_gradients(solved)
         assert np.allclose(grads, fd, rtol=1e-5, atol=1e-6)
         assert abs(grads[-1]) > 1e-2  # a3's entry is not zero here by accident
+        if kernel == "NOISE":
+            # K = s (I + lambda I): with s solved the NLML cannot see lambda
+            assert len(theta) == 2
+            assert abs(grads[0]) < 1e-9 and abs(fd[0]) < 1e-6
+
+    def test_two_scale_step_is_unchanged(self):
+        # golden values of a model whose kernel keeps both its scales in the
+        # search: its step is the searched-scale one, and these literals
+        # were computed by the step before any scale was solved
+        x = np.arange(1.0, 41.0)
+        y = 1.0 - 0.002 * x - 5e-5 * x**2 + 0.002 * np.sin(x)
+        model = model_for_series((x, y), "MA5+MA3", "CONST")
+        theta = model.opt_vector() + np.array([0.1, -0.2, 0.3, -0.1, 0.2])
+        value, grads = model.nlml_value_and_gradients(theta)
+        assert value == pytest.approx(GOLDEN_VALUE, rel=1e-12)
+        assert np.allclose(grads, GOLDEN_GRADS, rtol=1e-9, atol=1e-12)
 
     def test_rank_one_basis_gives_a_finite_nlml_and_gradient(self):
         # every input equal: the basis [1, g] has rank one, and any solution
@@ -206,6 +242,71 @@ class TestGradients:
             tracemalloc.stop()
         assert n_keys == n * (n - 1) // 2 + 1
         assert peak < 9 * n_keys * 8
+
+
+class TestSolvedScale:
+    @pytest.mark.parametrize(
+        "kernel, scale",
+        [
+            (SquaredExponential(), 0),
+            (Matern(1.5), 0),
+            (Periodic(), 0),
+            (WhiteNoise(), 0),
+            (Product(LabelCovariance(2, (0.5,)), Matern(2.5)), 1),
+            (parse_kernel("MA5+MA3"), None),
+            (Sum(Matern(1.5), WhiteNoise()), None),
+            (Product(Matern(1.5), SquaredExponential()), None),
+            # one scale, but the label term is not multiplied by it
+            (Sum(LabelCovariance(2, (0.5,)), Matern(1.5)), None),
+        ],
+        ids=["SE", "MA3", "PER", "NOISE", "LABEL*MA5", "MA5+MA3", "MA3+NOISE", "MA3*SE",
+             "LABEL+MA3"],
+    )
+    def test_only_a_kernel_that_is_its_scale_times_the_rest_has_it_solved(self, kernel, scale):
+        x = np.arange(1.0, 9.0)
+        labeled = any(isinstance(leaf, LabelCovariance) for leaf in kernel._walk())
+        labels = [1, 2] * 4 if labeled else None
+        model = GpModel(kernel, x, np.sin(x), mean=ExpDegradation(a3=-0.1), labels=labels)
+        assert model._layout.scale == scale
+        n_hyper = len(model.hyperparameters().values)
+        assert len(model.opt_vector()) == n_hyper - (scale is not None)
+        # the map: the identity but for the noise row, less twice the scale, and the rate's
+        expected = np.eye(n_hyper)
+        expected[-1, -1] = 7.0  # x_range
+        if scale is not None:
+            expected[-2, scale] = -2.0
+            expected = np.delete(expected, scale, axis=0)
+        assert np.array_equal(model.opt_map(), expected)
+
+    def test_hyperparameters_keep_the_solved_scale(self):
+        x = np.arange(1.0, 21.0)
+        y = 1.0 - 0.01 * x + 0.01 * np.sin(x)
+        model = model_for_series((x, y), "MA3", "EXPDEG")
+        theta = model.opt_vector() + 0.1
+        trained = model.with_opt_vector(theta)
+        assert set(trained.hyperparameters().raw()) == {
+            "ma3.output_scale", "ma3.length_scale", "noise.variance", "mean.a3",
+        }
+        scale = trained.kernel.output_scale**2
+        resid = y - trained.mean(x)
+        assert scale == pytest.approx(
+            resid @ np.linalg.solve(trained.kernel.gram(x) / scale
+                                    + trained.noise_variance / scale * np.eye(len(x)), resid)
+            / len(x), rel=1e-10)
+        assert np.allclose(trained.opt_vector(), theta, rtol=0.0, atol=1e-13)
+
+    def test_a_mean_that_fits_exactly_leaves_no_scale_to_solve(self):
+        # constant targets under the constant mean have a zero residual, whose
+        # best scale is zero: the step rejects it, as training does every start
+        x = np.arange(1.0, 11.0)
+        model = model_for_series((x, np.full(10, 0.9)), "MA3")
+        with pytest.raises(NumericalError, match="solved kernel scale 0.0"):
+            model.nlml_value_and_gradients(model.opt_vector())
+        with pytest.raises(TrainingError, match="all restarts failed"):
+            train(model, TrainConfig(n_restarts=1))
+        # a kernel with two scales searches them, and trains as before
+        assert math.isfinite(train(model_for_series((x, np.full(10, 0.9)), "MA5+MA3"),
+                                   TrainConfig(n_restarts=1)).nlml)
 
 
 class TestConditioningLimits:
@@ -472,15 +573,21 @@ class TestValidationAndPlumbing:
         x = np.linspace(0, 10, 6)
         model = GpModel(SquaredExponential(1.0, 2.0), x, np.sin(x), noise_variance=1e-2)
         theta = model.opt_vector()
-        theta[-1] = math.log(0.5)
+        theta[-1] = math.log(0.5)  # log lambda: the noise over the solved scale
         moved = model.with_opt_vector(theta)
-        assert moved.noise_variance == pytest.approx(0.5)
+        scale = moved.kernel.output_scale**2
+        assert moved.noise_variance == pytest.approx(0.5 * scale, rel=1e-12)
         assert model.noise_variance == pytest.approx(1e-2)  # original untouched
+        two_scales = GpModel(SquaredExponential(1.0, 2.0) + WhiteNoise(0.1), x, np.sin(x))
+        theta = two_scales.opt_vector()
+        theta[-1] = math.log(0.5)  # log noise variance
+        assert two_scales.with_opt_vector(theta).noise_variance == pytest.approx(0.5)
 
     def test_with_opt_vector_length_check(self):
+        # SE's output scale is solved, so its vectors hold the length scale and log lambda
         x = np.linspace(0, 10, 6)
         model = GpModel(SquaredExponential(), x, np.sin(x))
-        with pytest.raises(ConfigError, match="expected 3"):
+        with pytest.raises(ConfigError, match="expected 2"):
             model.with_opt_vector([0.0])
 
     def test_with_opt_vector_noise_overflow(self):
@@ -501,10 +608,11 @@ class TestValidationAndPlumbing:
             "mean.a3",
         )
 
-    def test_trained_model_shares_pair_keys_and_matches_fresh_build(self):
+    @pytest.mark.parametrize("kernel", ["MA5+MA3", "MA3"])
+    def test_trained_model_shares_pair_keys_and_matches_fresh_build(self, kernel):
         x = np.arange(1.0, 31.0)
         y = 1.0 - 0.01 * x + 0.01 * np.sin(x)
-        model = GpModel(parse_kernel("MA5+MA3"), x, y, mean=ExpDegradation(1.0, -0.004, -0.02))
+        model = GpModel(parse_kernel(kernel), x, y, mean=ExpDegradation(1.0, -0.004, -0.02))
         theta = model.opt_vector() + 0.1
         model.nlml_value_and_gradients(theta)  # as training does, computing the keys
         trained = model.with_opt_vector(theta)

@@ -19,6 +19,7 @@ from gpprog import (
     NumericalError,
     Product,
     SquaredExponential,
+    Sum,
     TrainConfig,
     TrainingError,
     candidate_pairs,
@@ -123,7 +124,7 @@ class TestDefaultBounds:
         assert "mean_offset" not in model.param_kinds()
         assert bounds[-1] == pytest.approx([-3.0 / 20, 3.0 / 20])
         theta = model.opt_vector()
-        theta[-1] = -0.05
+        theta[-1] = -0.05 * model.x_range  # training searches the rate in units of the range
         mean = model.with_opt_vector(theta).mean
         # an asymptote well below the observed window comes out of the solve
         assert mean.a1 - mean.a2 / mean.a3 == pytest.approx(0.5, abs=1e-6)
@@ -174,10 +175,10 @@ class TestTrain:
         config = TrainConfig(n_restarts=2, seed=0)
         base = train(model, config)
         assert len(base.restarts) == config.n_restarts + 1  # the model's own start
-        result = train(model, config, warm=base.model.opt_vector())
+        result = train(model, config, warm=base.model.hyperparameters().values)
         assert len(result.restarts) == config.n_restarts + 2
         assert result.nlml <= base.nlml + 1e-12
-        wild = np.full(len(model.opt_vector()), 1e6)
+        wild = np.full(len(model.hyperparameters().values), 1e6)
         assert len(train(model, config, warm=wild).restarts) == config.n_restarts + 2
         # a malformed start is an error, not silently dropped
         with pytest.raises(ConfigError, match=f"{len(wild)} finite values"):
@@ -185,30 +186,92 @@ class TestTrain:
         with pytest.raises(ConfigError, match=f"{len(wild)} finite values"):
             train(model, config, warm=np.full(len(wild), np.nan))
 
-    def test_start_list_is_lhs_then_own_then_warm(self, monkeypatch):
-        x, y = se_sample_series(seed=4, n=20)
-        # the model's own start and the warm start both lie outside the box
-        model = GpModel(SquaredExponential(output_scale=1e3, length_scale=1e4), x, y)
-        warm = np.full(len(model.opt_vector()), -50.0)
-        config = TrainConfig(n_restarts=3, seed=7)
-        x0s = []
+    @staticmethod
+    def recording_minimize(monkeypatch):
+        """The starts and boxes that L-BFGS-B is called with, in call order."""
+        runs = []
         real_minimize = optimize.minimize
 
-        def recording_minimize(fun, x0, **kwargs):
-            x0s.append(np.array(x0, dtype=float))
+        def recording(fun, x0, **kwargs):
+            runs.append((np.array(x0, dtype=float), kwargs["bounds"]))
             return real_minimize(fun, x0, **kwargs)
 
-        monkeypatch.setattr(optimize, "minimize", recording_minimize)
+        monkeypatch.setattr(optimize, "minimize", recording)
+        return runs
+
+    def test_start_list_is_lhs_then_own_then_warm(self, monkeypatch):
+        # the starts are hyperparameter vectors, the Latin hypercube drawn in
+        # the bounds, then the model's own and the warm start.  SE's output
+        # scale s is solved, so each is searched as (log length, log lambda =
+        # log noise - 2 log s, a3 * x_range), the box is the image of the
+        # bounds, and the last two starts are clipped to it
+        x, y = se_sample_series(seed=4, n=20)
+        # the model's own start and the warm start both lie outside the box
+        model = GpModel(SquaredExponential(output_scale=1e3, length_scale=1e4), x, y,
+                        mean=ExpDegradation(a3=5.0))
+        own = model.hyperparameters().values
+        warm = np.full(len(own), -50.0)
+        config = TrainConfig(n_restarts=3, seed=7)
+        runs = self.recording_minimize(monkeypatch)
         result = train(model, config, warm=warm)
         bounds = default_lhs_bounds(model)
-        own = np.clip(model.opt_vector(), bounds[:, 0], bounds[:, 1])
-        clipped_warm = np.clip(warm, bounds[:, 0], bounds[:, 1])
-        assert not np.array_equal(own, model.opt_vector())
-        assert not np.array_equal(clipped_warm, warm)
-        expected = [*optimize._lhs_design(config.seed, config.n_restarts, bounds), own, clipped_warm]
-        assert len(x0s) == len(result.restarts) == config.n_restarts + 2
-        for got, want in zip(x0s, expected):
+        (lo_s, hi_s), (lo_l, hi_l), (lo_n, hi_n), (lo_a, hi_a) = bounds
+        x_range = 100.0
+        box = [(lo_l, hi_l), (lo_n - 2.0 * hi_s, hi_n - 2.0 * lo_s),
+               (lo_a * x_range, hi_a * x_range)]
+        assert box[2] == pytest.approx((-3.0, 3.0), rel=1e-15)
+
+        def mapped(log_s, log_length, log_noise, a3):
+            return [log_length, log_noise - 2.0 * log_s, a3 * x_range]
+
+        draws = [mapped(*h) for h in optimize._lhs_design(config.seed, config.n_restarts, bounds)]
+        extra = [mapped(*h) for h in (own, warm)]
+        clipped = np.clip(extra, *np.transpose(box)).tolist()
+        assert clipped[0] != extra[0] and clipped[1] != extra[1]
+        assert len(runs) == len(result.restarts) == config.n_restarts + 2
+        for (got, run_box), want in zip(runs, draws + clipped, strict=True):
+            assert got.tolist() == want
+            assert run_box == box
+
+    def test_two_scales_start_from_the_hyperparameters(self, monkeypatch):
+        # with every scale searched the map is the identity: the starts and
+        # the box are the hyperparameters' own
+        x, y = se_sample_series(seed=4, n=20)
+        model = model_for_series((x, y), "SE+MA3")
+        assert np.array_equal(model.opt_map(), np.eye(len(model.hyperparameters().values)))
+        config = TrainConfig(n_restarts=3, seed=7)
+        runs = self.recording_minimize(monkeypatch)
+        train(model, config)
+        bounds = default_lhs_bounds(model)
+        own = np.clip(model.hyperparameters().values, bounds[:, 0], bounds[:, 1])
+        drawn = [*optimize._lhs_design(config.seed, config.n_restarts, bounds), own]
+        for (got, box), want in zip(runs, drawn, strict=True):
             assert np.array_equal(got, want)
+            assert box == list(map(tuple, bounds))
+
+    def test_warm_start_decodes_to_the_previous_hyperparameters(self, monkeypatch):
+        # consecutive rolling origins have different input ranges, so the
+        # previous optimum travels as hyperparameters: its rate in the next
+        # model's coordinates is a3 * the next range, where carrying the old
+        # coordinates would have rescaled a3 by the ratio of the ranges
+        x, y = se_sample_series(seed=6, n=41)
+        y = y - 0.002 * x
+        config = TrainConfig(n_restarts=2, seed=0)
+        previous = train(model_for_series((x[:40], y[:40]), "MA3", "EXPDEG"), config).model
+        model = model_for_series((x, y), "MA3", "EXPDEG")
+        assert model.x_range != previous.x_range
+        hyper = previous.hyperparameters().values
+        runs = self.recording_minimize(monkeypatch)
+        train(model, config, warm=hyper)
+        warm, box = runs[-1]
+        assert all(lo < v < hi for v, (lo, hi) in zip(warm, box))  # not clipped
+        kernel, ratio, (a3,) = model._natural(warm)
+        assert kernel[1] == previous.kernel.length_scale
+        assert warm[:2].tolist() == previous.opt_vector()[:2].tolist()  # log length, log lambda
+        assert math.exp(warm[1]) == pytest.approx(
+            previous.noise_variance / previous.kernel.output_scale**2, rel=1e-14)
+        assert a3 == pytest.approx(previous.mean.a3, rel=1e-15, abs=0.0)
+        assert warm[-1] != previous.opt_vector()[-1]
 
     def test_restart_records_count_evaluations_and_penalties(self, monkeypatch):
         x, y = se_sample_series(seed=2, n=25)
@@ -275,13 +338,16 @@ class TestTrain:
 
 
 class TestCallbacks:
+    # SE's output scale is solved, so its optimization vectors are
+    # (log length scale, log lambda) and a mean's rate after them
+
     def test_penalizes_nonfinite_regions(self):
         x = np.linspace(0, 10, 8)
         model = GpModel(SquaredExponential(), x, np.sin(x))
         calls = optimize._Callbacks(model)
-        theta = np.array([800.0, 0.0, 0.0])  # exp overflow
+        theta = np.array([800.0, 0.0])  # exp overflow
         assert calls.value(theta) == optimize._PENALTY
-        assert np.array_equal(calls.gradient(theta), np.zeros(3))
+        assert np.array_equal(calls.gradient(theta), np.zeros(2))
         assert calls.values == [optimize._PENALTY]
 
     def test_clean_region_returns_true_value(self):
@@ -289,7 +355,7 @@ class TestCallbacks:
         model = GpModel(SquaredExponential(), x, np.sin(x))
         calls = optimize._Callbacks(model)
         theta = model.opt_vector()
-        assert calls.value(theta) == pytest.approx(model.nlml(), rel=1e-12)
+        assert calls.value(theta) == pytest.approx(model.with_opt_vector(theta).nlml(), rel=1e-12)
         assert np.all(np.isfinite(calls.gradient(theta)))
 
     @staticmethod
@@ -321,7 +387,7 @@ class TestCallbacks:
         x = np.linspace(0, 10, 8)
         model = GpModel(SquaredExponential(), x, np.sin(x))
         seen = model.opt_vector()
-        unseen = seen + np.array([0.1, -0.2, 0.3])
+        unseen = seen + np.array([0.1, -0.2])
         expected = model.nlml_value_and_gradients(unseen)
         evaluated = self.counting_nlml(monkeypatch)
         calls = optimize._Callbacks(model)
@@ -334,9 +400,10 @@ class TestCallbacks:
     @pytest.mark.parametrize(
         "mean, index, bad",
         [
-            (None, 0, -800.0),  # log output scale underflows to zero
-            (None, 2, 701.0),  # log noise variance above 700
-            (ExpDegradation(0.9, -0.001, 0.01), 3, 100.0),  # a3 * x = 1000 overflows exp
+            (None, 0, -800.0),  # log length scale underflows to zero
+            (None, 1, 701.0),  # log lambda above 700
+            # a3 = 1000 / x_range = 100, and a3 * x = 1000 overflows exp
+            (ExpDegradation(0.9, -0.001, 0.01), 2, 1000.0),
         ],
         ids=["log-underflow", "log-noise-overflow", "expdeg-overflow"],
     )
@@ -393,8 +460,8 @@ class TestCallbacks:
         bounds = default_lhs_bounds(model)
         starts = [
             *optimize._lhs_design(config.seed, config.n_restarts, bounds),
-            np.clip(model.opt_vector(), bounds[:, 0], bounds[:, 1]),
-        ]
+            np.clip(model.hyperparameters().values, bounds[:, 0], bounds[:, 1]),
+        ] @ model.opt_map().T
         # each start's score is L-BFGS-B's first evaluation, so nothing else is evaluated
         assert len(run_evals) == len(starts)
         assert len(evaluated) == sum(run_evals)
@@ -583,6 +650,22 @@ class TestKernelSearch:
             "se.length_scale", "se.output_scale", "se_2.length_scale", "se_2.output_scale",
             "noise.variance",
         }
+
+    def test_entries_carry_the_mean_parameters(self, series):
+        # an EXPDEG search records the solved a1 and a2 with the searched a3,
+        # and the entry's parameters rebuild a model with the entry's NLML
+        config = TrainConfig(n_restarts=1, seed=0)
+        (entry,) = kernel_search(series, bases=("SE",), config=config, mean_expr="EXPDEG").entries
+        assert set(entry.mean_params) == {"a1", "a2", "a3"}
+        assert entry.hyperparameters["mean.a3"] == entry.mean_params["a3"]
+        hp = entry.hyperparameters
+        kernel = Sum(SquaredExponential(hp["se.output_scale"], hp["se.length_scale"]),
+                     SquaredExponential(hp["se_2.output_scale"], hp["se_2.length_scale"]))
+        model = GpModel(kernel, series.cycles, series.capacities,
+                        ExpDegradation(**entry.mean_params), hp["noise.variance"])
+        assert model.nlml() == pytest.approx(entry.nlml, rel=1e-9)
+        (const,) = kernel_search(series, bases=("SE",), config=config).entries
+        assert const.mean_params == {"value": float(np.mean(series.capacities))}
 
 
 class TestParseIntegration:
