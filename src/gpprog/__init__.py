@@ -29,7 +29,7 @@ from .errors import (
     UndefinedMetricError,
     UsageError,
 )
-from .gp import GpModel, Posterior, PosteriorComponent, jittered_cholesky
+from .gp import GpModel, Posterior, PosteriorComponent, default_lhs_bounds, jittered_cholesky
 from .kernels import (
     Hyperparameters,
     Kernel,
@@ -64,7 +64,6 @@ from .optimize import (
     TrainConfig,
     TrainResult,
     candidate_pairs,
-    default_lhs_bounds,
     kernel_search,
     model_for_series,
     train,

@@ -22,8 +22,10 @@ input range, as rate * x_range.  And when the kernel has exactly one scale
 that scale is not searched: the noise entry is log lambda = log sigma^2 -
 log s, and each step solves s = r^T (R + lambda I)^-1 r / n in closed form,
 the concentrated likelihood of kriging (Rasmussen & Williams 2006, §5.4;
-Jones, Schonlau & Welch 1998).  A kernel with two or more scales keeps them
-all in the search.  ``GpModel.opt_map`` is the linear map from
+Jones, Schonlau & Welch 1998), held to a box set by the data (a mean that
+fits the targets exactly would otherwise leave s = 0 and an NLML without a
+lower bound).  A kernel with two or more scales keeps them all in the
+search.  ``GpModel.opt_map`` is the linear map from
 hyperparameters to optimization coordinates.
 
 Per model, the first evaluation keeps what theta does not change: the
@@ -36,8 +38,10 @@ y - offset alone when the basis is empty), the mean's linear coefficients by
 generalised least squares (a q x q solve, Rasmussen & Williams 2006, §2.7;
 q = 2 for EXPDEG, 0 otherwise), the solved scale when there is one, dpotri,
 and W = K^-1 - alpha alpha^T / s summed by key.  The coefficients and the
-scale minimise the NLML, so its gradient in them is zero and the step's
-gradient holds for the profiled NLML too; the trained model carries them.
+scale minimise the NLML, so its gradient in them is zero, or the scale is
+held at an end of its box, where it does not move with theta: either way
+the step's gradient holds for the profiled NLML too.  The trained model
+carries them.
 Whole-cycle inputs have about n keys; fractional ones, where nearly every
 pair is distinct, about n^2/2, so a step's temporaries are then O(P n^2/2)
 for P kernel parameters, the order of the n x n arrays it holds anyway.
@@ -59,8 +63,12 @@ from scipy.linalg import blas, lapack, solve_triangular
 
 from .errors import ConfigError, ContractError, NumericalError
 from .kernels import (
+    ANGLE,
+    LOG_LENGTH_SCALE,
     LOG_NOISE_SCALE,
     LOG_OUTPUT_SCALE,
+    LOG_PERIOD,
+    LOG_WIGGLE,
     Hyperparameters,
     Kernel,
     PairKeys,
@@ -72,7 +80,7 @@ from .kernels import (
     unique_pair_keys,
     with_label_pairs,
 )
-from .meanfn import MeanFunction, Zero
+from .meanfn import MEAN_RATE, MeanFunction, Zero
 
 LOG_NOISE_VARIANCE = "log_noise_variance"
 
@@ -197,13 +205,22 @@ def _nlml(chol: np.ndarray, resid: np.ndarray, alpha: np.ndarray, scale: float =
     )
 
 
-def _solved_scale(resid: np.ndarray, alpha: np.ndarray) -> float:
-    """The scale s that minimises the NLML of the covariance s A:
-    r^T A^-1 r / n, with alpha = A^-1 r."""
+def _solved_scale(resid: np.ndarray, alpha: np.ndarray, box: tuple[float, float]) -> float:
+    """The scale s in ``box`` that minimises the NLML of the covariance s A:
+    r^T A^-1 r / n, with alpha = A^-1 r, clamped to the box.  The NLML is
+    convex in log s, so the clamped value is the box's best.
+
+    Without the floor, a mean that fits the targets to rounding would leave
+    a scale of zero or of rounding noise, and an NLML without a lower bound.
+    The floor is the least noise variance of the starting bounds, not the
+    square of the scale's own least: on rolling B1, 39 of 83 trained scales
+    lie on that, and with it as the floor the kink cost L-BFGS-B more
+    evaluations (11,531 at seed 0) than searching the scale did (10,063).
+    The top is the square of the scale's greatest starting bound."""
     scale = float(resid @ alpha) / len(resid)
-    if not 0.0 < scale < math.inf:
-        raise NumericalError(f"solved kernel scale {scale} is not positive and finite")
-    return scale
+    if not math.isfinite(scale):
+        raise NumericalError(f"solved kernel scale {scale} is not finite")
+    return min(max(scale, box[0]), box[1])
 
 
 def _single_scale(kernel: Kernel) -> int | None:
@@ -228,6 +245,8 @@ class _Layout(NamedTuple):
     noise: int  # the noise entry's index, after the kernel's searched entries
     dim: int  # the vectors' length
     scale: int | None  # the kernel's solved scale, as an index among its parameters
+    scale_box: tuple[float, float]  # the solved scale's bounds (a variance, as s)
+    units: tuple[float, ...]  # the mean's entries' units: x_range for a rate, else 1
     to_opt: np.ndarray  # the matrix from hyperparameters to optimization coordinates
 
 
@@ -261,6 +280,48 @@ def _checked_variance(var: np.ndarray, scale: float) -> np.ndarray:
             f"posterior variance {var.min():.3e} below tolerance {floor:.3e}"
         )
     return np.clip(var, 0.0, None)
+
+
+def default_lhs_bounds(model: GpModel) -> np.ndarray:
+    """Starting bounds on the hyperparameters (``model.hyperparameters()``),
+    scaled to the training data, per parameter kind.
+
+    Length scales, periods and the mean's rate scale with the input range,
+    output scales and noise with the target standard deviation.  The mean's
+    linear coefficients are solved, not searched, so they have none.  A
+    solved kernel scale takes its box from these bounds too (see
+    ``_solved_scale``); :func:`~gpprog.optimize.train` draws its starts in
+    them.
+    """
+    x, y = model.x, model.y
+    x_range = model.x_range
+    # densely sampled inputs make shorter length scales identifiable
+    spacing = float(np.median(np.diff(np.unique(x)))) if len(np.unique(x)) > 1 else x_range
+    shortest = min(0.1 * x_range, 2.0 * spacing)
+    y_std = float(np.std(y))
+    if y_std <= 0 or not math.isfinite(y_std):
+        y_std = max(0.05 * abs(float(np.mean(y))), 1e-3)
+    bounds = []
+    for kind in model.param_kinds():
+        if kind == LOG_LENGTH_SCALE:
+            bounds.append((math.log(shortest), math.log(10.0 * x_range)))
+        elif kind == LOG_WIGGLE:
+            bounds.append((math.log(0.25), math.log(10.0)))
+        elif kind == LOG_PERIOD:
+            bounds.append((math.log(0.1 * x_range), math.log(2.0 * x_range)))
+        elif kind == LOG_OUTPUT_SCALE:
+            bounds.append((math.log(0.01 * y_std), math.log(10.0 * y_std)))
+        elif kind == LOG_NOISE_SCALE:
+            bounds.append((math.log(1e-4 * y_std), math.log(0.5 * y_std)))
+        elif kind == LOG_NOISE_VARIANCE:
+            bounds.append((2.0 * math.log(1e-4 * y_std), 2.0 * math.log(0.5 * y_std)))
+        elif kind == ANGLE:
+            bounds.append((0.01, math.pi - 0.01))
+        elif kind == MEAN_RATE:
+            bounds.append((-3.0 / x_range, 3.0 / x_range))
+        else:
+            raise ConfigError(f"no default bounds for parameter kind {kind!r}")
+    return np.array(bounds)
 
 
 class GpModel:
@@ -336,24 +397,26 @@ class GpModel:
         """The same model at an optimization-space vector, its mean's linear
         coefficients, and its kernel's scale if it has one, solved there.
 
-        With the scale searched, the new model keeps the solve's Cholesky
-        factor for its posteriors, with alpha solved from its own mean, so
-        that it conditions exactly as a model built from scratch; with the
-        scale solved, that factor is of K / s, and the model factorizes K
-        itself when first asked.  It also takes over the pair keys and the
-        layout, which the vector does not change; the n x n buffer in the
-        keys is only scratch inside ``_factor``, so the two models share it.
+        The new model keeps the solve's Cholesky factor for its posteriors
+        (times the square root of a solved scale s: the factor is of K / s),
+        with alpha solved from its own mean, so that it conditions as a model
+        built from scratch: exactly with the scale searched, to rounding with
+        it solved.  It also takes over the pair keys and the layout, which the
+        vector does not change; the n x n buffer in the keys is only scratch
+        inside ``_factor``, so the two models share it.
         """
         kraw, noise, mraw = self._natural(values)
-        scale_index = self._layout.scale
+        layout = self._layout
         mean = self.mean._with_raw(iter(mraw))
         k = self.kernel._evaluate(self._keys[0], iter(kraw), False)[0]
         columns, _ = mean._evaluate(self.x, mraw)
         chol, jitter, resid, alpha, beta = self._factor(k, noise, columns)
-        if scale_index is not None:
-            scale = _solved_scale(resid, alpha)
-            kraw[scale_index] = math.sqrt(scale)
+        if layout.scale is not None:
+            scale = _solved_scale(resid, alpha, layout.scale_box)
+            kraw[layout.scale] = math.sqrt(scale)
             noise *= scale
+            chol *= math.sqrt(scale)
+            jitter *= scale
         model = GpModel(
             self.kernel._with_raw(iter(kraw)),
             self.x,
@@ -362,11 +425,11 @@ class GpModel:
             noise_variance=noise,
             labels=self.labels,
         )
-        model.__dict__.update(_keys=self._keys, _layout=self._layout)
-        if scale_index is None:
-            resid = model.y - model.mean(model.x)
-            alpha, _ = lapack.dpotrs(chol, resid, lower=1)
-            model.__dict__["_factorization"] = (chol, jitter, resid, alpha)
+        resid = model.y - model.mean(model.x)
+        alpha, _ = lapack.dpotrs(chol, resid, lower=1)
+        model.__dict__.update(
+            _keys=self._keys, _layout=self._layout, _factorization=(chol, jitter, resid, alpha)
+        )
         return model
 
     @cached_property
@@ -380,16 +443,21 @@ class GpModel:
         kinds = list(self.param_kinds())
         nk = self.kernel.n_params()
         scale = _single_scale(self.kernel)
-        to_opt = np.eye(len(kinds))
-        to_opt[nk + 1 :] *= self.x_range  # the mean's rates
+        units = tuple(self.x_range if kind == MEAN_RATE else 1.0 for kind in kinds[nk + 1 :])
+        to_opt = np.diag([1.0] * (nk + 1) + list(units))
+        box = (1.0, 1.0)
         if scale is not None:
+            # from the least noise variance of the starting bounds to the
+            # square of the scale's greatest (see _solved_scale)
+            bounds = default_lhs_bounds(self)
+            box = (math.exp(bounds[nk, 0]), math.exp(2.0 * bounds[scale, 1]))
             to_opt[nk, scale] = -2.0
             to_opt = np.delete(to_opt, scale, axis=0)
             del kinds[scale]
             nk -= 1
         to_opt.flags.writeable = False
         logs = np.flatnonzero([is_log_kind(k) for k in kinds])
-        return _Layout(logs, nk, len(kinds), scale, to_opt)
+        return _Layout(logs, nk, len(kinds), scale, box, units, to_opt)
 
     @cached_property
     def _keys(self) -> tuple[PairKeys, np.ndarray, np.ndarray]:
@@ -414,7 +482,8 @@ class GpModel:
         kraw = raw[: layout.noise]
         if layout.scale is not None:
             kraw.insert(layout.scale, 1.0)
-        return kraw, raw[layout.noise], [v / self.x_range for v in raw[layout.noise + 1 :]]
+        mraw = [v / unit for v, unit in zip(raw[layout.noise + 1 :], layout.units)]
+        return kraw, raw[layout.noise], mraw
 
     # --- inference ---------------------------------------------------------
 
@@ -463,16 +532,17 @@ class GpModel:
         the parameter layout are computed on first use and kept.  The
         gradient is eq. 5.9 of Rasmussen & Williams (2006),
         1/2 tr((K^-1 - alpha alpha^T) dK).  With the scale s solved, K is
-        s (R + lambda I), the NLML is n/2 log s + 1/2 log|R + lambda I| +
-        n/2 (1 + log 2 pi), and W = (R + lambda I)^-1 - alpha alpha^T / s with
-        alpha = (R + lambda I)^-1 r.
+        s (R + lambda I), the NLML is r^T alpha / (2 s) + n/2 log s +
+        1/2 log|R + lambda I| + n/2 log 2 pi (r^T alpha / s = n unless s is
+        held at an end of its box), and W = (R + lambda I)^-1 -
+        alpha alpha^T / s with alpha = (R + lambda I)^-1 r.
 
         The kernel and its gradients are evaluated once, on all the model's
         distinct pair keys; the values are gathered into the gram and each
         gradient is contracted with W summed by key, one dot product each.
         A mean parameter's entry is -(dH/dp beta)^T alpha / s, over x_range
         for a rate: the NLML's gradient in the solved coefficients beta and
-        scale s is zero.
+        scale s is zero, or s is held at an end of its box.
         """
         kraw, noise, mraw = self._natural(theta)
         scale_index = self._layout.scale
@@ -481,7 +551,7 @@ class GpModel:
         k, dks = self.kernel._evaluate(keys, iter(kraw), True)
         chol, _, resid, alpha, beta = self._factor(k, noise, columns)
         del k
-        scale = 1.0 if scale_index is None else _solved_scale(resid, alpha)
+        scale = 1.0 if scale_index is None else _solved_scale(resid, alpha, self._layout.scale_box)
         value = _nlml(chol, resid, alpha, scale)
         # dpotri leaves the lower triangle Z of K^-1 (the upper stays zero) and
         # dsyr takes alpha alpha^T / s off that triangle in place.  Every dK is
@@ -503,7 +573,8 @@ class GpModel:
         grads = [blas.ddot(weights, dk) for dk in dks]
         grads.append(noise_grad)
         if beta:
-            grads.extend(-(basis_grads @ beta @ alpha) / (scale * self.x_range))
+            mean_grads = (basis_grads @ beta @ alpha).tolist()
+            grads.extend(-g / (scale * unit) for g, unit in zip(mean_grads, self._layout.units))
         return value, np.array(grads)
 
     def _require_labels(self, x_new, labels):

@@ -29,7 +29,7 @@ from . import kernels as kx
 from . import meanfn as mx
 from .dataset import CapacitySeries, Fleet
 from .errors import ConfigError, DegenerateInputError, NumericalError, TrainingError
-from .gp import LOG_NOISE_VARIANCE, GpModel, _pin_blas_threads
+from .gp import GpModel, _pin_blas_threads, default_lhs_bounds
 
 _PENALTY = 1e25
 _MAX_ITERATIONS = 200
@@ -84,45 +84,6 @@ def _lhs_design(seed: int, n: int, bounds: np.ndarray) -> np.ndarray:
     return bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])
 
 
-def default_lhs_bounds(model: GpModel) -> np.ndarray:
-    """Starting bounds on the hyperparameters (``model.hyperparameters()``),
-    scaled to the training data, per parameter kind.
-
-    Length scales, periods and the mean's rate scale with the input range,
-    output scales and noise with the target standard deviation.  The mean's
-    linear coefficients are solved, not searched, so they have none.
-    """
-    x, y = model.x, model.y
-    x_range = model.x_range
-    # densely sampled inputs make shorter length scales identifiable
-    spacing = float(np.median(np.diff(np.unique(x)))) if len(np.unique(x)) > 1 else x_range
-    shortest = min(0.1 * x_range, 2.0 * spacing)
-    y_std = float(np.std(y))
-    if y_std <= 0 or not math.isfinite(y_std):
-        y_std = max(0.05 * abs(float(np.mean(y))), 1e-3)
-    bounds = []
-    for kind in model.param_kinds():
-        if kind == kx.LOG_LENGTH_SCALE:
-            bounds.append((math.log(shortest), math.log(10.0 * x_range)))
-        elif kind == kx.LOG_WIGGLE:
-            bounds.append((math.log(0.25), math.log(10.0)))
-        elif kind == kx.LOG_PERIOD:
-            bounds.append((math.log(0.1 * x_range), math.log(2.0 * x_range)))
-        elif kind == kx.LOG_OUTPUT_SCALE:
-            bounds.append((math.log(0.01 * y_std), math.log(10.0 * y_std)))
-        elif kind == kx.LOG_NOISE_SCALE:
-            bounds.append((math.log(1e-4 * y_std), math.log(0.5 * y_std)))
-        elif kind == LOG_NOISE_VARIANCE:
-            bounds.append((2.0 * math.log(1e-4 * y_std), 2.0 * math.log(0.5 * y_std)))
-        elif kind == kx.ANGLE:
-            bounds.append((0.01, math.pi - 0.01))
-        elif kind == mx.MEAN_RATE:
-            bounds.append((-3.0 / x_range, 3.0 / x_range))
-        else:
-            raise ConfigError(f"no default bounds for parameter kind {kind!r}")
-    return np.array(bounds)
-
-
 class _Callbacks:
     """L-BFGS-B's value and gradient callbacks for one restart.
 
@@ -170,7 +131,8 @@ def train(model: GpModel, config: TrainConfig = TrainConfig(), warm=None) -> Tra
     bounds box-constrains the search, which keeps hyperparameters in the
     identifiable region they describe (a period longer than the observed
     window, say, is just an expensive way to mimic a smooth kernel); the
-    last two starts are clipped to that box.  A solved scale has no box.
+    last two starts are clipped to that box.  A solved scale is not searched;
+    the step holds it to its own box (see :func:`default_lhs_bounds`).
     The returned model is the best local optimum found; its NLML never
     exceeds that of any start, which L-BFGS-B evaluates first.
     """

@@ -25,8 +25,8 @@ from gpprog import (
     SquaredExponential,
     Sum,
     TrainConfig,
-    TrainingError,
     WhiteNoise,
+    default_lhs_bounds,
     jittered_cholesky,
     model_for_series,
     parse_kernel,
@@ -295,18 +295,47 @@ class TestSolvedScale:
             / len(x), rel=1e-10)
         assert np.allclose(trained.opt_vector(), theta, rtol=0.0, atol=1e-13)
 
-    def test_a_mean_that_fits_exactly_leaves_no_scale_to_solve(self):
+    def test_a_mean_that_fits_exactly_takes_the_least_scale_in_the_box(self):
         # constant targets under the constant mean have a zero residual, whose
-        # best scale is zero: the step rejects it, as training does every start
+        # unbounded best scale is zero: the step takes the box's floor, the
+        # least noise variance of the starting bounds (its top is the square
+        # of the output scale's greatest), and training fits as it does with
+        # the scale searched
         x = np.arange(1.0, 11.0)
         model = model_for_series((x, np.full(10, 0.9)), "MA3")
-        with pytest.raises(NumericalError, match="solved kernel scale 0.0"):
-            model.nlml_value_and_gradients(model.opt_vector())
-        with pytest.raises(TrainingError, match="all restarts failed"):
-            train(model, TrainConfig(n_restarts=1))
-        # a kernel with two scales searches them, and trains as before
+        lo, hi = model._layout.scale_box
+        bounds = default_lhs_bounds(model)  # output scale, length scale, noise
+        assert (lo, hi) == pytest.approx(
+            (math.exp(bounds[2, 0]), math.exp(2.0 * bounds[0, 1])), rel=1e-15)
+        theta = model.opt_vector()
+        value, grads = model.nlml_value_and_gradients(theta)
+        floor = model.with_opt_vector(theta)
+        assert floor.kernel.output_scale**2 == pytest.approx(lo, rel=1e-15)
+        assert value == pytest.approx(dense_oracle(floor, x[:1])[0], rel=1e-10)
+        assert np.allclose(grads, central_difference_gradients(floor), rtol=1e-5, atol=1e-6)
+        trained = train(model, TrainConfig(n_restarts=1))
+        assert math.isfinite(trained.nlml)
+        assert lo * (1.0 - 1e-12) <= trained.model.kernel.output_scale**2 <= hi
         assert math.isfinite(train(model_for_series((x, np.full(10, 0.9)), "MA5+MA3"),
                                    TrainConfig(n_restarts=1)).nlml)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_an_origin_the_mean_fits_to_rounding_gives_a_finite_model(self, n):
+        # EXPDEG fits two points exactly, and with the rate free nearly fits
+        # three: the residual is rounding noise, or tends to zero, so the
+        # unbounded scale would be too.  The trained model's scale is the
+        # box's floor and it predicts with a variance above rounding
+        x = np.arange(1.0, n + 1.0)
+        y = np.array([1.0, 0.98, 0.97])[:n]
+        model = model_for_series((x, y), "MA3", "EXPDEG")
+        lo, hi = model._layout.scale_box
+        result = train(model, TrainConfig(n_restarts=3))
+        assert math.isfinite(result.nlml)
+        scale = result.model.kernel.output_scale**2
+        assert scale == pytest.approx(lo, rel=1e-12) and lo < hi
+        post = result.model.posterior(np.array([n + 5.0]))
+        assert np.all(np.isfinite(post.mean))
+        assert post.variance_latent[0] > 1e-3 * lo
 
 
 class TestConditioningLimits:
@@ -622,8 +651,14 @@ class TestValidationAndPlumbing:
                         noise_variance=trained.noise_variance)
         grid = np.linspace(0.0, 45.0, 91)
         a, b = trained.posterior(grid), fresh.posterior(grid)
+        # with the scale searched, the kept factor is the one a fresh build
+        # computes; with it solved, it is scaled by sqrt(s), which agrees to
+        # rounding in the largest value
+        rel = 0.0 if model._layout.scale is None else 1e-12
         for field in ("mean", "variance_latent", "variance_noisy"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
+            expected = getattr(b, field)
+            assert np.max(np.abs(getattr(a, field) - expected)) <= rel * np.max(np.abs(expected))
+        assert trained.nlml() == pytest.approx(fresh.nlml(), rel=rel, abs=0.0)
         own = trained.opt_vector()
         assert trained.nlml_value_and_gradients(own)[0] == fresh.nlml_value_and_gradients(own)[0]
         # the parent still factorizes correctly after sharing its scratch buffer

@@ -4,10 +4,10 @@ Random compound kernels (sums and products of every base kernel, optionally
 under a label covariance) and every mean function are evaluated at a vector
 other than the model's own parameters, and checked against the dense oracle,
 central differences and a model rebuilt at that vector.  A kernel with one
-scale has it solved at every vector, and its NLML is checked to be the
-least NLML over that scale.  The same kernels' diagonals are checked
-against their full grams, and posteriors at new (labeled) inputs against
-the dense oracle.
+scale has it solved in its box at every vector, and its NLML is checked to
+be the least NLML over that scale in the box.  The same kernels' diagonals
+are checked against their full grams, and posteriors at new (labeled)
+inputs against the dense oracle.
 
 Training evaluates kernels once per distinct (distance, label pair), so the
 inputs are drawn three ways: spread floats, where nearly every pair is
@@ -22,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -83,26 +83,9 @@ def training_inputs(draw, n):
     return np.resize(grid, n)
 
 
-def mean_fits_exactly(model: GpModel, theta) -> bool:
-    """Whether the mean at ``theta`` fits the targets to rounding: by least
-    squares on its basis, which leaves a residual exactly when GLS does."""
-    _, _, mean_raw = model._natural(theta)
-    columns, _ = model.mean._evaluate(model.x, mean_raw)
-    resid = model.y - columns[:, 0]
-    basis = columns[:, 1:]
-    if basis.shape[1]:
-        resid = resid - basis @ np.linalg.lstsq(basis, resid, rcond=None)[0]
-    return bool(np.linalg.norm(resid) <= 1e-6 * (1.0 + np.linalg.norm(model.y)))
-
-
 @st.composite
 def problems(draw, kernels=compound_kernels):
-    """A model, and an optimization-space vector near but not at its parameters.
-
-    A solved scale is r^T (R + lambda I)^-1 r / n, so where the mean fits the
-    targets to rounding it is rounding noise, or zero, which the step
-    rejects (``TestSolvedScale`` in test_gp.py); such draws are left out.
-    """
+    """A model, and an optimization-space vector near but not at its parameters."""
     n = draw(st.integers(2, 9))
     x = draw(training_inputs(n))
     y = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
@@ -127,8 +110,6 @@ def problems(draw, kernels=compound_kernels):
     theta = model.opt_vector()
     steps = st.lists(st.floats(-0.3, 0.3), min_size=len(theta), max_size=len(theta))
     theta += np.array(draw(steps))
-    if model._layout.scale is not None:
-        assume(not mean_fits_exactly(model, theta))
     return model, theta
 
 
@@ -174,15 +155,19 @@ def test_gradient_matches_central_differences(problem):
 @given(problems(leaves))
 def test_solved_scale_minimises_the_searched_nlml(problem):
     # one leaf, under a label covariance or not, has one scale: the step
-    # solves it, and its NLML is the least of the NLMLs with the scale
-    # searched (the model rebuilt at theta, its kernel's scale and the noise
-    # variance both times c), which the dense oracle gives; c = 1 is best
+    # solves it in its box, and its NLML is the least of the NLMLs with the
+    # scale searched in that box (the model rebuilt at theta, its kernel's
+    # scale and the noise variance both times c), which the dense oracle
+    # gives; c = 1 is best
     model, theta = problem
     assert model._layout.scale is not None and len(theta) == len(model.hyperparameters().names) - 1
     value, _ = model.nlml_value_and_gradients(theta)
     rebuilt = model.with_opt_vector(theta)
     raw = rebuilt.kernel._raw_values()
     index = model._layout.scale
+    lo, hi = model._layout.scale_box
+    scale = raw[index] ** 2
+    assert lo * (1.0 - 1e-12) <= scale <= hi * (1.0 + 1e-12)
 
     def searched(log_c):
         scaled = raw[:index] + [raw[index] * math.exp(0.5 * log_c)] + raw[index + 1 :]
@@ -190,8 +175,10 @@ def test_solved_scale_minimises_the_searched_nlml(problem):
                                    rebuilt.mean, rebuilt.noise_variance * math.exp(log_c),
                                    labels=model.labels))
 
-    best = minimize_scalar(searched, bounds=(-5.0, 5.0), method="bounded",
-                           options={"xatol": 1e-9})
+    # the NLML is convex in log c, so a bounded scalar search finds the box's best
+    best = minimize_scalar(searched, bounds=(min(math.log(lo / scale), 0.0),
+                                             max(math.log(hi / scale), 0.0)),
+                           method="bounded", options={"xatol": 1e-9})
     assert best.x == pytest.approx(0.0, abs=1e-5)
     assert value == pytest.approx(best.fun, rel=1e-8, abs=1e-8)
     assert value == pytest.approx(searched(0.0), rel=1e-8, abs=1e-8)
