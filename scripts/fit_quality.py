@@ -5,7 +5,8 @@ Usage: ``python3 scripts/fit_quality.py BASE_SRC BRANCH_SRC``
 
 The jobs are rolling B1 (MA3 + EXPDEG, 3 restarts, warm starts, start
 fraction 0.2, EoL threshold 0.8), the fleet_c3 job (C3 borrowing from C1
-and C2, MA5+MA3, the same settings with threshold 0.7) and the A1 kernel
+and C2, MA5+MA3, the same settings with threshold 0.7), fleet_c3_expdeg
+(the fleet_c3 job with an EXPDEG mean) and the A1 kernel
 search of search_a1_par (every pair of SE, MA3, MA5 and PER, CONST mean,
 10 restarts, in one process), each at training seeds 0-3 on this script's
 own ``data/``.  Each tree runs in a subprocess with ``PYTHONPATH`` set to
@@ -45,16 +46,21 @@ def _jobs(gpprog):
                                eol_threshold=0.8, config=config, warm_start=True,
                                jobs=1).rmse_eol
 
-    def fleet_c3(config):
+    def fleet_c3(config, mean_expr="CONST"):
         return gpprog.evaluate_mogp(fleet, target="C3", train_cells=["C1", "C2"],
-                                    kernel_expr="MA5+MA3", start_fraction=0.2, eol_threshold=0.7,
-                                    config=config, warm_start=True, jobs=1).rmse_eol
+                                    kernel_expr="MA5+MA3", mean_expr=mean_expr,
+                                    start_fraction=0.2, eol_threshold=0.7, config=config,
+                                    warm_start=True, jobs=1).rmse_eol
+
+    def fleet_c3_expdeg(config):
+        return fleet_c3(config, mean_expr="EXPDEG")
 
     def search_a1(config):
         gpprog.kernel_search(a1, bases=("SE", "MA3", "MA5", "PER"), config=config,
                              mean_expr="CONST", jobs=1)
 
-    return {"rolling_b1": (3, rolling_b1), "fleet_c3": (3, fleet_c3), "search_a1": (10, search_a1)}
+    return {"rolling_b1": (3, rolling_b1), "fleet_c3": (3, fleet_c3),
+            "fleet_c3_expdeg": (3, fleet_c3_expdeg), "search_a1": (10, search_a1)}
 
 
 def record() -> dict:
@@ -93,7 +99,7 @@ def _rmse(value) -> str:
 
 
 def compare(base: dict, branch: dict) -> list[str]:
-    lines = [f"{'job':<12}{'seed':>5}  {'evaluations':>18}  {'rmse_eol':>22}"
+    lines = [f"{'job':<16}{'seed':>5}  {'evaluations':>18}  {'rmse_eol':>22}"
              f"{'fits':>9}{'better':>8}{'worse':>7}  largest rise"]
     candidates = [f"{'candidate':<12}{'seed':>5}  {'nlml':>40}  verdict"]
     for name, seeds in base.items():
@@ -105,7 +111,7 @@ def compare(base: dict, branch: dict) -> list[str]:
             worse = sum(m > TOLERANCE for m in moves)
             evaluations = f"{a['evaluations']} -> {b['evaluations']}"
             rmse = f"{_rmse(a['rmse_eol'])} -> {_rmse(b['rmse_eol'])}"
-            lines.append(f"{name:<12}{seed:>5}  {evaluations:>18}  {rmse:>22}{len(common):>9}"
+            lines.append(f"{name:<16}{seed:>5}  {evaluations:>18}  {rmse:>22}{len(common):>9}"
                          f"{better:>8}{worse:>7}  {max(moves, default=0.0):.3g}")
             if a["rmse_eol"] is None:  # a search: one line per candidate
                 for kernel, move in zip(common, moves):

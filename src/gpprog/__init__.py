@@ -47,7 +47,6 @@ from .kernels import (
     mogp_gram,
     parse_kernel,
     sum_terms,
-    with_data_scales,
 )
 from .meanfn import (
     Constant,

@@ -26,7 +26,11 @@ Jones, Schonlau & Welch 1998), held to a box set by the data (a mean that
 fits the targets exactly would otherwise leave s = 0 and an NLML without a
 lower bound).  A kernel with two or more scales keeps them all in the
 search.  ``GpModel.opt_map`` is the linear map from
-hyperparameters to optimization coordinates.
+hyperparameters to optimization coordinates.  Every parameter's start and
+its starting bounds come from one rule per parameter kind,
+:func:`starts_and_bounds`, which reads the data through the input range,
+the inputs' spacing and the targets' spread; kernels and mean functions
+read none.
 
 Per model, the first evaluation keeps what theta does not change: the
 distinct pair keys of the inputs, each pair's index into them, an n x n
@@ -76,6 +80,7 @@ from .kernels import (
     Sum,
     is_log_kind,
     natural_values,
+    numbered_tokens,
     sum_terms,
     unique_pair_keys,
     with_label_pairs,
@@ -282,46 +287,70 @@ def _checked_variance(var: np.ndarray, scale: float) -> np.ndarray:
     return np.clip(var, 0.0, None)
 
 
-def default_lhs_bounds(model: GpModel) -> np.ndarray:
-    """Starting bounds on the hyperparameters (``model.hyperparameters()``),
-    scaled to the training data, per parameter kind.
+def starts_and_bounds(model: GpModel) -> tuple[list[float], np.ndarray]:
+    """Each hyperparameter's start, as a natural-space value, and its
+    starting bounds, in ``model.hyperparameters()`` coordinates (log values
+    for log kinds), from one rule per parameter kind.
 
-    Length scales, periods and the mean's rate scale with the input range,
-    output scales and noise with the target standard deviation.  The mean's
-    linear coefficients are solved, not searched, so they have none.  A
-    solved kernel scale takes its box from these bounds too (see
-    ``_solved_scale``); :func:`~gpprog.optimize.train` draws its starts in
-    them.
+    The rules read the data through the input range (``model.x_range``), the
+    median spacing of the distinct inputs (for the least length scale) and
+    the targets' standard deviation, or, for targets without spread, 5% of
+    their mean and at least 1e-3.  Length scales, periods and the mean's rate
+    scale with the range, output scales and noise with the deviation.  Each
+    output scale opens a slot for its leaf's length scale or period, 4x
+    shorter than the last slot's, so that summed components start on
+    distinct timescales instead of a symmetric (and optimizer-degenerate)
+    configuration.  The noise variance starts at 1e-4 whatever the data;
+    :func:`~gpprog.optimize.train` clips a start outside the bounds' image to
+    it.  The mean's linear coefficients are solved, not searched, so they
+    have neither.
     """
-    x, y = model.x, model.y
-    x_range = model.x_range
+    x_range, distinct, y = model.x_range, np.unique(model.x), model.y
     # densely sampled inputs make shorter length scales identifiable
-    spacing = float(np.median(np.diff(np.unique(x)))) if len(np.unique(x)) > 1 else x_range
+    spacing = float(np.median(np.diff(distinct))) if len(distinct) > 1 else x_range
     shortest = min(0.1 * x_range, 2.0 * spacing)
     y_std = float(np.std(y))
     if y_std <= 0 or not math.isfinite(y_std):
         y_std = max(0.05 * abs(float(np.mean(y))), 1e-3)
-    bounds = []
+    slot, length = 0, x_range
+    starts, bounds = [], []
     for kind in model.param_kinds():
-        if kind == LOG_LENGTH_SCALE:
+        if kind == LOG_OUTPUT_SCALE:
+            length = x_range / (3.0 * 4.0**slot)
+            slot += 1
+            starts.append(y_std)
+            bounds.append((math.log(0.01 * y_std), math.log(10.0 * y_std)))
+        elif kind == LOG_LENGTH_SCALE:
+            starts.append(length)
             bounds.append((math.log(shortest), math.log(10.0 * x_range)))
         elif kind == LOG_WIGGLE:
+            starts.append(1.0)
             bounds.append((math.log(0.25), math.log(10.0)))
         elif kind == LOG_PERIOD:
+            starts.append(2.0 * length)
             bounds.append((math.log(0.1 * x_range), math.log(2.0 * x_range)))
-        elif kind == LOG_OUTPUT_SCALE:
-            bounds.append((math.log(0.01 * y_std), math.log(10.0 * y_std)))
         elif kind == LOG_NOISE_SCALE:
+            starts.append(y_std / 10.0)
             bounds.append((math.log(1e-4 * y_std), math.log(0.5 * y_std)))
         elif kind == LOG_NOISE_VARIANCE:
+            starts.append(1e-4)
             bounds.append((2.0 * math.log(1e-4 * y_std), 2.0 * math.log(0.5 * y_std)))
         elif kind == ANGLE:
+            starts.append(math.pi / 4)
             bounds.append((0.01, math.pi - 0.01))
         elif kind == MEAN_RATE:
+            starts.append(-1.0 / x_range)
             bounds.append((-3.0 / x_range, 3.0 / x_range))
         else:
             raise ConfigError(f"no default bounds for parameter kind {kind!r}")
-    return np.array(bounds)
+    return starts, np.array(bounds)
+
+
+def default_lhs_bounds(model: GpModel) -> np.ndarray:
+    """The starting bounds of :func:`starts_and_bounds`.  A solved kernel
+    scale takes its box from them too (see ``_solved_scale``);
+    :func:`~gpprog.optimize.train` draws its starts in them."""
+    return starts_and_bounds(model)[1]
 
 
 class GpModel:
@@ -614,13 +643,9 @@ class GpModel:
                 "cannot decompose a product kernel into additive components"
             )
         x_new, labels = self._require_labels(x_new, labels)
-        terms = {}
-        seen: dict[str, int] = {}
-        for term in sum_terms(self.kernel):
-            token = term._token()
-            seen[token] = seen.get(token, 0) + 1
-            terms[token if seen[token] == 1 else f"{token}_{seen[token]}"] = term
-        return self._condition(x_new, labels, terms)
+        terms = sum_terms(self.kernel)
+        names = numbered_tokens(term._token() for term in terms)
+        return self._condition(x_new, labels, dict(zip(names, terms)))
 
     def _condition(self, x_new, labels, terms: dict[str, Kernel] | None = None) -> Posterior:
         """The posterior at new inputs, with a component per named additive

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import BoundsError, ConfigError, NumericalError
 
-# parameter kinds, used to pick sensible data-driven search bounds
+# parameter kinds, which set data-driven starts and search bounds (gp.starts_and_bounds)
 LOG_OUTPUT_SCALE = "log_output_scale"
 LOG_LENGTH_SCALE = "log_length_scale"
 # the periodic kernel's wiggliness divides sin^2, so it carries no input units
@@ -247,11 +247,8 @@ class Kernel(Parametrized, ABC):
 
     def hyperparameters(self) -> Hyperparameters:
         names, kinds, values = [], [], []
-        seen: dict[str, int] = {}
-        for leaf in self._walk():
-            token = leaf._token().lower()
-            seen[token] = seen.get(token, 0) + 1
-            prefix = token if seen[token] == 1 else f"{token}_{seen[token]}"
+        leaves = list(self._walk())
+        for leaf, prefix in zip(leaves, numbered_tokens(leaf._token().lower() for leaf in leaves)):
             for local, kind, raw in leaf._param_specs():
                 names.append(f"{prefix}.{local}")
                 kinds.append(kind)
@@ -462,16 +459,10 @@ def _spherical_factor_grads(angles, m: int) -> list[np.ndarray]:
 
 
 def label_covariance(angles, scale: float, m: int) -> np.ndarray:
-    """m x m output covariance scale * S^T S from hypersphere angles;
-    ``LabelCovariance(m, angles)`` is the one with ``scale`` 1."""
-    angles = np.asarray(angles, dtype=float)
-    expected = m * (m - 1) // 2
-    if angles.shape != (expected,):
-        raise ConfigError(
-            f"label covariance for m={m} needs {expected} angles, got {angles.shape}"
-        )
+    """m x m output covariance scale * S^T S from hypersphere angles, checked
+    as ``LabelCovariance(m, angles)``, which is the one with ``scale`` 1."""
     _check_positive("scale", scale)
-    s = _spherical_factor(angles, m)
+    s = _spherical_factor(LabelCovariance(m, angles).angles, m)
     return scale * (s.T @ s)
 
 
@@ -490,13 +481,13 @@ class LabelCovariance(Kernel):
     def __post_init__(self):
         if self.m < 1:
             raise ConfigError(f"label covariance needs m >= 1, got {self.m}")
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+        angles = np.asarray(self.angles, dtype=float)
         expected = self.m * (self.m - 1) // 2
-        if len(self.angles) != expected:
+        if angles.shape != (expected,):
             raise ConfigError(
-                f"label covariance for m={self.m} needs {expected} angles, "
-                f"got {len(self.angles)}"
+                f"label covariance for m={self.m} needs {expected} angles, got {angles.shape}"
             )
+        object.__setattr__(self, "angles", tuple(angles.tolist()))
         super().__post_init__()
 
     def _evaluate(self, keys, raw, grads):
@@ -557,6 +548,16 @@ class Product(_Composite):
             g *= kl
         return kl * kr, gl + gr
 
+
+def numbered_tokens(tokens) -> list[str]:
+    """The tokens, each repeat numbered: the k-th copy of a token is token_k
+    from k = 2 on."""
+    seen: dict[str, int] = {}
+    names = []
+    for token in tokens:
+        seen[token] = seen.get(token, 0) + 1
+        names.append(token if seen[token] == 1 else f"{token}_{seen[token]}")
+    return names
 
 
 def sum_terms(kernel: Kernel) -> list[Kernel]:
@@ -623,37 +624,3 @@ def parse_kernel(expression: str) -> Kernel:
 def format_kernel(kernel: Kernel) -> str:
     """Inverse of parse_kernel for sums of base kernels."""
     return "+".join(term._token() for term in sum_terms(kernel))
-
-
-def with_data_scales(kernel: Kernel, x, y) -> Kernel:
-    """Rebuild a kernel expression with data-informed starting parameters.
-
-    Output scales start at the target standard deviation and length scales
-    at a fraction of the input range, shrinking by 4x for each successive
-    stationary leaf so that summed components start on distinct timescales
-    instead of a symmetric (and optimizer-degenerate) configuration.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    x_range = float(x.max() - x.min()) if len(x) > 1 else 1.0
-    x_range = max(x_range, 1e-6)
-    y_std = max(float(np.std(y)), 1e-4)
-    slot = 0
-
-    def rebuild(k: Kernel) -> Kernel:
-        nonlocal slot
-        if isinstance(k, (Sum, Product)):
-            return type(k)(rebuild(k.left), rebuild(k.right))
-        if isinstance(k, _Stationary):
-            length = x_range / (3.0 * 4.0**slot)
-            slot += 1
-            if isinstance(k, Periodic):
-                return replace(
-                    k, output_scale=y_std, length_scale=1.0, period=2.0 * length
-                )
-            return replace(k, output_scale=y_std, length_scale=length)
-        if isinstance(k, WhiteNoise):
-            return replace(k, scale=y_std / 10.0)
-        return k
-
-    return rebuild(kernel)

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .kernels import Parametrized
 
-# parameter kind for data-driven search bounds
+# parameter kind for data-driven starts and search bounds
 MEAN_RATE = "mean_rate"
 
 _EXP_LIMIT = 700.0  # exp() overflows past this
@@ -129,24 +129,17 @@ class ExpDegradation(MeanFunction):
         dphi *= x
         return columns, grads
 
-    @classmethod
-    def initial_guess(cls, x) -> "ExpDegradation":
-        """Crude decay-shaped start: the rate set by the input range."""
-        x = np.asarray(x, dtype=float)
-        x_range = float(x[-1] - x[0]) if len(x) > 1 else 1.0
-        if x_range <= 0:
-            x_range = 1.0
-        return cls(a3=-1.0 / x_range)
-
 
 MEAN_TOKENS = ("ZERO", "CONST", "EXPDEG")
 
 
-def mean_from_token(token: str, x, y) -> MeanFunction:
-    """Build a mean function for training data from a grammar token.
+def mean_from_token(token: str, y) -> MeanFunction:
+    """Build a mean function for the targets ``y`` from a grammar token.
 
-    CONST is pinned to the mean of the observed targets and left fixed;
-    EXPDEG starts from the heuristic initial rate.
+    CONST is pinned to the mean of the targets and left fixed.  EXPDEG and
+    ZERO take their fields' defaults; a model's starts come from
+    :func:`gpprog.gp.starts_and_bounds` (see
+    :func:`gpprog.optimize.model_for_series`).
     """
     token = token.strip().upper()
     if token == "ZERO":
@@ -154,7 +147,7 @@ def mean_from_token(token: str, x, y) -> MeanFunction:
     if token == "CONST":
         return Constant(value=float(np.mean(np.asarray(y, dtype=float))))
     if token == "EXPDEG":
-        return ExpDegradation.initial_guess(x)
+        return ExpDegradation()
     raise ConfigError(f"unknown mean token {token!r}; expected one of {MEAN_TOKENS}")
 
 

@@ -29,7 +29,7 @@ from . import kernels as kx
 from . import meanfn as mx
 from .dataset import CapacitySeries, Fleet
 from .errors import ConfigError, DegenerateInputError, NumericalError, TrainingError
-from .gp import GpModel, _pin_blas_threads, default_lhs_bounds
+from .gp import GpModel, _pin_blas_threads, default_lhs_bounds, starts_and_bounds
 
 _PENALTY = 1e25
 _MAX_ITERATIONS = 200
@@ -245,8 +245,9 @@ def model_for_series(data, kernel_expr: str, mean_expr: str = "CONST") -> GpMode
     ``data`` is a :class:`CapacitySeries`, an ``(x, y)`` pair or a
     :class:`Fleet`.  A fleet gets the multi-output model over every cell's
     observations: the covariance becomes Product(LabelCovariance(m), kernel)
-    with every correlation angle at pi/4, and the mean is fitted to all
-    cells together.
+    and the mean is fitted to all cells together.  Every parameter starts
+    where :func:`~gpprog.gp.starts_and_bounds` puts it for the data: the
+    correlation angles at pi/4, EXPDEG's rate at -1 / x_range, and so on.
     """
     labels = None
     if isinstance(data, Fleet):
@@ -255,12 +256,16 @@ def model_for_series(data, kernel_expr: str, mean_expr: str = "CONST") -> GpMode
         x, y = data.cycles, data.capacities
     else:
         x, y = data
-    kernel = kx.with_data_scales(kx.parse_kernel(kernel_expr), x, y)
-    if labels is not None:
-        angles = (math.pi / 4,) * (data.m * (data.m - 1) // 2)
-        kernel = kx.Product(kx.LabelCovariance(data.m, angles=angles), kernel)
-    mean = mx.mean_from_token(mean_expr, x, y)
-    return GpModel(kernel, x, y, mean=mean, labels=labels)
+    kernel = kx.parse_kernel(kernel_expr)
+    if labels is not None:  # placeholder angles, which the starts replace
+        angles = [0.0] * (data.m * (data.m - 1) // 2)
+        kernel = kx.Product(kx.LabelCovariance(data.m, angles), kernel)
+    model = GpModel(kernel, x, y, mean=mx.mean_from_token(mean_expr, y), labels=labels)
+    starts = iter(starts_and_bounds(model)[0])
+    kernel = kernel._with_raw(starts)
+    noise = next(starts)
+    return GpModel(kernel, x, y, mean=model.mean._with_raw(starts), noise_variance=noise,
+                   labels=labels)
 
 
 def pool_map(fn, items, jobs: int) -> list:

@@ -24,7 +24,6 @@ from gpprog import (
     mogp_gram,
     parse_kernel,
     sum_terms,
-    with_data_scales,
 )
 from gpprog.kernels import (
     LOG_WIGGLE,
@@ -253,6 +252,16 @@ class TestLabelCovariance:
         with pytest.raises(ConfigError, match="phi_1 must be finite"):
             LabelCovariance(2, (angle,))
 
+    @pytest.mark.parametrize("angles, m, message", [
+        ([math.nan], 2, "phi_1 must be finite"),
+        ([math.inf], 2, "phi_1 must be finite"),
+        ([], 0, "m >= 1"),
+        ([], -1, "m >= 1"),
+    ], ids=["nan-angle", "inf-angle", "m=0", "m=-1"])
+    def test_label_covariance_checks_as_the_kernel_does(self, angles, m, message):
+        with pytest.raises(ConfigError, match=message):
+            label_covariance(angles, 1.0, m)
+
     def test_matrix_structure_random_angles(self):
         rng = np.random.default_rng(5)
         for m in (2, 3, 4, 5):
@@ -409,32 +418,6 @@ class TestGrammar:
         k = SquaredExponential() + WhiteNoise()
         assert isinstance(k, Sum)
         assert isinstance(SquaredExponential() * Periodic(), Product)
-
-
-class TestDataScales:
-    def test_scales_follow_data(self):
-        x = np.linspace(0, 120, 40)
-        rng = np.random.default_rng(2)
-        y = 1.0 + 0.05 * rng.standard_normal(40)
-        y_std = float(np.std(y))
-        k = with_data_scales(parse_kernel("MA5+MA3+NOISE"), x, y)
-        ma5, ma3, noise = sum_terms(k)
-        assert ma5.output_scale == pytest.approx(y_std)
-        assert ma5.length_scale == pytest.approx(120 / 3)
-        # successive stationary leaves start 4x shorter
-        assert ma3.length_scale == pytest.approx(120 / 12)
-        assert noise.scale == pytest.approx(y_std / 10)
-
-    def test_periodic_gets_unit_wiggle_and_matched_period(self):
-        x = np.linspace(0, 60, 30)
-        y = np.linspace(1.0, 0.7, 30)
-        per = with_data_scales(Periodic(), x, y)
-        assert per.length_scale == 1.0
-        assert per.period == pytest.approx(2 * 60 / 3)
-
-    def test_degenerate_inputs_fall_back(self):
-        k = with_data_scales(SquaredExponential(), np.array([5.0]), np.array([1.0]))
-        assert k.length_scale > 0 and k.output_scale > 0
 
 
 class TestCoerceInputs:

@@ -31,8 +31,10 @@ from gpprog import (
 )
 from gpprog import gp as gp_module
 from gpprog import optimize
-from gpprog.kernels import parse_kernel, with_data_scales
-from gpprog.meanfn import mean_from_token
+from gpprog.dataset import split
+from gpprog.gp import starts_and_bounds
+from gpprog.kernels import parse_kernel, sum_terms
+from gpprog.meanfn import Constant, Zero
 
 
 def se_sample_series(seed=0, n=60, length_scale=8.0, output_scale=0.05, noise_sd=0.004):
@@ -543,17 +545,107 @@ class TestModelForSeries:
         fleet = Fleet(cells)
         model = model_for_series(fleet, "MA5+MA3", mean_expr)
         x, y, labels = fleet.labeled_arrays()
+        x_range, y_std = float(np.ptp(x)), float(np.std(y))
         kernel = Product(
             LabelCovariance(3, angles=(math.pi / 4,) * 3),
-            with_data_scales(parse_kernel("MA5+MA3"), x, y),
+            Sum(Matern(2.5, y_std, x_range / 3.0), Matern(1.5, y_std, x_range / 12.0)),
         )
-        by_hand = GpModel(kernel, x, y, mean=mean_from_token(mean_expr, x, y), labels=labels)
+        mean = {"ZERO": Zero(), "CONST": Constant(float(np.mean(y))),
+                "EXPDEG": ExpDegradation(a3=-1.0 / x_range)}[mean_expr]
+        by_hand = GpModel(kernel, x, y, mean=mean, labels=labels)
         assert model.hyperparameters().names == by_hand.hyperparameters().names
         assert model.hyperparameters().names[:4] == (
             "label.phi_1", "label.phi_2", "label.phi_3", "ma5.output_scale"
         )
         assert np.array_equal(model.labels, labels)
         assert model.nlml() == by_hand.nlml()
+
+
+def _former_starts(x, y, kernel_expr, mean_expr):
+    """The starts of a single cell's model by the rules that set them before
+    one rule per kind did: the range max - min floored at 1e-6, the standard
+    deviation floored at 1e-4, and EXPDEG's rate from the last input less
+    the first."""
+    x_range = max(float(x.max() - x.min()), 1e-6)
+    y_std = max(float(np.std(y)), 1e-4)
+    values, slot = [], 0
+    for token in kernel_expr.split("+"):
+        if token == "NOISE":
+            values.append(y_std / 10.0)
+            continue
+        length = x_range / (3.0 * 4.0**slot)
+        slot += 1
+        values += [y_std, 1.0, 2.0 * length] if token == "PER" else [y_std, length]
+    values = [math.log(v) for v in values + [1e-4]]
+    return values + ([-1.0 / float(x[-1] - x[0])] if mean_expr == "EXPDEG" else [])
+
+
+class TestStarts:
+    """Every start comes from one rule per parameter kind (starts_and_bounds)."""
+
+    def test_scales_follow_data(self):
+        x = np.linspace(0, 120, 40)
+        rng = np.random.default_rng(2)
+        y = 1.0 + 0.05 * rng.standard_normal(40)
+        y_std = float(np.std(y))
+        ma5, ma3, noise = sum_terms(model_for_series((x, y), "MA5+MA3+NOISE").kernel)
+        assert ma5.output_scale == pytest.approx(y_std)
+        assert ma5.length_scale == pytest.approx(120 / 3)
+        # successive stationary leaves start 4x shorter
+        assert ma3.length_scale == pytest.approx(120 / 12)
+        assert noise.scale == pytest.approx(y_std / 10)
+
+    def test_periodic_gets_unit_wiggle_and_matched_period(self):
+        x = np.linspace(0, 60, 30)
+        y = np.linspace(1.0, 0.7, 30)
+        per = model_for_series((x, y), "PER").kernel
+        assert per.length_scale == 1.0
+        assert per.period == pytest.approx(2 * 60 / 3)
+
+    def test_degenerate_inputs_fall_back(self):
+        k = model_for_series((np.array([5.0]), np.array([1.0])), "SE").kernel
+        assert k.length_scale > 0 and k.output_scale > 0
+
+    def test_expdeg_rate_starts_from_the_input_range(self):
+        model = model_for_series((np.array([0.0, 40.0, 80.0]), np.ones(3)), "SE", "EXPDEG")
+        assert model.mean.a3 == pytest.approx(-1 / 80)
+
+    def test_fleet_expdeg_rate_starts_from_the_spread_of_all_inputs(self):
+        # cell-major inputs end with the target's prefix, so its last input
+        # less the first cell's first (80) is not the spread of the inputs (185)
+        fleet = load_csv(Path(__file__).resolve().parent.parent / "data" / "c.csv")
+        prefix = split(fleet.get("C3"), 17)[0]
+        data = Fleet((fleet.get("C1"), fleet.get("C2"), prefix))
+        model = model_for_series(data, "MA5+MA3", "EXPDEG")
+        x = data.labeled_arrays()[0]
+        assert x[-1] - x[0] == 80.0 and np.ptp(x) == 185.0
+        assert model.mean.a3 == -1.0 / np.ptp(x)
+        assert model.hyperparameters().values[-1] * model.x_range == -1.0
+
+    @pytest.mark.parametrize("x, y", [
+        (np.arange(6.0), np.full(6, 1.0)),  # constant targets
+        (np.full(6, 3.0), np.linspace(1.0, 0.9, 6)),  # all inputs equal
+    ], ids=["constant-targets", "equal-inputs"])
+    def test_starts_lie_inside_their_bounds(self, x, y):
+        model = model_for_series((x, y), "MA5+MA3+NOISE", "EXPDEG")
+        values, kinds = model.hyperparameters().values, model.param_kinds()
+        bounds = default_lhs_bounds(model)
+        for kind in ("log_length_scale", "log_output_scale", "log_noise_scale", "mean_rate"):
+            i = kinds.index(kind)
+            assert bounds[i, 0] <= values[i] <= bounds[i, 1], kind
+        assert np.array_equal(starts_and_bounds(model)[1], bounds)
+
+    @pytest.mark.parametrize("kernel_expr", ["SE", "MA3", "PER", "NOISE", "MA5+MA3",
+                                             "SE+PER+NOISE", "MA3+MA3+NOISE"])
+    @pytest.mark.parametrize("mean_expr", ["ZERO", "CONST", "EXPDEG"])
+    def test_bundled_data_starts_are_the_former_rules_bit_for_bit(self, kernel_expr, mean_expr):
+        data = Path(__file__).resolve().parent.parent / "data"
+        for cell in (load_csv(data / "a1.csv").get("A1"), load_csv(data / "b1.csv").get("B1")):
+            for n in (2, 17, len(cell) // 2, len(cell)):
+                x, y = cell.cycles[:n], cell.capacities[:n]
+                model = model_for_series((x, y), kernel_expr, mean_expr)
+                expected = _former_starts(x, y, kernel_expr, mean_expr)
+                assert model.hyperparameters().values.tolist() == expected
 
 
 class TestPoolMap:
